@@ -27,8 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, build_monodromy, transfer_matrix, vacuum_d, vacuum_state
-from .tensor import eigenvalues
+from .chain import (
+    ChainSpec,
+    monodromy_apply,
+    spectrum_of,
+    transfer_apply,
+    transfer_matrix,
+    vacuum_d,
+    vacuum_state,
+)
 
 MAX_ROOT_MAGNITUDE = 1e8  # beyond this a root is treated as escaped to infinity
 
@@ -248,8 +255,8 @@ def verify_one_magnon_action(spec: ChainSpec, u: complex, v: complex) -> float:
         raise ValueError("u, v must be nonzero and distinct")
     eta = spec.params.eta
     omega = vacuum_state(spec.n_sites)
-    bu = build_monodromy(spec, u)
-    bv = build_monodromy(spec, v)
+    c_v = magnon_product_state(spec, [v])
+    c_u = magnon_product_state(spec, [u])
 
     def alpha(x, y):
         return 1 - eta / (x - y)
@@ -258,20 +265,24 @@ def verify_one_magnon_action(spec: ChainSpec, u: complex, v: complex) -> float:
         return -eta / (x - y)
 
     du, dv = vacuum_d(u, spec), vacuum_d(v, spec)
-    lhs = (bu.a + bu.d) @ (bv.c @ omega)
+    lhs = transfer_apply(spec, u, c_v)
     rhs = (
-        (alpha(u, v) + du * alpha(v, u)) * (bv.c @ omega)
-        - (beta(u, v) + beta(v, u) * dv) * (bu.c @ omega)
+        (alpha(u, v) + du * alpha(v, u)) * c_v
+        - (beta(u, v) + beta(v, u) * dv) * c_u
         + spec.params.xi * (1 - du) * (1 - dv) * omega
     )
     return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1.0))
 
 
 def magnon_product_state(spec: ChainSpec, roots) -> np.ndarray:
-    """C(v_1)...C(v_M) Omega as a vector on the chain space."""
+    """C(v_1)...C(v_M) Omega as a vector on the chain space.
+
+    C(v) psi is the lower half of T(v)[psi; 0], so no matrix is formed.
+    """
+    d = spec.dim
     psi = vacuum_state(spec.n_sites)
     for v in reversed(list(roots)):
-        psi = build_monodromy(spec, v).c @ psi
+        psi = monodromy_apply(spec, v, np.concatenate([psi, np.zeros(d, dtype=complex)]))[d:]
     return psi
 
 
@@ -279,15 +290,15 @@ def verify_multi_magnon_spectrum(spec: ChainSpec, states: list[BetheState],
                                  u: complex) -> list[dict]:
     """Two sub-checks per converged state at the point u.
 
-    (i)  Lambda(u, {v_j}) lies in the exact spectrum of t(u)
-         (eigenvalues coincide with the undeformed chain, so this is
-         expected to hold for every xi);
+    (i)  Lambda(u, {v_j}) lies in the exact spectrum of t(u), taken
+         blockwise in the graded basis (eigenvalues coincide with the
+         undeformed chain, so this is expected to hold for every xi);
     (ii) the eigenvector defect of the product state C(v_1)...C(v_M) Omega,
          expected to vanish at xi = 0 and to stay finite for M >= 2 once
          xi != 0 (the equations constrain the eigenvalue, not the vector).
     """
     t_u = transfer_matrix(spec, u)
-    spectrum = eigenvalues(t_u)
+    spectrum = spectrum_of(t_u, spec.n_sites)[0]
     out = []
     for state in states:
         lam = eval_lambda(u, state)
@@ -340,7 +351,7 @@ def completeness_audit(spec: ChainSpec, u: complex, states: list[BetheState]) ->
     eigenvalue family (the singular two-string with paired roots at 0 and
     eta) is invisible to the logarithmic solver.
     """
-    spectrum = list(eigenvalues(transfer_matrix(spec, u)))
+    spectrum = list(spectrum_of(transfer_matrix(spec, u), spec.n_sites)[0])
     matched = 0
     details = []
     for state in states:

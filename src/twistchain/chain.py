@@ -19,6 +19,11 @@ which is the starting point of the algebraic Bethe ansatz layer in
 ``twistchain.bethe``. For evaluations at u = 0 (regularity, Hamiltonian
 extraction) the polynomial form Lbar(u) = u R_xi - eta P is used; it differs
 from the rational form by the overall scalar u^N in t(u).
+
+Every chain operator is applied factor by factor with the local-contraction
+kernel ``tensor.apply_local``: T(u) x costs O(N 4^N) per column block, and
+the full monodromy is T(u) applied to the identity. Where only vectors are
+needed (``monodromy_apply``, ``transfer_apply``) no full matrix is formed.
 """
 
 from __future__ import annotations
@@ -30,14 +35,14 @@ import numpy as np
 from . import relations as rel
 from .rmatrix import build_r, build_r_xi, polynomial_l
 from .tensor import (
+    I2,
     MAX_SITES,
     SM,
     SX,
     SY,
     SZ,
-    embed_at_site,
+    apply_local,
     eigenvalues,
-    lift,
     match_spectra,
     permutation_op,
     rel_residual,
@@ -121,15 +126,24 @@ def _local_l(spec: ChainSpec, u: complex, form: str) -> np.ndarray:
     raise ValueError(f"unknown form {form!r}")
 
 
+def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray, form: str = "rational",
+                    aux: int = 0, n_aux: int = 1) -> np.ndarray:
+    """T(u) x = L_N(u)...L_1(u) x for a vector or column block x, matrix-free.
+
+    x lives on aux^{n_aux} ⊗ chain (auxiliary factors leftmost); T(u) acts
+    on auxiliary factor `aux` and the chain. The default is aux ⊗ chain.
+    """
+    n = spec.n_sites
+    dims = [2] * (n_aux + n)
+    l4 = _local_l(spec, u, form)
+    for k in range(1, n + 1):
+        x = apply_local(l4, x, dims, [aux, n_aux + k - 1])
+    return x
+
+
 def monodromy_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.ndarray:
     """T(u) = L_N(u)...L_1(u) as a matrix on aux ⊗ chain."""
-    n = spec.n_sites
-    dims = [2] + [2] * n
-    l4 = _local_l(spec, u, form)
-    t = np.eye(2 * spec.dim, dtype=complex)
-    for k in range(n, 0, -1):
-        t = t @ lift(l4, dims, [0, k])
-    return t
+    return monodromy_apply(spec, u, np.eye(2 * spec.dim, dtype=complex), form)
 
 
 def build_monodromy(spec: ChainSpec, u: complex, form: str = "rational") -> MonodromyBlocks:
@@ -144,6 +158,25 @@ def transfer_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.n
     return blocks.a + blocks.d
 
 
+def transfer_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
+    """t(u) x without forming t(u): the top half of T(u)[x; 0] plus the
+    bottom half of T(u)[0; x], from one application to a doubled block."""
+    x = np.asarray(x, dtype=complex)
+    d = spec.dim
+    block = x.reshape(d, -1)
+    k = block.shape[1]
+    stacked = np.zeros((2 * d, 2 * k), dtype=complex)
+    stacked[:d, :k] = block
+    stacked[d:, k:] = block
+    y = monodromy_apply(spec, u, stacked)
+    return (y[:d, :k] + y[d:, k:]).reshape(x.shape)
+
+
+def _poly_factors(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(constant, linear) parts of the local factor Lbar(u) = u R_xi - eta P."""
+    return -spec.params.eta * _P, build_r_xi(spec.params.xi)
+
+
 def monodromy_poly_coeffs(spec: ChainSpec) -> list[np.ndarray]:
     """Coefficient matrices of the degree-N matrix polynomial Tbar(u).
 
@@ -151,39 +184,72 @@ def monodromy_poly_coeffs(spec: ChainSpec) -> list[np.ndarray]:
     coefficient of u^j on aux ⊗ chain. Exact bookkeeping, no limits taken.
     """
     n = spec.n_sites
-    dims = [2] + [2] * n
-    full = 2 * spec.dim
-    r_c = build_r_xi(spec.params.xi)
-    coeffs = [np.eye(full, dtype=complex)]
-    for k in range(n, 0, -1):
-        const = lift(-spec.params.eta * _P, dims, [0, k])
-        lin = lift(r_c, dims, [0, k])
-        new = [np.zeros((full, full), dtype=complex) for _ in range(len(coeffs) + 1)]
+    dims = [2] * (n + 1)
+    const, lin = _poly_factors(spec)
+    coeffs = [np.eye(2 * spec.dim, dtype=complex)]
+    for k in range(1, n + 1):
+        new = [apply_local(const, c, dims, [0, k]) for c in coeffs]
+        new.append(np.zeros_like(coeffs[0]))
         for deg, c in enumerate(coeffs):
-            new[deg] += c @ const
-            new[deg + 1] += c @ lin
+            new[deg + 1] += apply_local(lin, c, dims, [0, k])
         coeffs = new
     return coeffs
 
 
+def monodromy_poly_pair(spec: ChainSpec, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two adjacent coefficients of Tbar(u) from a truncated expansion.
+
+    end="low" gives the coefficients of u^0 and u^1; end="high" those of
+    u^N and u^{N-1}, the two lowest degrees of the reversed product
+    u^N Tbar(1/u) = prod_k (R_xi - u eta P)_{a,k}. Only two matrices are
+    carried through the N factors, instead of all N + 1 coefficients.
+    """
+    const, lin = _poly_factors(spec)
+    if end == "high":
+        const, lin = lin, const
+    elif end != "low":
+        raise ValueError(f"unknown end {end!r}")
+    n = spec.n_sites
+    dims = [2] * (n + 1)
+    c0 = np.eye(2 * spec.dim, dtype=complex)
+    c1 = None
+    for k in range(1, n + 1):
+        step = apply_local(lin, c0, dims, [0, k])
+        c1 = step if c1 is None else apply_local(const, c1, dims, [0, k]) + step
+        c0 = apply_local(const, c0, dims, [0, k])
+    return c0, c1
+
+
+def _trace_aux(m: np.ndarray) -> np.ndarray:
+    d = m.shape[0] // 2
+    return m[:d, :d] + m[d:, d:]
+
+
 def transfer_poly_coeffs(spec: ChainSpec) -> list[np.ndarray]:
     """Coefficients of the polynomial transfer matrix tbar(u) = tr_aux Tbar(u)."""
-    d = spec.dim
-    return [c[:d, :d] + c[d:, d:] for c in monodromy_poly_coeffs(spec)]
+    return [_trace_aux(c) for c in monodromy_poly_coeffs(spec)]
 
 
 def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
-    """Relative residual of R(u-v) T1(u) T2(v) = T2(v) T1(u) R(u-v)."""
+    """Relative residual of R(u-v) T1(u) T2(v) = T2(v) T1(u) R(u-v).
+
+    Both sides are applied to the identity of aux1 ⊗ aux2 ⊗ chain factor by
+    factor, T1 on auxiliary slot 0 and T2 on slot 1.
+    """
     if u == v:
         raise ValueError("RTT check requires u != v")
-    dims = [2, 2, spec.dim]
-    tu = monodromy_matrix(spec, u)
-    tv = monodromy_matrix(spec, v)
-    t1 = lift(tu, dims, [0, 2])
-    t2 = lift(tv, dims, [1, 2])
-    r12 = lift(build_r(u - v, spec.params), dims, [0, 1])
-    lhs = r12 @ t1 @ t2
-    rhs = t2 @ t1 @ r12
+    dims = [2] * (spec.n_sites + 2)
+    r12 = build_r(u - v, spec.params)
+
+    def t1(x):
+        return monodromy_apply(spec, u, x, aux=0, n_aux=2)
+
+    def t2(x):
+        return monodromy_apply(spec, v, x, aux=1, n_aux=2)
+
+    eye = np.eye(4 * spec.dim, dtype=complex)
+    lhs = apply_local(r12, t1(t2(eye)), dims, [0, 1])
+    rhs = t2(t1(apply_local(r12, eye, dims, [0, 1])))
     return rel_residual(lhs, rhs)
 
 
@@ -300,16 +366,20 @@ def build_hamiltonian(spec: ChainSpec, yy_same_site: bool = False,
         raise ValueError("need at least 2 sites")
     xi = spec.params.xi
     c2, c1 = (2 * xi**2, 2 * xi) if deformation_doubled else (xi**2, xi)
+    dims = [2] * n
+    eye = np.eye(spec.dim, dtype=complex)
+    xx, yy, zz, mm = (np.kron(s, s) for s in (SX, SY, SZ, SM))
+    linear = np.kron(SM, I2) - np.kron(I2, SM)
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    # term by term, in the order of the displayed sum, so that every entry
+    # is accumulated exactly as from the site-embedded products
     for (i, j) in bond_pairs(spec):
-        h += embed_at_site(SX, i, n) @ embed_at_site(SX, j, n)
-        if yy_same_site:
-            h += embed_at_site(SY, i, n) @ embed_at_site(SY, i, n)
-        else:
-            h += embed_at_site(SY, i, n) @ embed_at_site(SY, j, n)
-        h += embed_at_site(SZ, i, n) @ embed_at_site(SZ, j, n)
-        h += c2 * embed_at_site(SM, i, n) @ embed_at_site(SM, j, n)
-        h += c1 * (embed_at_site(SM, i, n) - embed_at_site(SM, j, n))
+        slots = [i - 1, j - 1]
+        h += apply_local(xx, eye, dims, slots)
+        h += eye if yy_same_site else apply_local(yy, eye, dims, slots)
+        h += apply_local(zz, eye, dims, slots)
+        h += c2 * apply_local(mm, eye, dims, slots)
+        h += c1 * apply_local(linear, eye, dims, slots)
     return h
 
 
@@ -336,17 +406,13 @@ def extract_hamiltonian(spec: ChainSpec, derivative: str = "poly") -> Hamiltonia
         raise ValueError("extraction requires periodic boundary")
     if spec.n_sites < 2:
         raise ValueError("need at least 2 sites")
-    coeffs = transfer_poly_coeffs(spec)
-    t0 = coeffs[0]
     if derivative == "poly":
-        t1 = coeffs[1]
+        t0, t1 = (_trace_aux(c) for c in monodromy_poly_pair(spec, "low"))
     elif derivative == "fd":
         step = 1e-5
-
-        def tbar(x):
-            return sum(c * x**j for j, c in enumerate(coeffs))
-
-        t1 = (tbar(step) - tbar(-step)) / (2 * step)
+        t0 = transfer_matrix(spec, 0.0, form="polynomial")
+        t1 = (transfer_matrix(spec, step, form="polynomial")
+              - transfer_matrix(spec, -step, form="polynomial")) / (2 * step)
     else:
         raise ValueError(f"unknown derivative method {derivative!r}")
     try:

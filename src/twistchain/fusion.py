@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, monodromy_matrix, transfer_matrix, vacuum_d
+from .chain import ChainSpec, monodromy_apply, transfer_matrix, vacuum_d
 from .rmatrix import spectral_projectors
-from .tensor import lift, rel_residual
+from .tensor import rel_residual
 
 MAX_LEVEL = 3
 
@@ -118,14 +118,14 @@ def fused_projector(xi: complex, level: int) -> np.ndarray:
 def _staggered_product(spec: ChainSpec, level: int, u: complex) -> np.ndarray:
     """T_{a_1}(u) ... T_{a_level}(u - (level-1) eta) on aux^level ⊗ chain."""
     eta = spec.params.eta
-    dims = [2] * level + [spec.dim]
-    out = np.eye(2 ** level * spec.dim, dtype=complex)
-    for i in range(level):
-        point = u - i * eta
+    points = [u - i * eta for i in range(level)]
+    for i, point in enumerate(points):
         if point == 0:
             raise ValueError(f"fusion point u - {i} eta = 0 hits the rational pole")
-        t = monodromy_matrix(spec, point)
-        out = out @ lift(t, dims, [i, level])
+    out = np.eye(2 ** level * spec.dim, dtype=complex)
+    # applied to the identity, so the rightmost factor T_{a_level} goes first
+    for i in reversed(range(level)):
+        out = monodromy_apply(spec, points[i], out, aux=i, n_aux=level)
     return out
 
 

@@ -351,12 +351,17 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
     reports = []
 
     u = _sample_u(rng, avoid=(0.0,))
-    blocks = ch.build_monodromy(spec, u)
     omega = ch.vacuum_state(n)
+    d = spec.dim
+    # columns [O; 0] and [0; O]: T(u) maps them to [A O; C O] and [B O; D O]
+    probe = np.zeros((2 * d, 2), dtype=complex)
+    probe[:d, 0] = omega
+    probe[d:, 1] = omega
+    image = ch.monodromy_apply(spec, u, probe)
     vac_res = max(
-        float(np.linalg.norm(blocks.a @ omega - omega)),
-        float(np.linalg.norm(blocks.d @ omega - ch.vacuum_d(u, spec) * omega)),
-        float(np.max(np.abs(blocks.b @ omega))),
+        float(np.linalg.norm(image[:d, 0] - omega)),
+        float(np.linalg.norm(image[d:, 1] - ch.vacuum_d(u, spec) * omega)),
+        float(np.max(np.abs(image[:d, 1]))),
     )
     reports.append(report_from_residual(
         "bethe.vacuum", {"n_sites": n, "xi": config.xi, "u": u}, vac_res,
@@ -384,9 +389,9 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
             u2 = _sample_u(rng, avoid=(root, root + eta))
             lam = bt.eval_lambda(u2, bt.BetheState(n, 1, (complex(root),), 0.0, eta))
             psi = bt.magnon_product_state(spec, [root])
-            t_u = ch.transfer_matrix(spec, u2)
             on_shell = max(on_shell, float(
-                np.linalg.norm(t_u @ psi - lam * psi) / np.linalg.norm(psi)))
+                np.linalg.norm(ch.transfer_apply(spec, u2, psi) - lam * psi)
+                / np.linalg.norm(psi)))
         reports.append(report_from_residual(
             "bethe.one_magnon_on_shell", {"n_sites": n, "xi": config.xi},
             on_shell, config.tolerance("bethe.one_magnon_on_shell", 1e-10),

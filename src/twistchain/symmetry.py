@@ -33,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import relations as rel
-from .chain import ChainSpec, build_monodromy, monodromy_poly_coeffs
-from .tensor import rel_residual
+from .chain import ChainSpec, build_monodromy, monodromy_poly_pair
+from .rmatrix import build_r_xi
+from .tensor import apply_local, permutation_op, rel_residual
 from .twist import TwistParams
 
 
@@ -52,13 +53,10 @@ class AsymptoticData:
 
 def extract_t0(spec: ChainSpec) -> AsymptoticData:
     """Constant and 1/u terms of T(u), with block and invertibility checks."""
-    coeffs = monodromy_poly_coeffs(spec)
-    n = spec.n_sites
     d = spec.dim
     # T(u) = Tbar(u)/u^N, so the constant term is the u^N coefficient and
     # the 1/u term is the u^{N-1} coefficient.
-    t0 = coeffs[n]
-    t1 = coeffs[n - 1]
+    t0, t1 = monodromy_poly_pair(spec, "high")
     e = t0[:d, :d]
     zero_block = t0[:d, d:]
     g = t0[d:, :d]
@@ -150,21 +148,20 @@ def order1_transcription_residual(spec: ChainSpec) -> float:
     exact polynomial expansion is authoritative and this comparison documents
     the reading that matches it.
     """
-    from .rmatrix import build_r_xi
-    from .tensor import lift, permutation_op
-
     n = spec.n_sites
-    dims = [2] + [2] * n
+    dims = [2] * (n + 1)
     r_c = build_r_xi(spec.params.xi)
-    full = 2 * spec.dim
-    total = np.zeros((full, full), dtype=complex)
+    p = permutation_op()
+    eye = np.eye(2 * spec.dim, dtype=complex)
+    total = np.zeros_like(eye)
     for k in range(1, n + 1):
-        term = np.eye(full, dtype=complex)
-        for j in range(n, k, -1):
-            term = term @ lift(r_c, dims, [0, j])
-        term = term @ lift(permutation_op(), dims, [0, k])
-        for j in range(k - 1, 0, -1):
-            term = term @ lift(r_c, dims, [0, j])
+        # M^>_k P_{a,k} M^<_k applied to the identity, rightmost factor first
+        term = eye
+        for j in range(1, k):
+            term = apply_local(r_c, term, dims, [0, j])
+        term = apply_local(p, term, dims, [0, k])
+        for j in range(k + 1, n + 1):
+            term = apply_local(r_c, term, dims, [0, j])
         total += term
-    exact = monodromy_poly_coeffs(spec)[n - 1]
+    exact = monodromy_poly_pair(spec, "high")[1]
     return rel_residual(exact, -spec.params.eta * total)

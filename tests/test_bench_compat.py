@@ -1,0 +1,51 @@
+"""The benchmark's traced run wraps the functions named in BENCHMARK.json
+and its layer scan calls three of them directly. A rename, a move or a
+changed return type would otherwise surface only there, as missing metrics.
+"""
+
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+import numpy as np
+
+from twistchain.chain import ChainSpec, build_hamiltonian, monodromy_matrix, monodromy_poly_coeffs
+from twistchain.twist import TwistParams
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+# per-layer names of the form <module>.<function>.<metric>; `suites.<suite>.s`
+# times a suite, not a function
+FUNCTION_LAYERS = ("tensor", "chain", "bethe", "symmetry", "fusion", "rmatrix", "twist",
+                   "relations", "reporting")
+
+
+def _traced_functions():
+    names = [m["name"] for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]]
+    out = set()
+    for name in names:
+        parts = name.split(".")
+        if len(parts) == 3 and parts[0] in FUNCTION_LAYERS:
+            out.add((parts[0], parts[1]))
+    return sorted(out)
+
+
+def test_per_layer_functions_are_public_functions_of_their_module():
+    found = _traced_functions()
+    assert ("chain", "monodromy_matrix") in found
+    for module_name, func_name in found:
+        module = importlib.import_module(f"twistchain.{module_name}")
+        func = getattr(module, func_name, None)
+        assert inspect.isfunction(func), f"{module_name}.{func_name}"
+        assert not func_name.startswith("_")
+        assert func.__module__ == f"twistchain.{module_name}", f"{module_name}.{func_name}"
+
+
+def test_layer_scan_calls_keep_their_return_types():
+    n = 4
+    spec = ChainSpec(n, TwistParams(0.5, 1.0))
+    assert isinstance(monodromy_matrix(spec, 1.3 + 0.2j), np.ndarray)
+    assert isinstance(build_hamiltonian(spec), np.ndarray)
+    coeffs = monodromy_poly_coeffs(spec)
+    assert isinstance(coeffs, list) and len(coeffs) == n + 1
+    assert all(isinstance(c, np.ndarray) and c.shape == (2 * spec.dim,) * 2 for c in coeffs)

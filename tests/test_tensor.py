@@ -187,3 +187,14 @@ def test_lift_matches_kron_layout():
 def test_kron_all_empty_rejected():
     with pytest.raises(ValueError):
         kron_all([])
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """The assignment solver is only imported by the fallback of match_spectra."""
+    import subprocess
+    import sys
+
+    code = "import sys, twistchain; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
