@@ -78,7 +78,8 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class MonodromyBlocks:
-    """Auxiliary-space blocks A, B, C, D of T(u), each 2^N x 2^N."""
+    """Auxiliary-space blocks A, B, C, D of T(u), each 2^N x 2^N, or their
+    action on a chain vector or block (``monodromy_blocks_apply``)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -158,9 +159,12 @@ def transfer_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.n
     return blocks.a + blocks.d
 
 
-def transfer_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
-    """t(u) x without forming t(u): the top half of T(u)[x; 0] plus the
-    bottom half of T(u)[0; x], from one application to a doubled block."""
+def monodromy_blocks_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> MonodromyBlocks:
+    """A(u) x, B(u) x, C(u) x and D(u) x for a chain vector or block x.
+
+    One application of T(u) to [[x, 0], [0, x]]: the first column half
+    comes out as [A x; C x], the second as [B x; D x].
+    """
     x = np.asarray(x, dtype=complex)
     d = spec.dim
     block = x.reshape(d, -1)
@@ -169,7 +173,14 @@ def transfer_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
     stacked[:d, :k] = block
     stacked[d:, k:] = block
     y = monodromy_apply(spec, u, stacked)
-    return (y[:d, :k] + y[d:, k:]).reshape(x.shape)
+    a, c, b, dd = (part.reshape(x.shape) for part in (y[:d, :k], y[d:, :k], y[:d, k:], y[d:, k:]))
+    return MonodromyBlocks(a=a, b=b, c=c, d=dd, u=u)
+
+
+def transfer_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
+    """t(u) x = A(u) x + D(u) x without forming t(u)."""
+    blocks = monodromy_blocks_apply(spec, u, x)
+    return blocks.a + blocks.d
 
 
 def _poly_factors(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -352,16 +352,11 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
 
     u = _sample_u(rng, avoid=(0.0,))
     omega = ch.vacuum_state(n)
-    d = spec.dim
-    # columns [O; 0] and [0; O]: T(u) maps them to [A O; C O] and [B O; D O]
-    probe = np.zeros((2 * d, 2), dtype=complex)
-    probe[:d, 0] = omega
-    probe[d:, 1] = omega
-    image = ch.monodromy_apply(spec, u, probe)
+    on_vacuum = ch.monodromy_blocks_apply(spec, u, omega)
     vac_res = max(
-        float(np.linalg.norm(image[:d, 0] - omega)),
-        float(np.linalg.norm(image[d:, 1] - ch.vacuum_d(u, spec) * omega)),
-        float(np.max(np.abs(image[:d, 1]))),
+        float(np.linalg.norm(on_vacuum.a - omega)),
+        float(np.linalg.norm(on_vacuum.d - ch.vacuum_d(u, spec) * omega)),
+        float(np.max(np.abs(on_vacuum.b))),
     )
     reports.append(report_from_residual(
         "bethe.vacuum", {"n_sites": n, "xi": config.xi, "u": u}, vac_res,

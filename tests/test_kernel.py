@@ -18,6 +18,7 @@ from twistchain.chain import (
     build_hamiltonian,
     build_monodromy,
     monodromy_apply,
+    monodromy_blocks_apply,
     monodromy_matrix,
     monodromy_poly_coeffs,
     monodromy_poly_pair,
@@ -162,6 +163,11 @@ def test_matrix_free_bethe_vectors_match_dense_blocks(spec):
     assert _rel(transfer_apply(spec, u, state), t_u @ state) < 1e-14
     block = np.stack([state, omega, bv.c @ omega], axis=1)
     assert _rel(transfer_apply(spec, u, block), t_u @ block) < 1e-14
+    bu, on_block = build_monodromy(spec, u), monodromy_blocks_apply(spec, u, block)
+    for name in "abcd":
+        want = getattr(bu, name) @ block
+        assert np.linalg.norm(getattr(on_block, name) - want) <= 1e-14 * max(
+            np.linalg.norm(want), 1)
 
 
 def test_one_magnon_action_matches_dense_blocks():
