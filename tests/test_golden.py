@@ -1,6 +1,7 @@
-"""Golden report: `twistchain verify all --n-sites 4` at the default config.
+"""Golden reports: `twistchain verify all --n-sites 4` at the default config,
+with `--boundary open` and with `--complex-xi`.
 
-The file under tests/data was rendered by the CLI. A refactor must keep
+The files under tests/data were rendered by the CLI. A refactor must keep
 every check id, parameter and verdict, and every residual to 1e-12
 absolute; a deliberate change regenerates the file and explains each
 moved number in CHANGES.md.
@@ -9,15 +10,16 @@ moved number in CHANGES.md.
 import json
 from pathlib import Path
 
+import pytest
+
 from twistchain.reporting import RunConfig, render_json
 from twistchain.suites import run_suite
 
-GOLDEN = Path(__file__).parent / "data" / "golden_verify_all_n4.json"
+DATA = Path(__file__).parent / "data"
 
 
-def test_verify_all_n4_matches_golden_report():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    config = RunConfig(n_sites=4)
+def _assert_matches_golden(name, config):
+    golden = json.loads((DATA / name).read_text(encoding="utf-8"))
     current = json.loads(render_json(config, run_suite(config, "all")))
     assert current["config"] == golden["config"]
     assert len(current["reports"]) == len(golden["reports"])
@@ -25,3 +27,15 @@ def test_verify_all_n4_matches_golden_report():
         assert (now["check_id"], now["params"], now["pass"]) == (
             then["check_id"], then["params"], then["pass"])
         assert abs(float(now["residual"]) - float(then["residual"])) <= 1e-12, now["check_id"]
+
+
+def test_verify_all_n4_matches_golden_report():
+    _assert_matches_golden("golden_verify_all_n4.json", RunConfig(n_sites=4))
+
+
+@pytest.mark.parametrize("name, config", [
+    ("golden_verify_all_n4_open.json", RunConfig(n_sites=4, boundary="open")),
+    ("golden_verify_all_n4_complex_xi.json", RunConfig(n_sites=4, complex_xi=True)),
+], ids=["open", "complex_xi"])
+def test_verify_all_n4_variant_matches_golden_report(name, config):
+    _assert_matches_golden(name, config)
