@@ -20,10 +20,14 @@ which is the starting point of the algebraic Bethe ansatz layer in
 extraction) the polynomial form Lbar(u) = u R_xi - eta P is used; it differs
 from the rational form by the overall scalar u^N in t(u).
 
-Every chain operator is applied factor by factor with the local-contraction
-kernel ``tensor.apply_local``: T(u) x costs O(N 4^N) per column block, and
-the full monodromy is T(u) applied to the identity. Where only vectors are
-needed (``monodromy_apply``, ``transfer_apply``) no full matrix is formed.
+Full matrices are built from their local structure. An ordered product
+such as T(u) is grown one site at a time, T_k = L_{a,k} (T_{k-1} ⊗ 1) from
+the 2x2 auxiliary identity, as a matrix product operator is contracted
+(``_grow_site``); the Hamiltonian, a sum of local terms, is scattered into
+its matrix term by term with ``tensor.add_local``. Where only vectors are
+needed (``monodromy_apply``, ``transfer_apply``) the local-contraction kernel
+``tensor.apply_local`` applies T(u) factor by factor, O(N 4^N) per column
+block, and no full matrix is formed.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .tensor import (
     SX,
     SY,
     SZ,
+    add_local,
     apply_local,
     eigenvalues,
     match_spectra,
@@ -142,9 +147,32 @@ def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray, form: str = "rat
     return x
 
 
+def _grow_site(op: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """op_{a,k} (t ⊗ 1_k): extend t on aux ⊗ sites 1..k-1 by site k.
+
+    `op` is a 4x4 factor on aux ⊗ site k. Since t ⊗ 1 keeps the site index
+    (s' = s), only the auxiliary index a' is summed: one matmul of op,
+    reshaped to (a'' s'' s, a'), against t read as (a', rows cols), and one
+    transpose to (a'', rows, s'', cols, s). The identity t ⊗ 1 is never
+    formed.
+    """
+    half = t.shape[0] // 2
+    op8 = op.reshape(2, 2, 2, 2).transpose(0, 1, 3, 2).reshape(8, 2)
+    grown = (op8 @ t.reshape(2, -1)).reshape(2, 2, 2, half, t.shape[1])
+    return grown.transpose(0, 3, 1, 4, 2).reshape(4 * half, 2 * t.shape[1])
+
+
+def _site_product(factors) -> np.ndarray:
+    """F_N ... F_1 on aux ⊗ chain, F_k acting on aux ⊗ site k, grown site by site."""
+    t = np.eye(2, dtype=complex)
+    for op in factors:
+        t = _grow_site(op, t)
+    return t
+
+
 def monodromy_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.ndarray:
     """T(u) = L_N(u)...L_1(u) as a matrix on aux ⊗ chain."""
-    return monodromy_apply(spec, u, np.eye(2 * spec.dim, dtype=complex), form)
+    return _site_product([_local_l(spec, u, form)] * spec.n_sites)
 
 
 def build_monodromy(spec: ChainSpec, u: complex, form: str = "rational") -> MonodromyBlocks:
@@ -194,15 +222,13 @@ def monodromy_poly_coeffs(spec: ChainSpec) -> list[np.ndarray]:
     Tbar(u) = prod_k (u R_xi - eta P)_{a,k}; the list entry j is the
     coefficient of u^j on aux ⊗ chain. Exact bookkeeping, no limits taken.
     """
-    n = spec.n_sites
-    dims = [2] * (n + 1)
     const, lin = _poly_factors(spec)
-    coeffs = [np.eye(2 * spec.dim, dtype=complex)]
-    for k in range(1, n + 1):
-        new = [apply_local(const, c, dims, [0, k]) for c in coeffs]
-        new.append(np.zeros_like(coeffs[0]))
+    coeffs = [np.eye(2, dtype=complex)]
+    for _ in range(spec.n_sites):
+        new = [_grow_site(const, c) for c in coeffs]
+        new.append(np.zeros_like(new[0]))
         for deg, c in enumerate(coeffs):
-            new[deg + 1] += apply_local(lin, c, dims, [0, k])
+            new[deg + 1] += _grow_site(lin, c)
         coeffs = new
     return coeffs
 
@@ -220,14 +246,12 @@ def monodromy_poly_pair(spec: ChainSpec, end: str) -> tuple[np.ndarray, np.ndarr
         const, lin = lin, const
     elif end != "low":
         raise ValueError(f"unknown end {end!r}")
-    n = spec.n_sites
-    dims = [2] * (n + 1)
-    c0 = np.eye(2 * spec.dim, dtype=complex)
+    c0 = np.eye(2, dtype=complex)
     c1 = None
-    for k in range(1, n + 1):
-        step = apply_local(lin, c0, dims, [0, k])
-        c1 = step if c1 is None else apply_local(const, c1, dims, [0, k]) + step
-        c0 = apply_local(const, c0, dims, [0, k])
+    for _ in range(spec.n_sites):
+        step = _grow_site(lin, c0)
+        c1 = step if c1 is None else _grow_site(const, c1) + step
+        c0 = _grow_site(const, c0)
     return c0, c1
 
 
@@ -378,19 +402,22 @@ def build_hamiltonian(spec: ChainSpec, yy_same_site: bool = False,
     xi = spec.params.xi
     c2, c1 = (2 * xi**2, 2 * xi) if deformation_doubled else (xi**2, xi)
     dims = [2] * n
-    eye = np.eye(spec.dim, dtype=complex)
     xx, yy, zz, mm = (np.kron(s, s) for s in (SX, SY, SZ, SM))
     linear = np.kron(SM, I2) - np.kron(I2, SM)
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    diagonal = h.reshape(-1)[::spec.dim + 1]
     # term by term, in the order of the displayed sum, so that every entry
     # is accumulated exactly as from the site-embedded products
     for (i, j) in bond_pairs(spec):
         slots = [i - 1, j - 1]
-        h += apply_local(xx, eye, dims, slots)
-        h += eye if yy_same_site else apply_local(yy, eye, dims, slots)
-        h += apply_local(zz, eye, dims, slots)
-        h += c2 * apply_local(mm, eye, dims, slots)
-        h += c1 * apply_local(linear, eye, dims, slots)
+        add_local(h, xx, dims, slots)
+        if yy_same_site:
+            diagonal += 1
+        else:
+            add_local(h, yy, dims, slots)
+        add_local(h, zz, dims, slots)
+        add_local(h, c2 * mm, dims, slots)
+        add_local(h, c1 * linear, dims, slots)
     return h
 
 
@@ -449,8 +476,7 @@ def grading_order(n_sites: int) -> np.ndarray:
     the set bits, so descending total sz is ascending popcount.
     """
     idx = np.arange(2 ** n_sites)
-    popcount = np.array([bin(i).count("1") for i in idx])
-    return idx[np.lexsort((idx, popcount))]
+    return idx[np.lexsort((idx, np.bitwise_count(idx)))]
 
 
 def strictly_lowering_residual(m: np.ndarray, n_sites: int) -> float:
@@ -459,15 +485,14 @@ def strictly_lowering_residual(m: np.ndarray, n_sites: int) -> float:
     Zero means m strictly lowers total sz (block sub-triangular in the
     graded basis ordering).
     """
-    order = grading_order(n_sites)
-    g = m[np.ix_(order, order)]
-    popcount = np.sort(np.array([bin(i).count("1") for i in range(2 ** n_sites)]))
-    worst = 0.0
-    for r in range(g.shape[0]):
-        for c in range(g.shape[1]):
-            if popcount[r] <= popcount[c]:
-                worst = max(worst, abs(g[r, c]))
-    return worst
+    popcount = np.bitwise_count(np.arange(2 ** n_sites))
+    # the grading permutes rows and columns alike, so the entries in or above
+    # the diagonal blocks are those whose row has no more down spins than
+    # their column, in any basis order
+    upper = np.asarray(m, dtype=complex)[popcount[:, None] <= popcount[None, :]]
+    # hypot is the scalar complex abs to the bit; np.abs on complex arrays
+    # takes a vectorised route that can differ in the last place
+    return float(np.max(np.hypot(upper.real, upper.imag), initial=0.0))
 
 
 def graded_eigenvalues(m: np.ndarray, n_sites: int) -> np.ndarray | None:

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import relations as rel
-from .chain import ChainSpec, build_monodromy, monodromy_poly_pair
+from .chain import ChainSpec, _site_product, build_monodromy, monodromy_poly_pair
 from .rmatrix import build_r_xi
-from .tensor import apply_local, permutation_op, rel_residual
+from .tensor import permutation_op, rel_residual
 from .twist import TwistParams
 
 
@@ -149,19 +149,11 @@ def order1_transcription_residual(spec: ChainSpec) -> float:
     the reading that matches it.
     """
     n = spec.n_sites
-    dims = [2] * (n + 1)
     r_c = build_r_xi(spec.params.xi)
     p = permutation_op()
-    eye = np.eye(2 * spec.dim, dtype=complex)
-    total = np.zeros_like(eye)
+    total = np.zeros((2 * spec.dim, 2 * spec.dim), dtype=complex)
     for k in range(1, n + 1):
-        # M^>_k P_{a,k} M^<_k applied to the identity, rightmost factor first
-        term = eye
-        for j in range(1, k):
-            term = apply_local(r_c, term, dims, [0, j])
-        term = apply_local(p, term, dims, [0, k])
-        for j in range(k + 1, n + 1):
-            term = apply_local(r_c, term, dims, [0, j])
-        total += term
+        # M^>_k P_{a,k} M^<_k, grown site by site from site 1
+        total += _site_product([r_c] * (k - 1) + [p] + [r_c] * (n - k))
     exact = monodromy_poly_pair(spec, "high")[1]
     return rel_residual(exact, -spec.params.eta * total)

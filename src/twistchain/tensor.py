@@ -6,14 +6,18 @@ Conventions used throughout the package:
 * tensor factor 1 is the leftmost Kronecker factor,
 * everything is a dense ``complex128`` ndarray; chains are capped at
   N = 12 sites (4096-dimensional), which keeps every check desk-scale,
-* a local operator reaches the product space through one kernel,
-  ``apply_local``, which contracts it into its tensor slots of a block
-  (O(d_slots * size) work); ``lift`` is that kernel applied to the identity.
+* a local operator reaches the product space in one of two ways:
+  ``apply_local`` contracts it into its tensor slots of a block
+  (O(d_slots * size) work), and ``add_local`` adds its embedding into a
+  full matrix in place, touching only the d_slots * dim entries it fills;
+  ``lift`` is that embedding added to zeros.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +79,23 @@ def embed_at_site(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return kron_all(ops)
 
 
+def _local_operator(op, dims: list[int], slots: list[int]) -> np.ndarray:
+    """Validate `op` as a square matrix on the tensor factors `slots` of `dims`."""
+    op = as_matrix(op)
+    d_slots = math.prod(dims[s] for s in slots)
+    if op.shape != (d_slots, d_slots):
+        raise ValueError(f"operator dim {op.shape} does not match slots {slots} of {dims}")
+    return op
+
+
+@lru_cache(maxsize=1024)
+def _axis_orders(n: int, slots: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order bringing `slots` to the front of n factors plus a column
+    axis (index n), and its inverse."""
+    order = slots + tuple(k for k in range(n + 1) if k not in slots)
+    return order, tuple(int(k) for k in np.argsort(order))
+
+
 def apply_local(op: np.ndarray, x: np.ndarray, dims: list[int], slots: list[int]) -> np.ndarray:
     """Apply `op`, acting on the tensor factors `slots` (0-based, in order),
     to the rows of `x` on the product space with factor dimensions `dims`.
@@ -85,31 +106,48 @@ def apply_local(op: np.ndarray, x: np.ndarray, dims: list[int], slots: list[int]
     prod(dims[s] for s in slots). One reshape, one transpose and one matmul
     of `op` against a (d_slots, size / d_slots) matrix: O(d_slots * size).
     """
-    op = as_matrix(op)
-    slot_dims = [dims[s] for s in slots]
-    d_slots = int(np.prod(slot_dims))
-    if op.shape != (d_slots, d_slots):
-        raise ValueError(f"operator dim {op.shape} does not match slots {slots} of {dims}")
-    full = int(np.prod(dims))
+    op = _local_operator(op, dims, slots)
+    full = math.prod(dims)
     x = np.asarray(x)
     if x.shape[0] != full:
         raise ValueError(f"block has {x.shape[0]} rows, the product space {full}")
-    n = len(dims)
     # the column axis (index n) travels with the untouched factors
-    order = list(slots) + [k for k in range(n + 1) if k not in slots]
+    order, inverse = _axis_orders(len(dims), tuple(slots))
     t = x.reshape(list(dims) + [-1]).transpose(order)
-    rest = t.shape[len(slots):]
-    t = (op @ t.reshape(d_slots, -1)).reshape(slot_dims + list(rest))
-    return t.transpose(np.argsort(order)).reshape(x.shape)
+    shape = t.shape
+    t = (op @ t.reshape(op.shape[0], -1)).reshape(shape)
+    return t.transpose(inverse).reshape(x.shape)
+
+
+def add_local(h: np.ndarray, op: np.ndarray, dims: list[int], slots: list[int]) -> None:
+    """Add the embedding of `op`, acting on the tensor factors `slots`
+    (0-based, in order), into the square matrix `h` on the product space
+    with factor dimensions `dims`, in place.
+
+    The embedding has op[i, j] at each row/column pair whose `slots`
+    indices are i and j and whose other indices agree, and zeros elsewhere;
+    only those d_slots * prod(dims) entries of `h` are touched.
+    """
+    op = _local_operator(op, dims, slots)
+    full = math.prod(dims)
+    if h.shape != (full, full):
+        raise ValueError(f"matrix has shape {h.shape}, the product space {full}")
+    # the slots first, then the other factors (the column axis, last, dropped);
+    # row k of idx lists the basis states whose `slots` indices read k
+    order = _axis_orders(len(dims), tuple(slots))[0][:-1]
+    idx = np.arange(full).reshape(dims).transpose(order).reshape(op.shape[0], -1)
+    h[idx[:, None, :], idx[None, :, :]] += op[:, :, None]
 
 
 def lift(op: np.ndarray, dims: list[int], slots: list[int]) -> np.ndarray:
     """Embed `op`, acting on the tensor factors `slots` (0-based, in order),
-    into the product space with factor dimensions `dims`: the kernel
-    `apply_local` applied to the identity.
+    into the product space with factor dimensions `dims`: ``add_local``
+    into zeros.
     """
-    full = int(np.prod(dims))
-    return apply_local(op, np.eye(full, dtype=complex), dims, slots)
+    full = math.prod(dims)
+    out = np.zeros((full, full), dtype=complex)
+    add_local(out, op, dims, slots)
+    return out
 
 
 def permutation_op() -> np.ndarray:

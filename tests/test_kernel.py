@@ -1,9 +1,11 @@
-"""The local-contraction kernel and every chain operator routed through it.
+"""The local-contraction kernel, the in-place embedding, and every chain
+operator built from local structure.
 
-Each kernel route is compared with the dense construction it replaced:
-products of full `lift` matrices for the monodromy, its polynomial
-coefficients, RTT and the fused product, and products of site-embedded
-Pauli matrices for the Hamiltonian (bitwise).
+Each route is compared with the construction it replaced: products of full
+`lift` matrices for the monodromy, its polynomial coefficients, RTT and the
+fused product, and products of site-embedded Pauli matrices for the
+Hamiltonian (bitwise). The site-grown products and the scattered embedding
+are also compared bitwise with the kernel applied to the identity.
 """
 
 from functools import lru_cache
@@ -14,6 +16,7 @@ import pytest
 from twistchain.bethe import magnon_product_state, verify_one_magnon_action
 from twistchain.chain import (
     ChainSpec,
+    _poly_factors,
     bond_pairs,
     build_hamiltonian,
     build_monodromy,
@@ -22,6 +25,7 @@ from twistchain.chain import (
     monodromy_matrix,
     monodromy_poly_coeffs,
     monodromy_poly_pair,
+    strictly_lowering_residual,
     transfer_apply,
     transfer_matrix,
     vacuum_state,
@@ -29,7 +33,19 @@ from twistchain.chain import (
 )
 from twistchain.fusion import _staggered_product
 from twistchain.rmatrix import build_r, build_r_xi
-from twistchain.tensor import SM, SX, SY, SZ, apply_local, embed_at_site, lift, permutation_op
+from twistchain.symmetry import order1_transcription_residual
+from twistchain.tensor import (
+    SM,
+    SX,
+    SY,
+    SZ,
+    add_local,
+    apply_local,
+    embed_at_site,
+    lift,
+    permutation_op,
+    rel_residual,
+)
 from twistchain.twist import TwistParams
 
 XIS = (0.5, 0.3 + 0.4j)
@@ -220,3 +236,127 @@ def test_hamiltonian_bitwise_equal_to_embedded_products(n):
                 assert np.array_equal(build_hamiltonian(spec, **variant),
                                       _embedded_hamiltonian(spec, **variant)), variant
     _embedded_bond.cache_clear()
+
+
+def _kernel_poly_pair(spec, end):
+    """Two-degree expansion by the kernel on the identity of aux ⊗ chain."""
+    const, lin = _poly_factors(spec)
+    if end == "high":
+        const, lin = lin, const
+    dims = [2] * (spec.n_sites + 1)
+    c0, c1 = np.eye(2 * spec.dim, dtype=complex), None
+    for k in range(1, spec.n_sites + 1):
+        step = apply_local(lin, c0, dims, [0, k])
+        c1 = step if c1 is None else apply_local(const, c1, dims, [0, k]) + step
+        c0 = apply_local(const, c0, dims, [0, k])
+    return c0, c1
+
+
+def _kernel_poly_coeffs(spec):
+    const, lin = _poly_factors(spec)
+    dims = [2] * (spec.n_sites + 1)
+    coeffs = [np.eye(2 * spec.dim, dtype=complex)]
+    for k in range(1, spec.n_sites + 1):
+        new = [apply_local(const, c, dims, [0, k]) for c in coeffs]
+        new.append(np.zeros_like(coeffs[0]))
+        for deg, c in enumerate(coeffs):
+            new[deg + 1] += apply_local(lin, c, dims, [0, k])
+        coeffs = new
+    return coeffs
+
+
+def _kernel_order1_residual(spec):
+    n = spec.n_sites
+    dims = [2] * (n + 1)
+    r_c, p = build_r_xi(spec.params.xi), permutation_op()
+    eye = np.eye(2 * spec.dim, dtype=complex)
+    total = np.zeros_like(eye)
+    for k in range(1, n + 1):
+        term = eye
+        for j in range(1, n + 1):
+            term = apply_local(p if j == k else r_c, term, dims, [0, j])
+        total += term
+    exact = _kernel_poly_pair(spec, "high")[1]
+    return rel_residual(exact, -spec.params.eta * total)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("xi", XIS)
+def test_grown_products_bitwise_equal_to_kernel_on_identity(n, xi):
+    spec = ChainSpec(n, TwistParams(xi, 0.8 + 0.3j))
+    eye = np.eye(2 * spec.dim, dtype=complex)
+    for form in ("rational", "polynomial"):
+        assert np.array_equal(monodromy_matrix(spec, 1.3 - 0.7j, form),
+                              monodromy_apply(spec, 1.3 - 0.7j, eye, form)), form
+    for end in ("low", "high"):
+        for got, want in zip(monodromy_poly_pair(spec, end), _kernel_poly_pair(spec, end)):
+            assert np.array_equal(got, want), end
+    # the kernel oracles of the order-1 sum and of the full coefficient list
+    # cost O(N^2) full-width applications; smaller N keep the suite quick
+    if n <= 8:
+        assert order1_transcription_residual(spec) == _kernel_order1_residual(spec)
+    if n <= 6:
+        for got, want in zip(monodromy_poly_coeffs(spec), _kernel_poly_coeffs(spec),
+                             strict=True):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dims, slots", [
+    ([2, 2, 2, 2], [1, 2]),
+    ([2, 2, 2, 2], [3, 0]),
+    ([2, 2, 2], [2, 0]),
+    ([2, 3, 2], [0, 1]),
+    ([2, 3, 2], [2, 1]),
+    ([2, 3, 2], [1]),
+    ([3, 2], [0, 1]),
+])
+def test_add_local_and_lift_bitwise_equal_to_kernel_on_identity(dims, slots):
+    rng = np.random.default_rng(len(dims) + sum(slots))
+    d_slots = int(np.prod([dims[s] for s in slots]))
+    full = int(np.prod(dims))
+    op = rng.standard_normal((d_slots, d_slots)) + 1j * rng.standard_normal((d_slots, d_slots))
+    eye = np.eye(full, dtype=complex)
+    want = apply_local(op, eye, dims, slots)
+    assert np.array_equal(lift(op, dims, slots), want)
+    h = rng.standard_normal((full, full)) + 1j * rng.standard_normal((full, full))
+    expected = h + want
+    add_local(h, op, dims, slots)
+    assert np.array_equal(h, expected)
+
+
+def test_add_local_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        add_local(np.zeros((8, 8), dtype=complex), np.eye(2), [2, 2, 2], [0, 1])
+    with pytest.raises(ValueError):
+        add_local(np.zeros((6, 6), dtype=complex), np.eye(4), [2, 2, 2], [0, 1])
+
+
+def _loop_lowering_residual(m, n_sites):
+    """The double loop over the graded basis that the popcount mask replaced."""
+    order = np.array(sorted(range(2 ** n_sites), key=lambda i: (bin(i).count("1"), i)))
+    g = m[np.ix_(order, order)]
+    popcount = np.sort([bin(i).count("1") for i in range(2 ** n_sites)])
+    worst = 0.0
+    for r in range(g.shape[0]):
+        for c in range(g.shape[1]):
+            if popcount[r] <= popcount[c]:
+                worst = max(worst, abs(g[r, c]))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_strictly_lowering_residual_equals_loop(n):
+    rng = np.random.default_rng(40 + n)
+    dim = 2 ** n
+    popcount = np.array([bin(i).count("1") for i in range(dim)])
+    lowering = popcount[:, None] > popcount[None, :]
+    m = np.where(lowering, rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), 0)
+    assert strictly_lowering_residual(m, n) == _loop_lowering_residual(m, n) == 0.0
+    for row, col in ((0, 0), (dim - 1, dim - 1), (0, dim - 1), (dim // 2, dim // 2 - 1)):
+        planted = m.copy()
+        planted[row, col] += 1e-3 * (3 - 4j) * (1 + row + col)
+        want = _loop_lowering_residual(planted, n)
+        assert want == (0.0 if lowering[row, col] else abs(planted[row, col]))
+        assert strictly_lowering_residual(planted, n) == want
+    noisy = m + 1e-9 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    assert strictly_lowering_residual(noisy, n) == _loop_lowering_residual(noisy, n) > 0
