@@ -20,10 +20,10 @@ from .chain import (
     verify_rtt,
 )
 from .reporting import RunConfig, VerificationReport, emit_report
-from .rmatrix import RMatrixFamily, build_f12, build_r, build_r_xi, verify_ybe
+from .rmatrix import build_f12, build_r, build_r_xi, verify_ybe
 from .suites import run_suite
 from .symmetry import AsymptoticData, extract_t0
-from .tensor import SpectrumReport, eigenvalues, embed_at_site, kron, match_spectra, permutation_op
+from .tensor import SpectrumReport, eigenvalues, embed_at_site, match_spectra, permutation_op
 from .twist import SpinRep, TwistParams, make_spin_rep, sigma_element, universal_twist
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "ChainSpec",
     "HamiltonianPair",
     "MonodromyBlocks",
-    "RMatrixFamily",
     "RunConfig",
     "SpectrumReport",
     "SpinRep",
@@ -51,7 +50,6 @@ __all__ = [
     "eval_lambda",
     "extract_hamiltonian",
     "extract_t0",
-    "kron",
     "make_spin_rep",
     "match_spectra",
     "permutation_op",

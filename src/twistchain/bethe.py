@@ -332,16 +332,6 @@ def lambda_pole_residue(state: BetheState, j: int, radius: float = 1e-4) -> floa
     return float(abs(np.mean(samples)))
 
 
-def sector_multiplicity(n_sites: int, magnons: int) -> int:
-    """Number of highest-weight Bethe states in the M-magnon sector,
-    C(N, M) - C(N, M-1)."""
-    from math import comb
-
-    if magnons == 0:
-        return 1
-    return comb(n_sites, magnons) - comb(n_sites, magnons - 1)
-
-
 def completeness_audit(spec: ChainSpec, u: complex, states: list[BetheState]) -> dict:
     """Count how much of the exact t(u) spectrum the found states explain.
 

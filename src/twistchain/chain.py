@@ -260,11 +260,6 @@ def _trace_aux(m: np.ndarray) -> np.ndarray:
     return m[:d, :d] + m[d:, d:]
 
 
-def transfer_poly_coeffs(spec: ChainSpec) -> list[np.ndarray]:
-    """Coefficients of the polynomial transfer matrix tbar(u) = tr_aux Tbar(u)."""
-    return [_trace_aux(c) for c in monodromy_poly_coeffs(spec)]
-
-
 def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
     """Relative residual of R(u-v) T1(u) T2(v) = T2(v) T1(u) R(u-v).
 
@@ -378,8 +373,7 @@ def bond_pairs(spec: ChainSpec) -> list[tuple[int, int]]:
     return pairs
 
 
-def build_hamiltonian(spec: ChainSpec, yy_same_site: bool = False,
-                      deformation_doubled: bool = False) -> np.ndarray:
+def build_hamiltonian(spec: ChainSpec, deformation_doubled: bool = False) -> np.ndarray:
     """Deformed Heisenberg Hamiltonian from the displayed local formula,
 
         H = sum_n [ sx_n sx_{n+1} + sy_n sy_{n+1} + sz_n sz_{n+1}
@@ -387,9 +381,6 @@ def build_hamiltonian(spec: ChainSpec, yy_same_site: bool = False,
 
     periodic boundary wrapping n = N to 1 (where the linear terms telescope
     to zero), open boundary summing n = 1..N-1.
-
-    yy_same_site reproduces the literal reading sy_n sy_n (a per-bond
-    identity) for comparison; isotropy of the xi = 0 limit rules it out.
 
     deformation_doubled replaces the deformation coefficients by (2 xi^2,
     2 xi). That variant is exactly the density produced by the transfer
@@ -405,16 +396,12 @@ def build_hamiltonian(spec: ChainSpec, yy_same_site: bool = False,
     xx, yy, zz, mm = (np.kron(s, s) for s in (SX, SY, SZ, SM))
     linear = np.kron(SM, I2) - np.kron(I2, SM)
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    diagonal = h.reshape(-1)[::spec.dim + 1]
     # term by term, in the order of the displayed sum, so that every entry
     # is accumulated exactly as from the site-embedded products
     for (i, j) in bond_pairs(spec):
         slots = [i - 1, j - 1]
         add_local(h, xx, dims, slots)
-        if yy_same_site:
-            diagonal += 1
-        else:
-            add_local(h, yy, dims, slots)
+        add_local(h, yy, dims, slots)
         add_local(h, zz, dims, slots)
         add_local(h, c2 * mm, dims, slots)
         add_local(h, c1 * linear, dims, slots)

@@ -32,8 +32,6 @@ determinant; it equals d(u - eta) and is exposed for testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .chain import ChainSpec, monodromy_apply, transfer_matrix, vacuum_d
@@ -41,23 +39,6 @@ from .rmatrix import spectral_projectors
 from .tensor import rel_residual
 
 MAX_LEVEL = 3
-
-
-@dataclass(frozen=True)
-class FusedFamily:
-    """Fused transfer family for one chain; normalization scalars per level.
-
-    In the rational normalization used here every level's calibration scalar
-    is exactly 1 (recorded for visibility, established at xi = 0, N = 1).
-    """
-
-    spec: ChainSpec
-    normalization: dict[int, complex] = field(
-        default_factory=lambda: {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
-    )
-
-    def transfer(self, level: int, u: complex) -> np.ndarray:
-        return self.normalization[level] * fused_transfer(self.spec, level, u)
 
 
 def multi_twist(xi: complex, level: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
+from .tensor import MAX_SITES
+
 VERSION = "0.1.0"
 
 _COMPLEX = re.compile(
@@ -121,8 +123,8 @@ class RunConfig:
     def __post_init__(self):
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not 1 <= self.n_sites <= 12:
-            raise ValueError("n_sites must be in 1..12")
+        if not 1 <= self.n_sites <= MAX_SITES:
+            raise ValueError(f"n_sites must be in 1..{MAX_SITES}")
         if self.boundary not in ("periodic", "open"):
             raise ValueError("boundary must be periodic or open")
         if complex(self.eta) == 0:

@@ -15,8 +15,6 @@ transcription slips on either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .tensor import permutation_op, rel_residual
@@ -76,27 +74,6 @@ def build_r_conjugated(u: complex, params: TwistParams) -> np.ndarray:
 def polynomial_l(u: complex, params: TwistParams) -> np.ndarray:
     """Polynomial local operator Lbar(u) = u R_xi - eta P (regular at u = 0)."""
     return u * build_r_xi(params.xi) - params.eta * _P
-
-
-@dataclass(frozen=True)
-class RMatrixFamily:
-    """F12 and R_xi for fixed parameters, cross-validated at construction."""
-
-    params: TwistParams
-    fundamental_twist: np.ndarray = field(init=False)
-    r_xi: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        f12 = build_f12(self.params.xi)
-        r_disp = build_r_xi(self.params.xi)
-        r_prod = r_xi_from_twist(self.params.xi)
-        if np.linalg.norm(r_disp - r_prod) > 1e-13 * max(1.0, np.linalg.norm(r_disp)):
-            raise AssertionError("displayed R_xi disagrees with F21 F12^{-1}")
-        object.__setattr__(self, "fundamental_twist", f12)
-        object.__setattr__(self, "r_xi", r_disp)
-
-    def r(self, u: complex) -> np.ndarray:
-        return build_r(u, self.params)
 
 
 def verify_ybe(u: complex, v: complex, params: TwistParams) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 from . import relations as rel
 from .chain import ChainSpec, _site_product, build_monodromy, monodromy_poly_pair
 from .rmatrix import build_r_xi
-from .tensor import permutation_op, rel_residual
+from .tensor import MAX_SITES, permutation_op, rel_residual
 from .twist import TwistParams
 
 
@@ -78,9 +78,10 @@ def extract_t0(spec: ChainSpec) -> AsymptoticData:
 def verify_symmetry_relations(spec: ChainSpec, u: complex) -> list[dict]:
     """Evaluate every displayed E/G relation as a matrix identity.
 
-    One record per relation with transcription and relative residual;
-    relations failing for all sampled parameters would be flagged by the
-    suite as suspected misprints (none do; the displayed list is clean).
+    One record per relation with transcription and relative residual. The
+    suite reports a failing relation as a failure: it flags a suspected
+    misprint only for lines recorded in ``relations.KNOWN_MISPRINTS``, none
+    of which is an E/G relation.
     """
     if u == 0:
         raise ValueError("u = 0 is a pole of the rational monodromy")
@@ -116,8 +117,8 @@ def verify_coproducts(n1: int, n2: int, xi: complex, eta: complex = 1.0) -> dict
     first segment) and evaluates the displayed formulas in both tensor-factor
     orders. Returns the residuals plus which order satisfies them.
     """
-    if n1 < 1 or n2 < 1 or n1 + n2 > 12:
-        raise ValueError("segment lengths must be >= 1 with n1 + n2 <= 12")
+    if n1 < 1 or n2 < 1 or n1 + n2 > MAX_SITES:
+        raise ValueError(f"segment lengths must be >= 1 with n1 + n2 <= {MAX_SITES}")
     params = TwistParams(xi, eta)
     d1 = extract_t0(ChainSpec(n1, params))
     d2 = extract_t0(ChainSpec(n2, params))

@@ -31,10 +31,6 @@ SM = 0.5 * (SX - 1j * SY)  # lowers |up> -> |down>, annihilates |down>
 SP = 0.5 * (SX + 1j * SY)
 
 
-class DecompositionError(RuntimeError):
-    """Raised when the underlying eigendecomposition does not converge."""
-
-
 def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Validate and return a dense complex matrix.
 
@@ -51,11 +47,6 @@ def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with factor `a` leftmost."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def kron_all(ops: list[np.ndarray]) -> np.ndarray:
@@ -164,15 +155,12 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
 
     Sorted lexicographically by (Re, Im) so that identical input yields an
     identical array. Non-normal input is fine; failures of the QR iteration
-    surface as DecompositionError.
+    surface as numpy's LinAlgError.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got {m.shape}")
-    try:
-        ev = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise DecompositionError(str(exc)) from exc
+    ev = np.linalg.eigvals(m)
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
 

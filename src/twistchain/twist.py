@@ -87,32 +87,28 @@ def _nilpotent_exp(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def nilpotent_log(m: np.ndarray) -> np.ndarray:
-    """log(m) for unipotent m = I + X with X nilpotent, via the terminating series."""
-    m = as_matrix(m)
-    dim = m.shape[0]
-    x = m - np.eye(dim)
-    out = np.zeros_like(x)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, dim + 1):
-        term = term @ x
-        if not term.any():
-            break
-        out = out + ((-1) ** (k + 1) / k) * term
-    return out
-
-
-def sigma_element(rep: SpinRep, xi: complex) -> np.ndarray:
-    """sigma = -log(1 - 2 xi e), computed by the terminating log series."""
-    dim = rep.dim
+def _neg_log_one_minus(y: np.ndarray) -> np.ndarray:
+    """-log(1 - y) = sum_k y^k / k for nilpotent y (the series terminates)."""
+    dim = y.shape[0]
     out = np.zeros((dim, dim), dtype=complex)
     term = np.eye(dim, dtype=complex)
     for k in range(1, dim + 1):
-        term = term @ (2 * xi * rep.e)
+        term = term @ y
         if not term.any():
             break
         out = out + term / k
     return out
+
+
+def nilpotent_log(m: np.ndarray) -> np.ndarray:
+    """log(m) for unipotent m = I + X with X nilpotent: -(-log(1 - y)) at y = -X."""
+    m = as_matrix(m)
+    return -_neg_log_one_minus(np.eye(m.shape[0]) - m)
+
+
+def sigma_element(rep: SpinRep, xi: complex) -> np.ndarray:
+    """sigma = -log(1 - 2 xi e), computed by the terminating log series."""
+    return _neg_log_one_minus(2 * xi * rep.e)
 
 
 def universal_twist(rep1: SpinRep, rep2: SpinRep, xi: complex) -> np.ndarray:
@@ -165,21 +161,14 @@ def verify_cocycle(rep1: SpinRep, rep2: SpinRep, rep3: SpinRep, xi: complex) -> 
     (Delta⊗id)F = exp(Delta(h) ⊗ sigma_3 / 2) and (id⊗Delta)F uses
     sigma(Delta(e)) = -log(1 - 2 xi (e⊗1 + 1⊗e)) on rep2 ⊗ rep3.
     """
-    d1, d2, d3 = rep1.dim, rep2.dim, rep3.dim
+    d1, d3 = rep1.dim, rep3.dim
     f12 = np.kron(universal_twist(rep1, rep2, xi), np.eye(d3))
     f23 = np.kron(np.eye(d1), universal_twist(rep2, rep3, xi))
 
     dh = coproduct(rep1, rep2, "h")
     lhs = f12 @ _nilpotent_exp(np.kron(dh, sigma_element(rep3, xi)) / 2)
 
-    de = coproduct(rep2, rep3, "e")
-    sig_de = np.zeros((d2 * d3, d2 * d3), dtype=complex)
-    term = np.eye(d2 * d3, dtype=complex)
-    for k in range(1, d2 * d3 + 1):
-        term = term @ (2 * xi * de)
-        if not term.any():
-            break
-        sig_de = sig_de + term / k
+    sig_de = _neg_log_one_minus(2 * xi * coproduct(rep2, rep3, "e"))
     rhs = f23 @ _nilpotent_exp(np.kron(rep1.h, sig_de) / 2)
 
     scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)

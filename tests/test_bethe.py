@@ -11,7 +11,6 @@ from twistchain.bethe import (
     log_defects,
     magnon_product_state,
     one_magnon_roots,
-    sector_multiplicity,
     solve_bethe,
     two_magnon_seeds,
     verify_multi_magnon_spectrum,
@@ -208,10 +207,6 @@ def test_lambda_analytic_across_roots():
     state = solve_bethe(4, 2, 1.0, [0.5 + 0.3j, 0.5 - 0.3j])
     for j in range(2):
         assert lambda_pole_residue(state, j) < 1e-9
-
-
-def test_sector_multiplicities():
-    assert [sector_multiplicity(4, m) for m in (0, 1, 2)] == [1, 3, 2]
 
 
 def test_completeness_audit_n4():

@@ -9,10 +9,10 @@ from twistchain.chain import (
     graded_eigenvalues,
     grading_order,
     monodromy_matrix,
+    monodromy_poly_coeffs,
     rtt_components,
     strictly_lowering_residual,
     transfer_matrix,
-    transfer_poly_coeffs,
     vacuum_d,
     vacuum_state,
     verify_commutation_relations,
@@ -175,8 +175,9 @@ def test_commutation_relations_pole_guard():
         verify_commutation_relations(spec, 2.0, 2.0)
 
 
-def independent_hamiltonian(n, xi, periodic, c2=None, c1=None):
-    """Oracle built directly from summed np.kron strings."""
+def independent_hamiltonian(n, xi, periodic, c2=None, c1=None, yy_same_site=False):
+    """Oracle built directly from summed np.kron strings; yy_same_site takes
+    the literal reading sy_n sy_n of the displayed yy term."""
     c2 = xi**2 if c2 is None else c2
     c1 = xi if c1 is None else c1
 
@@ -191,7 +192,8 @@ def independent_hamiltonian(n, xi, periodic, c2=None, c1=None):
     bonds = [(k, k + 1) for k in range(1, n)] + ([(n, 1)] if periodic else [])
     h = np.zeros((2**n, 2**n), dtype=complex)
     for i, j in bonds:
-        h += site(SX, i) @ site(SX, j) + site(SY, i) @ site(SY, j) + site(SZ, i) @ site(SZ, j)
+        yy = site(SY, i) @ site(SY, i if yy_same_site else j)
+        h += site(SX, i) @ site(SX, j) + yy + site(SZ, i) @ site(SZ, j)
         h += c2 * site(SM, i) @ site(SM, j) + c1 * (site(SM, i) - site(SM, j))
     return h
 
@@ -243,12 +245,11 @@ def test_hamiltonian_open_boundary_leftover():
 
 
 def test_hamiltonian_literal_yy_reading_differs():
-    spec = ChainSpec(3, TwistParams(0.0, 1.0))
-    literal = build_hamiltonian(spec, yy_same_site=True)
-    corrected = build_hamiltonian(spec)
+    literal = independent_hamiltonian(3, 0.0, True, yy_same_site=True)
+    corrected = build_hamiltonian(ChainSpec(3, TwistParams(0.0, 1.0)))
     assert not np.array_equal(literal, corrected)
     # the literal reading breaks isotropy of the xi = 0 chain
-    assert np.linalg.norm(literal - independent_hamiltonian(3, 0.0, True)) > 1.0
+    assert np.linalg.norm(literal - corrected) > 1.0
 
 
 def test_hamiltonian_needs_two_sites():
@@ -298,11 +299,17 @@ def test_extraction_requires_periodic():
         extract_hamiltonian(ChainSpec(3, TwistParams(0.5, 1.0), "open"))
 
 
+def _transfer_poly_coeffs(spec):
+    """Coefficients of tbar(u) = tr_aux Tbar(u), traced here from the monodromy's."""
+    d = spec.dim
+    return [c[:d, :d] + c[d:, d:] for c in monodromy_poly_coeffs(spec)]
+
+
 def test_polynomial_transfer_agrees_with_rational():
     """tbar(u) = u^N t(u) links the polynomial and rational forms."""
     spec = ChainSpec(3, TwistParams(0.45, 1.0))
     u = 1.8 - 0.6j
-    coeffs = transfer_poly_coeffs(spec)
+    coeffs = _transfer_poly_coeffs(spec)
     tbar = sum(c * u**j for j, c in enumerate(coeffs))
     assert np.allclose(tbar, u**3 * transfer_matrix(spec, u), atol=1e-12)
 
@@ -312,7 +319,7 @@ def test_polynomial_transfer_at_zero_is_shift():
     n, eta = 3, 1.3
     for xi in (0.0, 0.9):
         spec = ChainSpec(n, TwistParams(xi, eta))
-        t0 = transfer_poly_coeffs(spec)[0]
+        t0 = _transfer_poly_coeffs(spec)[0]
         shift = np.zeros((2**n, 2**n), dtype=complex)
         for idx in range(2**n):
             bits = [(idx >> (n - 1 - k)) & 1 for k in range(n)]

@@ -3,7 +3,6 @@ import pytest
 
 from twistchain.chain import ChainSpec, spectrum_of, transfer_matrix, vacuum_d
 from twistchain.fusion import (
-    FusedFamily,
     fused_projector,
     fused_transfer,
     fusion_invariance_residual,
@@ -13,7 +12,7 @@ from twistchain.fusion import (
     verify_fusion_relation,
 )
 from twistchain.rmatrix import build_f12, spectral_projectors
-from twistchain.tensor import match_spectra, rel_residual
+from twistchain.tensor import match_spectra
 from twistchain.twist import TwistParams
 
 
@@ -125,11 +124,3 @@ def test_fused_spectra_coincide_with_undeformed(level):
     t_0 = fused_transfer(ChainSpec(n, TwistParams(0.0, 1.0)), level, u)
     report = match_spectra(spectrum_of(t_xi, n)[0], spectrum_of(t_0, n)[0], 1e-7)
     assert report.matched
-
-
-def test_fused_family_normalizations_recorded():
-    family = FusedFamily(ChainSpec(2, TwistParams(0.3, 1.0)))
-    assert family.normalization == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
-    u = 2.2
-    assert rel_residual(family.transfer(1, u),
-                        transfer_matrix(family.spec, u)) == 0.0

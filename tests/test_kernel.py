@@ -93,14 +93,13 @@ def _embedded_bond(n, i, j):
     return {
         "xx": e["x"][0] @ e["x"][1],
         "yy": e["y"][0] @ e["y"][1],
-        "yy_same": e["y"][0] @ e["y"][0],
         "zz": e["z"][0] @ e["z"][1],
         "mm": e["m"][0] @ e["m"][1],
         "m_diff": e["m"][0] - e["m"][1],
     }
 
 
-def _embedded_hamiltonian(spec, yy_same_site=False, deformation_doubled=False):
+def _embedded_hamiltonian(spec, deformation_doubled=False):
     """The site-embedded product construction the kernel route replaced,
     accumulated term by term in its order."""
     xi = spec.params.xi
@@ -109,7 +108,7 @@ def _embedded_hamiltonian(spec, yy_same_site=False, deformation_doubled=False):
     for (i, j) in bond_pairs(spec):
         terms = _embedded_bond(spec.n_sites, i, j)
         h += terms["xx"]
-        h += terms["yy_same"] if yy_same_site else terms["yy"]
+        h += terms["yy"]
         h += terms["zz"]
         h += c2 * terms["mm"]
         h += c1 * terms["m_diff"]
@@ -228,7 +227,7 @@ def test_staggered_product_matches_dense_lift_products(level):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_hamiltonian_bitwise_equal_to_embedded_products(n):
-    variants = ({}, {"yy_same_site": True}, {"deformation_doubled": True})
+    variants = ({}, {"deformation_doubled": True})
     for boundary in ("periodic", "open"):
         for xi in XIS:
             spec = ChainSpec(n, TwistParams(xi, 1.0), boundary)

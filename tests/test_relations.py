@@ -10,6 +10,8 @@ from twistchain.relations import (
     parse,
     relation_residual,
 )
+from twistchain.reporting import RunConfig
+from twistchain.suites import run_suite
 
 
 def _env():
@@ -78,3 +80,19 @@ def test_all_tables_parse():
 def test_misprint_registry_points_at_table_entries():
     ids = {r.rel_id for r in CR_RELATIONS}
     assert set(KNOWN_MISPRINTS) <= ids
+
+
+def test_known_misprint_text_carries_the_variant():
+    assert KNOWN_MISPRINTS["DB_2"].endswith(DB_2_VARIANT)
+
+
+def test_cr_relations_share_one_tolerance_key():
+    """Every cr relation check reads the key `cr.relations`, not its own id."""
+    strict = run_suite(RunConfig(n_sites=3, tolerances={"cr.relations": 1e-30}), "cr")
+    unflagged = [r for r in strict if not r.expected_failure]
+    assert len(unflagged) == len(CR_RELATIONS)  # 13 relations and the DB_2 variant
+    assert all(r.tolerance == 1e-30 and not r.passed for r in unflagged)
+    assert [r.check_id for r in strict if r.expected_failure] == ["cr.DB_2"]
+
+    per_id = run_suite(RunConfig(n_sites=3, tolerances={"cr.AC": 1e-30}), "cr")
+    assert {r.check_id: r.tolerance for r in per_id}["cr.AC"] == 1e-12

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from twistchain.rmatrix import (
-    RMatrixFamily,
     build_f12,
     build_f21,
     build_r,
@@ -51,12 +50,6 @@ def test_r_xi_unit_entries():
 @pytest.mark.parametrize("xi", [0.4, -1.7, 0.3 - 0.6j])
 def test_r_xi_two_routes_agree(xi):
     assert np.linalg.norm(build_r_xi(xi) - r_xi_from_twist(xi)) < 1e-13
-
-
-def test_family_cross_validates():
-    fam = RMatrixFamily(TwistParams(0.7))
-    assert np.array_equal(fam.r_xi, build_r_xi(0.7))
-    assert np.array_equal(fam.fundamental_twist, build_f12(0.7))
 
 
 def test_r_undeformed_is_yang():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from twistchain import relations
 from twistchain.chain import ChainSpec, transfer_matrix
+from twistchain.reporting import RunConfig
+from twistchain.suites import run_suite
 from twistchain.symmetry import (
     extract_t0,
     order1_transcription_residual,
@@ -129,3 +132,17 @@ def test_order1_blocks_shape():
     assert bl.shape == (4, 4) and br.shape == (4, 4)
     # the 1/u data is kept raw: no generator identification is asserted
     assert np.linalg.norm(tl) > 0
+
+
+def test_suite_reports_a_wrong_relation_as_a_failure(monkeypatch):
+    """Only lines recorded in KNOWN_MISPRINTS are flagged as suspected
+    misprints: a wrong E/G row that fails at every sample is a failure."""
+    wrong = relations.Relation("EB_wrong", "E*B(u) = 2*B(u)*E")
+    monkeypatch.setattr(relations, "SYMMETRY_RELATIONS",
+                        relations.SYMMETRY_RELATIONS + (wrong,))
+    reports = {r.check_id: r for r in run_suite(RunConfig(n_sites=3), "symmetry")}
+    report = reports["symmetry.EB_wrong"]
+    assert report.residual > 1e-6
+    assert not report.passed
+    assert not report.expected_failure
+    assert reports["symmetry.EB"].passed

@@ -10,7 +10,6 @@ from twistchain.tensor import (
     as_matrix,
     eigenvalues,
     embed_at_site,
-    kron,
     kron_all,
     lift,
     match_spectra,
@@ -22,13 +21,13 @@ DOWN = np.array([0, 1], dtype=complex)
 
 
 def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
+    assert np.array_equal(kron_all([I2, I2]), np.eye(4))
 
 
 def test_kron_lowers_both_factors():
     up_up = np.kron(UP, UP)
     down_down = np.kron(DOWN, DOWN)
-    assert np.allclose(kron(SM, SM) @ up_up, down_down)
+    assert np.allclose(kron_all([SM, SM]) @ up_up, down_down)
 
 
 def test_kron_block_layout_against_hand_expansion():
@@ -37,7 +36,7 @@ def test_kron_block_layout_against_hand_expansion():
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     expected = np.block([[a[0, 0] * b, a[0, 1] * b], [a[1, 0] * b, a[1, 1] * b]])
-    assert np.array_equal(kron(a, b), expected)
+    assert np.array_equal(kron_all([a, b]), expected)
 
 
 def test_kron_associative_exactly_on_dyadic_entries():
@@ -45,16 +44,16 @@ def test_kron_associative_exactly_on_dyadic_entries():
     rng = np.random.default_rng(8)
     mats = [(rng.integers(-8, 8, (2, 2)) + 1j * rng.integers(-8, 8, (2, 2))) / 16
             for _ in range(3)]
-    left = kron(kron(mats[0], mats[1]), mats[2])
-    right = kron(mats[0], kron(mats[1], mats[2]))
+    left = kron_all([kron_all(mats[:2]), mats[2]])
+    right = kron_all([mats[0], kron_all(mats[1:])])
     assert np.array_equal(left, right)
 
 
 def test_kron_associative_generic():
     rng = np.random.default_rng(9)
     mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
-    left = kron(kron(mats[0], mats[1]), mats[2])
-    right = kron(mats[0], kron(mats[1], mats[2]))
+    left = kron_all([kron_all(mats[:2]), mats[2]])
+    right = kron_all([mats[0], kron_all(mats[1:])])
     assert np.allclose(left, right, rtol=0, atol=1e-14)
 
 
