@@ -90,13 +90,6 @@ def log_defects(roots, n_sites: int, eta: complex) -> list[float]:
     return out
 
 
-def bethe_defect(state: BetheState) -> list[float]:
-    """Defect list for a state (empty for the vacuum, M = 0)."""
-    if state.magnons == 0:
-        return []
-    return log_defects(state.roots, state.n_sites, state.eta)
-
-
 def one_magnon_roots(n_sites: int, eta: complex) -> list[complex]:
     """Closed-form one-magnon roots v = eta/(1 - w), w^N = 1, w != 1."""
     return [eta / (1 - np.exp(2j * np.pi * k / n_sites)) for k in range(1, n_sites)]

@@ -22,17 +22,20 @@ from the rational form by the overall scalar u^N in t(u).
 
 Full matrices are built from their local structure. An ordered product
 such as T(u) is grown one site at a time, T_k = L_{a,k} (T_{k-1} ⊗ 1) from
-the 2x2 auxiliary identity, as a matrix product operator is contracted
-(``_grow_site``); the Hamiltonian, a sum of local terms, is scattered into
-its matrix term by term with ``tensor.add_local``. Where only vectors are
-needed (``monodromy_apply``, ``transfer_apply``) the local-contraction kernel
-``tensor.apply_local`` applies T(u) factor by factor, O(N 4^N) per column
-block, and no full matrix is formed.
+the auxiliary identity, as a matrix product operator is contracted
+(``_grow_site``); so is a product of monodromies on several auxiliary
+spaces, T_{a1}(u) T_{a2}(v) = prod_k L_{a1,k}(u) L_{a2,k}(v), from one site
+factor embedded with ``tensor.lift`` (``_monodromy_product``, for RTT and
+fusion). The Hamiltonian, a sum of local terms, is scattered into its matrix
+term by term with ``tensor.add_local``. Where only vectors are needed
+(``monodromy_apply``, ``transfer_apply``) the kernel ``tensor.apply_local``
+applies T(u) factor by factor, O(N 4^N) per column block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -48,6 +51,7 @@ from .tensor import (
     add_local,
     apply_local,
     eigenvalues,
+    lift,
     match_spectra,
     permutation_op,
     rel_residual,
@@ -132,42 +136,59 @@ def _local_l(spec: ChainSpec, u: complex, form: str) -> np.ndarray:
     raise ValueError(f"unknown form {form!r}")
 
 
-def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray, form: str = "rational",
-                    aux: int = 0, n_aux: int = 1) -> np.ndarray:
-    """T(u) x = L_N(u)...L_1(u) x for a vector or column block x, matrix-free.
-
-    x lives on aux^{n_aux} ⊗ chain (auxiliary factors leftmost); T(u) acts
-    on auxiliary factor `aux` and the chain. The default is aux ⊗ chain.
-    """
+def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray,
+                    form: str = "rational") -> np.ndarray:
+    """T(u) x = L_N(u)...L_1(u) x for a vector or column block x on
+    aux ⊗ chain, matrix-free."""
     n = spec.n_sites
-    dims = [2] * (n_aux + n)
+    dims = [2] * (n + 1)
     l4 = _local_l(spec, u, form)
     for k in range(1, n + 1):
-        x = apply_local(l4, x, dims, [aux, n_aux + k - 1])
+        x = apply_local(l4, x, dims, [0, k])
     return x
 
 
 def _grow_site(op: np.ndarray, t: np.ndarray) -> np.ndarray:
     """op_{a,k} (t ⊗ 1_k): extend t on aux ⊗ sites 1..k-1 by site k.
 
-    `op` is a 4x4 factor on aux ⊗ site k. Since t ⊗ 1 keeps the site index
-    (s' = s), only the auxiliary index a' is summed: one matmul of op,
-    reshaped to (a'' s'' s, a'), against t read as (a', rows cols), and one
-    transpose to (a'', rows, s'', cols, s). The identity t ⊗ 1 is never
-    formed.
+    `op` is a 2A x 2A factor on aux ⊗ site k, the auxiliary space of
+    dimension A leftmost. Since t ⊗ 1 keeps the site index (s' = s), only
+    the auxiliary index a' is summed: one matmul of op, reshaped to
+    (a'' s'' s, a'), against t read as (a', rows cols), and one transpose
+    to (a'', rows, s'', cols, s). The identity t ⊗ 1 is never formed.
     """
-    half = t.shape[0] // 2
-    op8 = op.reshape(2, 2, 2, 2).transpose(0, 1, 3, 2).reshape(8, 2)
-    grown = (op8 @ t.reshape(2, -1)).reshape(2, 2, 2, half, t.shape[1])
-    return grown.transpose(0, 3, 1, 4, 2).reshape(4 * half, 2 * t.shape[1])
+    aux = op.shape[0] // 2
+    rows = t.shape[0] // aux
+    op_t = op.reshape(aux, 2, aux, 2).transpose(0, 1, 3, 2).reshape(4 * aux, aux)
+    grown = (op_t @ t.reshape(aux, -1)).reshape(aux, 2, 2, rows, t.shape[1])
+    return grown.transpose(0, 3, 1, 4, 2).reshape(2 * t.shape[0], 2 * t.shape[1])
 
 
-def _site_product(factors) -> np.ndarray:
-    """F_N ... F_1 on aux ⊗ chain, F_k acting on aux ⊗ site k, grown site by site."""
-    t = np.eye(2, dtype=complex)
+def _site_product(factors: list[np.ndarray]) -> np.ndarray:
+    """F_N ... F_1 on aux ⊗ chain, F_k acting on aux ⊗ site k, grown site by
+    site from the identity of the auxiliary space (read from F_1's shape)."""
+    t = np.eye(factors[0].shape[0] // 2, dtype=complex)
     for op in factors:
         t = _grow_site(op, t)
     return t
+
+
+def _monodromy_product(spec: ChainSpec, points: list[complex],
+                       slots: list[int] | None = None) -> np.ndarray:
+    """T_{a_{s_1}}(p_1) ... T_{a_{s_m}}(p_m) on aux^m ⊗ chain, auxiliary
+    factors leftmost; `slots` (default 0..m-1) places each monodromy.
+
+    Factors of different sites on different auxiliary spaces commute, so the
+    product is grown site by site from one factor on aux^m ⊗ site, the
+    product of the lifted local operators L_{a_{s_i}}(p_i) in the same order.
+    """
+    m = len(points)
+    slots = range(m) if slots is None else slots
+    dims = [2] * (m + 1)
+    factor = reduce(np.matmul, (lift(build_r(p, spec.params), dims, [s, m])
+                                for p, s in zip(points, slots)),
+                    np.eye(2 ** (m + 1), dtype=complex))
+    return _site_product([factor] * spec.n_sites)
 
 
 def monodromy_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.ndarray:
@@ -263,23 +284,18 @@ def _trace_aux(m: np.ndarray) -> np.ndarray:
 def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
     """Relative residual of R(u-v) T1(u) T2(v) = T2(v) T1(u) R(u-v).
 
-    Both sides are applied to the identity of aux1 ⊗ aux2 ⊗ chain factor by
-    factor, T1 on auxiliary slot 0 and T2 on slot 1.
+    T1 acts on auxiliary factor 0 and T2 on factor 1 of aux1 ⊗ aux2 ⊗ chain;
+    both products are grown site by site, and R12 ⊗ 1 multiplies the joint
+    4-dim auxiliary index from the left of one and the right of the other.
     """
     if u == v:
         raise ValueError("RTT check requires u != v")
-    dims = [2] * (spec.n_sites + 2)
     r12 = build_r(u - v, spec.params)
-
-    def t1(x):
-        return monodromy_apply(spec, u, x, aux=0, n_aux=2)
-
-    def t2(x):
-        return monodromy_apply(spec, v, x, aux=1, n_aux=2)
-
-    eye = np.eye(4 * spec.dim, dtype=complex)
-    lhs = apply_local(r12, t1(t2(eye)), dims, [0, 1])
-    rhs = t2(t1(apply_local(r12, eye, dims, [0, 1])))
+    t1t2 = _monodromy_product(spec, [u, v])
+    t2t1 = _monodromy_product(spec, [v, u], [1, 0])
+    rows = t1t2.shape[0]
+    lhs = (r12 @ t1t2.reshape(4, -1)).reshape(rows, rows)
+    rhs = (t2t1.reshape(rows, 4, -1).swapaxes(1, 2) @ r12).swapaxes(1, 2).reshape(rows, rows)
     return rel_residual(lhs, rhs)
 
 
@@ -353,7 +369,7 @@ def verify_commutation_relations(spec: ChainSpec, u: complex, v: complex) -> lis
         record = {
             "rel_id": relation.rel_id,
             "text": relation.text,
-            "note": rel.KNOWN_MISPRINTS.get(relation.rel_id, relation.note),
+            "note": relation.note,
         }
         if degenerate:
             record["skipped"] = "alpha(u,v) ~ 0 at this sample"
@@ -380,7 +396,7 @@ def build_hamiltonian(spec: ChainSpec, deformation_doubled: bool = False) -> np.
                     + xi^2 sm_n sm_{n+1} + xi (sm_n - sm_{n+1}) ],
 
     periodic boundary wrapping n = N to 1 (where the linear terms telescope
-    to zero), open boundary summing n = 1..N-1.
+    to zero), open boundary summing n = 1..N-1 (no bond, H = 0, at N = 1).
 
     deformation_doubled replaces the deformation coefficients by (2 xi^2,
     2 xi). That variant is exactly the density produced by the transfer
@@ -388,8 +404,9 @@ def build_hamiltonian(spec: ChainSpec, deformation_doubled: bool = False) -> np.
     coefficients are not; both are kept so the discrepancy stays visible.
     """
     n = spec.n_sites
-    if n < 2:
-        raise ValueError("need at least 2 sites")
+    if n < 2 and spec.boundary == "periodic":
+        raise ValueError("a periodic chain needs at least 2 sites: the wrap bond "
+                         "would join site 1 to itself")
     xi = spec.params.xi
     c2, c1 = (2 * xi**2, 2 * xi) if deformation_doubled else (xi**2, xi)
     dims = [2] * n
@@ -522,11 +539,12 @@ def verify_spectrum_coincidence(
     u_samples: list[complex] | None = None,
     tol_h: float = 1e-8,
     tol_t: float = 1e-7,
-) -> tuple[SpectrumReport, list[tuple[complex, SpectrumReport]]]:
+) -> tuple[SpectrumReport | None, list[tuple[complex, SpectrumReport]]]:
     """Match the spectra of the deformed and undeformed chain.
 
-    Returns the eigenvalue comparison of H(xi) against H(0) and, for each
-    sampled u, of t_xi(u) against t_0(u). The twist terms strictly lower
+    Returns the eigenvalue comparison of H(xi) against H(0) (None at N = 1,
+    where the periodic chain has no Hamiltonian) and, for each sampled u, of
+    t_xi(u) against t_0(u). The twist terms strictly lower
     total sz, so both matrices are block triangular in the graded basis;
     the spectra are computed blockwise (exact, see graded_eigenvalues) with
     a dense fallback, making the coincidence exact rather than perturbative.
@@ -535,11 +553,13 @@ def verify_spectrum_coincidence(
         raise ValueError("spectrum coincidence is a periodic-chain statement")
     spec0 = ChainSpec(spec.n_sites, TwistParams(0.0, spec.params.eta), spec.boundary)
     n = spec.n_sites
-    h_report = match_spectra(
-        spectrum_of(build_hamiltonian(spec), n)[0],
-        spectrum_of(build_hamiltonian(spec0), n)[0],
-        tol_h,
-    )
+    h_report = None
+    if n >= 2:
+        h_report = match_spectra(
+            spectrum_of(build_hamiltonian(spec), n)[0],
+            spectrum_of(build_hamiltonian(spec0), n)[0],
+            tol_h,
+        )
     if u_samples is None:
         u_samples = [1.7, 2.9 + 0.4j, -1.3 + 0.8j]
     t_reports = []

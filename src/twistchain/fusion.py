@@ -15,7 +15,8 @@ is the trace of the restriction,
 
 with Pi_l = W S_l W^{-1} the twist conjugate of the symmetrizer (exact
 construction; any idempotent with image V_l gives the same trace once
-invariance holds, which is checked).
+invariance holds, which is checked). Levels 0 and 1 (Pi_l = 1) take the
+same route.
 
 In this normalization the hierarchy satisfies, exactly,
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainSpec, monodromy_apply, transfer_matrix, vacuum_d
+from .chain import ChainSpec, _monodromy_product, transfer_matrix, vacuum_d
 from .rmatrix import spectral_projectors
 from .tensor import rel_residual
 
@@ -103,28 +104,19 @@ def _staggered_product(spec: ChainSpec, level: int, u: complex) -> np.ndarray:
     for i, point in enumerate(points):
         if point == 0:
             raise ValueError(f"fusion point u - {i} eta = 0 hits the rational pole")
-    out = np.eye(2 ** level * spec.dim, dtype=complex)
-    # applied to the identity, so the rightmost factor T_{a_level} goes first
-    for i in reversed(range(level)):
-        out = monodromy_apply(spec, points[i], out, aux=i, n_aux=level)
-    return out
+    return _monodromy_product(spec, points)
 
 
 def fused_transfer(spec: ChainSpec, level: int, u: complex) -> np.ndarray:
     """Fused transfer matrix with auxiliary spin level/2.
 
-    Level 0 is the identity (trivial auxiliary representation, recorded
-    scalar 1); level 1 equals the fundamental transfer matrix exactly.
+    One route for every level: level 0 gives the chain identity (recorded
+    scalar 1), level 1 the fundamental transfer matrix.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in 0..{MAX_LEVEL}")
-    if level == 0:
-        return np.eye(spec.dim, dtype=complex)
-    if level == 1:
-        return transfer_matrix(spec, u)
-    product = _staggered_product(spec, level, u).reshape(
-        2 ** level, spec.dim, 2 ** level, spec.dim
-    )
+    aux = 2 ** level
+    product = _staggered_product(spec, level, u).reshape(aux, spec.dim, aux, spec.dim)
     projector = fused_projector(spec.params.xi, level)
     return np.einsum("ab,bicj,ca->ij", projector, product, projector)
 
@@ -133,17 +125,15 @@ def fusion_invariance_residual(spec: ChainSpec, level: int, u: complex) -> float
     """How well the staggered product preserves the fused auxiliary subspace.
 
     Measures ||(1 - Pi) T...T Pi|| / ||T...T|| with Pi the fused projector
-    lifted to aux^level ⊗ chain; zero is the fusion degeneration at work.
+    acting on the auxiliary factors of aux^level ⊗ chain; zero is the fusion
+    degeneration at work.
     """
-    if level < 2:
-        return 0.0
-    projector = np.kron(fused_projector(spec.params.xi, level),
-                        np.eye(spec.dim, dtype=complex))
-    product = _staggered_product(spec, level, u)
-    full = np.eye(projector.shape[0], dtype=complex)
-    return float(
-        np.linalg.norm((full - projector) @ product @ projector) / np.linalg.norm(product)
-    )
+    aux = 2 ** level
+    projector = fused_projector(spec.params.xi, level)
+    product = _staggered_product(spec, level, u).reshape(aux, spec.dim, aux, spec.dim)
+    kept = np.einsum("aicj,cb->aibj", product, projector)
+    leak = kept - np.einsum("ac,cibj->aibj", projector, kept)
+    return float(np.linalg.norm(leak) / np.linalg.norm(product))
 
 
 def quantum_determinant(spec: ChainSpec, u: complex) -> tuple[complex, float]:
@@ -152,9 +142,7 @@ def quantum_determinant(spec: ChainSpec, u: complex) -> tuple[complex, float]:
     Returns the scalar and its off-scalar residual; the scalar equals
     d(u - eta) in this normalization.
     """
-    from .twist import TwistParams
-
-    _, p_minus = spectral_projectors(TwistParams(spec.params.xi, spec.params.eta))
+    _, p_minus = spectral_projectors(spec.params)
     product = _staggered_product(spec, 2, u).reshape(4, spec.dim, 4, spec.dim)
     block = np.einsum("ab,bicj,ca->ij", p_minus, product, p_minus)
     scalar = complex(np.trace(block) / spec.dim)

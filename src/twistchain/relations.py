@@ -34,6 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .tensor import rel_residual
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*^(),=]))"
@@ -179,10 +181,7 @@ def _parse_relation(text: str):
 def relation_residual(text: str, env: dict) -> float:
     """Relative residual ||lhs - rhs|| / max(||lhs||, ||rhs||, 1) of 'lhs = rhs'."""
     lhs_ast, rhs_ast = _parse_relation(text)
-    lhs = evaluate(lhs_ast, env)
-    rhs = evaluate(rhs_ast, env)
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    return rel_residual(evaluate(lhs_ast, env), evaluate(rhs_ast, env))
 
 
 @dataclass(frozen=True)

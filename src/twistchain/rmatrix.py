@@ -10,14 +10,15 @@ Building blocks (xi the twist parameter, eta the spectral scale):
 
 Every constant matrix is built along two independent routes (displayed
 entries vs. algebraic product) and cross-validated, which guards against
-transcription slips on either side.
+transcription slips on either side. The Yang-Baxter check embeds R12, R13
+and R23 into C^2 ⊗ C^2 ⊗ C^2 with ``tensor.lift``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import permutation_op, rel_residual
+from .tensor import lift, permutation_op, rel_residual
 from .twist import TwistParams, make_spin_rep, universal_twist
 
 _P = permutation_op()
@@ -84,21 +85,12 @@ def verify_ybe(u: complex, v: complex, params: TwistParams) -> float:
     for w in (u, v, u - v):
         if w == 0:
             raise ValueError("pole argument in YBE check")
-    i2 = np.eye(2, dtype=complex)
-
-    def r12(w):
-        return np.kron(build_r(w, params), i2)
-
-    def r23(w):
-        return np.kron(i2, build_r(w, params))
-
-    def r13(w):
-        r = build_r(w, params).reshape(2, 2, 2, 2)
-        out = np.einsum("ikjl,mn->imkjnl", r, i2).reshape(8, 8)
-        return out
-
-    lhs = r12(u - v) @ r13(u) @ r23(v)
-    rhs = r23(v) @ r13(u) @ r12(u - v)
+    dims = [2, 2, 2]
+    r12 = lift(build_r(u - v, params), dims, [0, 1])
+    r13 = lift(build_r(u, params), dims, [0, 2])
+    r23 = lift(build_r(v, params), dims, [1, 2])
+    lhs = r12 @ r13 @ r23
+    rhs = r23 @ r13 @ r12
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
 
 

@@ -7,10 +7,11 @@ Conventions used throughout the package:
 * everything is a dense ``complex128`` ndarray; chains are capped at
   N = 12 sites (4096-dimensional), which keeps every check desk-scale,
 * a local operator reaches the product space in one of two ways:
-  ``apply_local`` contracts it into its tensor slots of a block
-  (O(d_slots * size) work), and ``add_local`` adds its embedding into a
-  full matrix in place, touching only the d_slots * dim entries it fills;
-  ``lift`` is that embedding added to zeros.
+  ``apply_local`` contracts it into its tensor slots of a vector or column
+  block (O(d_slots * size) work), and ``add_local`` adds its embedding into
+  a full matrix in place, touching only the d_slots * dim entries it fills;
+  ``lift`` is that embedding added to zeros, for small spaces such as one
+  site with several auxiliary spaces.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_matrix
+from .tensor import as_matrix, rel_residual
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,4 @@ def verify_cocycle(rep1: SpinRep, rep2: SpinRep, rep3: SpinRep, xi: complex) -> 
 
     sig_de = _neg_log_one_minus(2 * xi * coproduct(rep2, rep3, "e"))
     rhs = f23 @ _nilpotent_exp(np.kron(rep1.h, sig_de) / 2)
-
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    return rel_residual(lhs, rhs)

@@ -4,7 +4,6 @@ import pytest
 from twistchain.bethe import (
     BetheSolverError,
     BetheState,
-    bethe_defect,
     completeness_audit,
     eval_lambda,
     lambda_pole_residue,
@@ -20,11 +19,6 @@ from twistchain.bethe import (
 from twistchain.chain import ChainSpec, transfer_matrix
 from twistchain.tensor import eigenvalues
 from twistchain.twist import TwistParams
-
-
-def test_vacuum_has_no_defects():
-    state = BetheState(4, 0, (), 0.0, 1.0)
-    assert bethe_defect(state) == []
 
 
 def test_one_magnon_closed_form_n2():

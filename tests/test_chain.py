@@ -257,6 +257,17 @@ def test_hamiltonian_needs_two_sites():
         build_hamiltonian(ChainSpec(1, TwistParams(0.1, 1.0)))
 
 
+def test_open_one_site_hamiltonian_is_zero():
+    h = build_hamiltonian(ChainSpec(1, TwistParams(0.1, 1.0), "open"))
+    assert np.array_equal(h, np.zeros((2, 2)))
+
+
+def test_one_site_spectrum_coincidence_has_no_hamiltonian():
+    h_report, t_reports = verify_spectrum_coincidence(ChainSpec(1, TwistParams(0.4, 1.0)))
+    assert h_report is None
+    assert all(rep.matched for _, rep in t_reports)
+
+
 def test_extraction_undeformed_standard():
     """Log-derivative at xi = 0 lands on the isotropic chain: a = -1/(2 eta),
     b = -N/(2 eta) for this convention (least-squares fit oracle)."""

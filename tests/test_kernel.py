@@ -2,10 +2,12 @@
 operator built from local structure.
 
 Each route is compared with the construction it replaced: products of full
-`lift` matrices for the monodromy, its polynomial coefficients, RTT and the
-fused product, and products of site-embedded Pauli matrices for the
-Hamiltonian (bitwise). The site-grown products and the scattered embedding
-are also compared bitwise with the kernel applied to the identity.
+`lift` matrices for the monodromy, its polynomial coefficients, site-grown
+products on wider auxiliary spaces, RTT and the fused product; products of
+site-embedded Pauli matrices for the Hamiltonian and the open-chain
+deformation terms (bitwise); Kronecker and einsum embeddings for the
+Yang-Baxter check (bitwise). The site-grown products and the scattered
+embedding are also compared bitwise with the kernel applied to the identity.
 """
 
 from functools import lru_cache
@@ -17,6 +19,7 @@ from twistchain.bethe import magnon_product_state, verify_one_magnon_action
 from twistchain.chain import (
     ChainSpec,
     _poly_factors,
+    _site_product,
     bond_pairs,
     build_hamiltonian,
     build_monodromy,
@@ -32,7 +35,9 @@ from twistchain.chain import (
     verify_rtt,
 )
 from twistchain.fusion import _staggered_product
-from twistchain.rmatrix import build_r, build_r_xi
+from twistchain.reporting import RunConfig
+from twistchain.rmatrix import build_r, build_r_xi, verify_ybe
+from twistchain.suites import run_suite
 from twistchain.symmetry import order1_transcription_residual
 from twistchain.tensor import (
     SM,
@@ -198,6 +203,54 @@ def test_one_magnon_action_matches_dense_blocks():
            + spec.params.xi * (1 - du) * (1 - dv) * omega)
     dense = float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1.0))
     assert abs(verify_one_magnon_action(spec, u, v) - dense) < 1e-14
+
+
+@pytest.mark.parametrize("aux", [4, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_site_product_on_wide_aux_matches_dense_lift_products(aux, n):
+    rng = np.random.default_rng(10 * aux + n)
+    factors = [rng.standard_normal((2 * aux, 2 * aux))
+               + 1j * rng.standard_normal((2 * aux, 2 * aux)) for _ in range(n)]
+    dims = [aux] + [2] * n
+    dense = np.eye(aux * 2 ** n, dtype=complex)
+    for k, op in enumerate(factors, start=1):
+        dense = lift(op, dims, [0, k]) @ dense
+    assert _rel(_site_product(factors), dense) < 1e-14
+
+
+def _kron_ybe(u, v, params):
+    """The Kronecker and einsum embeddings the lifted Yang-Baxter check replaced."""
+    i2 = np.eye(2, dtype=complex)
+    r12 = np.kron(build_r(u - v, params), i2)
+    r23 = np.kron(i2, build_r(v, params))
+    r13 = np.einsum("ikjl,mn->imkjnl", build_r(u, params).reshape(2, 2, 2, 2),
+                    i2).reshape(8, 8)
+    lhs = r12 @ r13 @ r23
+    rhs = r23 @ r13 @ r12
+    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
+
+
+def test_ybe_bitwise_equal_to_kron_embedding():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        u, v, xi, eta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        params = TwistParams(xi, eta)
+        assert verify_ybe(u, v, params) == _kron_ybe(u, v, params)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("xi", XIS)
+def test_open_boundary_terms_bitwise_equal_to_embedded_products(n, xi):
+    """The open-chain spectrum check against its site-embedded construction."""
+    config = RunConfig(n_sites=n, xi=xi, boundary="open")
+    (report,) = run_suite(config, "spectrum")
+    h = [build_hamiltonian(ChainSpec(n, TwistParams(x, config.eta), "open")) for x in (xi, 0.0)]
+    diff = h[0] - h[1]
+    quad = sum(embed_at_site(SM, k, n) @ embed_at_site(SM, k + 1, n) for k in range(1, n))
+    boundary = embed_at_site(SM, 1, n) - embed_at_site(SM, n, n)
+    residual = float(np.linalg.norm(diff - xi**2 * quad - xi * boundary))
+    assert report.check_id == "spectrum.open_boundary_terms"
+    assert report.residual == max(residual, strictly_lowering_residual(diff, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -177,3 +177,23 @@ def test_tolerance_override_applies():
     reports = [r for r in run_suite(config, "ybe") if r.check_id == "ybe.yang_baxter"]
     assert all(not r.passed for r in reports)  # impossible override makes them fail
     assert all(r.tolerance == 1e-30 for r in reports)
+
+
+def test_one_magnon_off_shell_records_the_samples_it_ran():
+    reports = run_suite(RunConfig(n_sites=2, samples=2), "bethe")
+    (report,) = [r for r in reports if r.check_id == "bethe.one_magnon_off_shell"]
+    assert report.params["samples"] == 2
+
+
+@pytest.mark.parametrize("boundary, check_ids", [
+    ("periodic", ["spectrum.transfer"] * 5),
+    ("open", ["spectrum.open_boundary_terms"]),
+])
+def test_one_site_spectrum_skips_only_the_hamiltonian(boundary, check_ids):
+    """A one-site chain has no bond: the periodic suite compares the transfer
+    spectra only, the open one checks its (empty) deformation terms."""
+    for complex_xi in (False, True):
+        config = RunConfig(n_sites=1, boundary=boundary, complex_xi=complex_xi)
+        reports = run_suite(config, "spectrum")
+        assert [r.check_id for r in reports] == check_ids
+        assert all(r.passed for r in reports)
