@@ -1,5 +1,6 @@
 """Golden reports: `twistchain verify all --n-sites 4` at the default config,
-with `--boundary open` and with `--complex-xi`.
+with `--boundary open` and with `--complex-xi`, and `twistchain verify
+spectrum --n-sites 7`, where `spectrum.hamiltonian_dense` is red at 1.06e-5.
 
 The files under tests/data were rendered by the CLI. A refactor must keep
 every check id, parameter and verdict, and every residual to 1e-12
@@ -18,9 +19,9 @@ from twistchain.suites import run_suite
 DATA = Path(__file__).parent / "data"
 
 
-def _assert_matches_golden(name, config):
+def _assert_matches_golden(name, config, suite="all"):
     golden = json.loads((DATA / name).read_text(encoding="utf-8"))
-    current = json.loads(render_json(config, run_suite(config, "all")))
+    current = json.loads(render_json(config, run_suite(config, suite)))
     assert current["config"] == golden["config"]
     assert len(current["reports"]) == len(golden["reports"])
     for now, then in zip(current["reports"], golden["reports"]):
@@ -39,3 +40,7 @@ def test_verify_all_n4_matches_golden_report():
 ], ids=["open", "complex_xi"])
 def test_verify_all_n4_variant_matches_golden_report(name, config):
     _assert_matches_golden(name, config)
+
+
+def test_verify_spectrum_n7_matches_golden_report():
+    _assert_matches_golden("golden_verify_spectrum_n7.json", RunConfig(n_sites=7), "spectrum")
