@@ -26,10 +26,14 @@ the auxiliary identity, as a matrix product operator is contracted
 (``_grow_site``); so is a product of monodromies on several auxiliary
 spaces, T_{a1}(u) T_{a2}(v) = prod_k L_{a1,k}(u) L_{a2,k}(v), from one site
 factor embedded with ``tensor.lift`` (``_monodromy_product``, for RTT and
-fusion). The Hamiltonian, a sum of local terms, is scattered into its matrix
-term by term with ``tensor.add_local``. Where only vectors are needed
-(``monodromy_apply``, ``transfer_apply``) the kernel ``tensor.apply_local``
-applies T(u) factor by factor, O(N 4^N) per column block.
+fusion). The transfer matrix t(u) = tr_aux T(u) is grown the same way
+through sites 1..N-1, and at site N only the two diagonal auxiliary blocks
+that the trace sums are formed (``_grow_traced_site``), so the full T(u) is
+never built for it. The Hamiltonian, a sum of local terms, is scattered into
+its matrix term by term with ``tensor.add_local``. Where only vectors are
+needed (``monodromy_apply``, ``transfer_apply``) the kernel
+``tensor.apply_local`` applies T(u) factor by factor, O(N 4^N) per column
+block.
 """
 
 from __future__ import annotations
@@ -164,6 +168,27 @@ def _grow_site(op: np.ndarray, t: np.ndarray) -> np.ndarray:
     return grown.transpose(0, 3, 1, 4, 2).reshape(2 * t.shape[0], 2 * t.shape[1])
 
 
+def _grow_traced_site(op: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """tr_a [op_{a,k} (t ⊗ 1_k)]: the last `_grow_site` step under the
+    auxiliary trace, for a 2A x 2A factor op.
+
+    The trace keeps only the diagonal auxiliary blocks, output index a equal
+    to input index a. So for each a, the rows of op with output index a meet
+    the columns of t with input index a: 1/A of the rows and 1/A of the
+    columns of `_grow_site`'s one matmul, 1/A of its work in all. Every entry
+    is the same short sum of products as there, and the blocks are added in
+    the order of A(u) + D(u), so the result equals that slice sum entry for
+    entry.
+    """
+    aux = op.shape[0] // 2
+    rows, cols = t.shape[0] // aux, t.shape[1] // aux
+    op_t = op.reshape(aux, 2, aux, 2).transpose(0, 1, 3, 2).reshape(aux, 4, aux)
+    t4 = t.reshape(aux, rows, aux, cols)
+    traced = reduce(np.add, (op_t[a] @ t4[:, :, a, :].reshape(aux, rows * cols)
+                             for a in range(aux)))
+    return traced.reshape(2, 2, rows, cols).transpose(2, 0, 3, 1).reshape(2 * rows, 2 * cols)
+
+
 def _site_product(factors: list[np.ndarray]) -> np.ndarray:
     """F_N ... F_1 on aux ⊗ chain, F_k acting on aux ⊗ site k, grown site by
     site from the identity of the auxiliary space (read from F_1's shape)."""
@@ -203,9 +228,18 @@ def build_monodromy(spec: ChainSpec, u: complex, form: str = "rational") -> Mono
 
 
 def transfer_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.ndarray:
-    """t(u) = tr_aux T(u) = A(u) + D(u)."""
-    blocks = build_monodromy(spec, u, form)
-    return blocks.a + blocks.d
+    """t(u) = tr_aux T(u) = A(u) + D(u).
+
+    T(u) is grown through sites 1..N-1; site N forms only the two diagonal
+    auxiliary blocks that the trace sums (``_grow_traced_site``), so the
+    2^(N+1)-square T(u) is never built. Equal, entry for entry, to the
+    A + D of ``build_monodromy``.
+    """
+    l4 = _local_l(spec, u, form)
+    t = np.eye(2, dtype=complex)
+    for _ in range(spec.n_sites - 1):
+        t = _grow_site(l4, t)
+    return _grow_traced_site(l4, t)
 
 
 def monodromy_blocks_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> MonodromyBlocks:
@@ -435,14 +469,12 @@ def _affine_fit(target: np.ndarray, base: np.ndarray) -> tuple[complex, complex,
     return a, b, float(res)
 
 
-def extract_hamiltonian(spec: ChainSpec, derivative: str = "poly") -> HamiltonianPair:
+def log_derivative(spec: ChainSpec, derivative: str = "poly") -> np.ndarray:
     """Log-derivative Hamiltonian t(0)^{-1} t'(0) from the polynomial form.
 
     The derivative is taken from the exact polynomial coefficients by
     default; derivative="fd" uses central differences with step 1e-5 on the
-    polynomial transfer matrix as a cross-check. The result is affinely
-    fitted to the displayed local formula and to its doubled-coefficient
-    variant; both fits are reported.
+    polynomial transfer matrix as a cross-check.
     """
     if spec.boundary != "periodic":
         raise ValueError("extraction requires periodic boundary")
@@ -458,10 +490,17 @@ def extract_hamiltonian(spec: ChainSpec, derivative: str = "poly") -> Hamiltonia
     else:
         raise ValueError(f"unknown derivative method {derivative!r}")
     try:
-        h_ext = np.linalg.solve(t0, t1)
+        return np.linalg.solve(t0, t1)
     except np.linalg.LinAlgError as exc:
         raise ExtractionError(f"t(0) is singular: {exc}") from exc
 
+
+def extract_hamiltonian(spec: ChainSpec) -> HamiltonianPair:
+    """The exact log-derivative Hamiltonian (``log_derivative``), affinely
+    fitted to the displayed local formula and to its doubled-coefficient
+    variant; both fits are reported.
+    """
+    h_ext = log_derivative(spec)
     h_form = build_hamiltonian(spec)
     a, b, res = _affine_fit(h_ext, h_form)
     h_doubled = build_hamiltonian(spec, deformation_doubled=True)
@@ -534,6 +573,26 @@ def spectrum_of(m: np.ndarray, n_sites: int) -> tuple[np.ndarray, str]:
     return eigenvalues(m), "dense"
 
 
+def spectrum_pair(m_xi: np.ndarray, m_0: np.ndarray,
+                  n_sites: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """Eigenvalue multisets of a deformed matrix and of its undeformed
+    reference, plus the route taken for the deformed one.
+
+    The reference is solved first (``spectrum_of``). If it is block lower
+    triangular in the graded basis and m_xi - m_0 strictly lowers total sz
+    exactly (``strictly_lowering_residual`` reads 0.0), every graded sector
+    block of m_xi is bitwise that of m_0, and so is every entry above them:
+    m_xi's spectrum is m_0's, taken without a second solve (route
+    'certified'). Otherwise m_xi is solved on its own (route 'graded' or
+    'dense'), so a deformation that touches a sector block still shows.
+    """
+    ev_0, route_0 = spectrum_of(m_0, n_sites)
+    if route_0 == "graded" and strictly_lowering_residual(m_xi - m_0, n_sites) == 0.0:
+        return ev_0, ev_0, "certified"
+    ev_xi, route = spectrum_of(m_xi, n_sites)
+    return ev_xi, ev_0, route
+
+
 def verify_spectrum_coincidence(
     spec: ChainSpec,
     u_samples: list[complex] | None = None,
@@ -545,9 +604,11 @@ def verify_spectrum_coincidence(
     Returns the eigenvalue comparison of H(xi) against H(0) (None at N = 1,
     where the periodic chain has no Hamiltonian) and, for each sampled u, of
     t_xi(u) against t_0(u). The twist terms strictly lower
-    total sz, so both matrices are block triangular in the graded basis;
-    the spectra are computed blockwise (exact, see graded_eigenvalues) with
-    a dense fallback, making the coincidence exact rather than perturbative.
+    total sz, so both matrices are block triangular in the graded basis with
+    the same diagonal blocks: the undeformed spectrum is computed blockwise
+    (exact, see graded_eigenvalues) and certified for the deformed matrix
+    (``spectrum_pair``), making the coincidence exact rather than
+    perturbative; a pair that fails the certificate is solved on both sides.
     """
     if spec.boundary != "periodic":
         raise ValueError("spectrum coincidence is a periodic-chain statement")
@@ -556,19 +617,11 @@ def verify_spectrum_coincidence(
     h_report = None
     if n >= 2:
         h_report = match_spectra(
-            spectrum_of(build_hamiltonian(spec), n)[0],
-            spectrum_of(build_hamiltonian(spec0), n)[0],
-            tol_h,
-        )
+            *spectrum_pair(build_hamiltonian(spec), build_hamiltonian(spec0), n)[:2], tol_h)
     if u_samples is None:
         u_samples = [1.7, 2.9 + 0.4j, -1.3 + 0.8j]
     t_reports = []
     for u in u_samples:
-        t_reports.append(
-            (u, match_spectra(
-                spectrum_of(transfer_matrix(spec, u), n)[0],
-                spectrum_of(transfer_matrix(spec0, u), n)[0],
-                tol_t,
-            ))
-        )
+        t_reports.append((u, match_spectra(
+            *spectrum_pair(transfer_matrix(spec, u), transfer_matrix(spec0, u), n)[:2], tol_t)))
     return h_report, t_reports

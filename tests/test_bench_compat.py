@@ -1,6 +1,7 @@
-"""The benchmark's traced run wraps the functions named in BENCHMARK.json
-and its layer scan calls three of them directly. A rename, a move or a
-changed return type would otherwise surface only there, as missing metrics.
+"""The benchmark's traced run wraps the functions named in BENCHMARK.json,
+its layer scan calls three of them directly, and a probe reads the route
+that `chain.spectrum_of` returns. A rename, a move or a changed return type
+would otherwise surface only there, as missing metrics.
 """
 
 import importlib
@@ -10,7 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-from twistchain.chain import ChainSpec, build_hamiltonian, monodromy_matrix, monodromy_poly_coeffs
+from twistchain.chain import (
+    ChainSpec,
+    build_hamiltonian,
+    monodromy_matrix,
+    monodromy_poly_coeffs,
+    spectrum_of,
+)
 from twistchain.twist import TwistParams
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -49,3 +56,14 @@ def test_layer_scan_calls_keep_their_return_types():
     coeffs = monodromy_poly_coeffs(spec)
     assert isinstance(coeffs, list) and len(coeffs) == n + 1
     assert all(isinstance(c, np.ndarray) and c.shape == (2 * spec.dim,) * 2 for c in coeffs)
+
+
+def test_spectrum_of_keeps_returning_eigenvalues_and_route():
+    """The probe counts `chain.spectrum_of.dense` from `result[1]`."""
+    n = 3
+    h = build_hamiltonian(ChainSpec(n, TwistParams(0.5, 1.0)))
+    for m, route in ((h, "graded"), (h + h.T, "dense")):
+        res = spectrum_of(m, n)
+        assert isinstance(res, tuple) and len(res) == 2
+        assert isinstance(res[0], np.ndarray) and res[0].shape == (2 ** n,)
+        assert res[1] == route

@@ -8,9 +8,11 @@ from twistchain.chain import (
     extract_hamiltonian,
     graded_eigenvalues,
     grading_order,
+    log_derivative,
     monodromy_matrix,
     monodromy_poly_coeffs,
     rtt_components,
+    spectrum_pair,
     strictly_lowering_residual,
     transfer_matrix,
     vacuum_d,
@@ -77,6 +79,26 @@ def test_vacuum_annihilated_by_b(xi):
     spec = ChainSpec(3, TwistParams(xi, 1.0))
     blocks = build_monodromy(spec, 1.9 - 0.3j)
     assert np.max(np.abs(blocks.b @ vacuum_state(3))) < 1e-12
+
+
+def _traced_transfer_grid(n):
+    points = [1.7, 2.9 + 0.4j, -1.3 + 0.8j, 1e-5, -1e-5]
+    if n == 10:
+        points = points[:1]
+    for xi, eta in ((0.5, 1.0), (0.3 + 0.4j, 0.8 + 0.3j)):
+        spec = ChainSpec(n, TwistParams(xi, eta))
+        for form, extra in (("rational", []), ("polynomial", [0.0])):
+            for u in points + extra:
+                yield spec, u, form
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_transfer_matrix_equals_monodromy_trace(n):
+    """The traced build forms only the diagonal auxiliary blocks at the last
+    site; every entry equals the A + D of the full monodromy."""
+    for spec, u, form in _traced_transfer_grid(n):
+        blocks = build_monodromy(spec, u, form)
+        assert np.array_equal(transfer_matrix(spec, u, form), blocks.a + blocks.d), (spec, u, form)
 
 
 def test_transfer_vacuum_eigenvalue():
@@ -210,6 +232,15 @@ def test_hamiltonian_undeformed_is_hermitian():
     assert np.linalg.norm(h - h.conj().T) == 0.0
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_undeformed_hamiltonian_exactly_hermitian_to_n10(boundary):
+    """The dense cross-check solves H(0) with a Hermitian solver behind an
+    exact Hermiticity guard; the guard holds at every N it meets."""
+    for n in range(2, 11):
+        h = build_hamiltonian(ChainSpec(n, TwistParams(0.0, 1.3), boundary))
+        assert np.array_equal(h, h.conj().T), n
+
+
 def test_hamiltonian_deformed_not_hermitian():
     xi = 0.5
     # periodic: the linear terms telescope, the anti-Hermitian part is xi^2
@@ -299,10 +330,9 @@ def test_extraction_commutes_with_transfer():
 
 def test_extraction_finite_difference_route_agrees():
     spec = ChainSpec(3, TwistParams(0.5, 1.0))
-    a = extract_hamiltonian(spec, derivative="poly")
-    b = extract_hamiltonian(spec, derivative="fd")
-    num = np.linalg.norm(a.h_extracted - b.h_extracted)
-    assert num / np.linalg.norm(a.h_extracted) < 1e-6
+    a = extract_hamiltonian(spec).h_extracted
+    b = log_derivative(spec, derivative="fd")
+    assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-6
 
 
 def test_extraction_requires_periodic():
@@ -360,6 +390,36 @@ def test_graded_eigenvalues_reject_generic_matrix():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((16, 16))
     assert graded_eigenvalues(m, 4) is None
+
+
+def _transfer_pair(n=4, u=1.7 + 0.3j):
+    return (transfer_matrix(ChainSpec(n, TwistParams(0.6, 1.0)), u),
+            transfer_matrix(ChainSpec(n, TwistParams(0.0, 1.0)), u))
+
+
+def test_spectrum_pair_certifies_a_strictly_lowering_deformation():
+    t_xi, t_0 = _transfer_pair()
+    ev_xi, ev_0, route = spectrum_pair(t_xi, t_0, 4)
+    assert route == "certified" and ev_xi is ev_0
+    assert np.array_equal(ev_0, graded_eigenvalues(t_xi, 4))
+
+
+def test_spectrum_pair_solves_a_perturbed_sector_block_on_its_own():
+    """A deformation that touches a diagonal sector block is not certified:
+    the deformed side is solved independently and the spectra part."""
+    t_xi, t_0 = _transfer_pair()
+    t_xi[0, 0] += 0.1  # the 1 x 1 all-up sector block
+    ev_xi, ev_0, route = spectrum_pair(t_xi, t_0, 4)
+    assert route == "graded"
+    assert not match_spectra(ev_xi, ev_0, 1e-7).matched
+
+
+def test_spectrum_pair_solves_a_raising_deformation_densely():
+    t_xi, t_0 = _transfer_pair()
+    t_xi[0, -1] += 0.1  # all-up row, all-down column: raises total sz
+    ev_xi, _, route = spectrum_pair(t_xi, t_0, 4)
+    assert route == "dense"
+    assert match_spectra(ev_xi, eigenvalues(t_xi), 1e-12).matched
 
 
 def test_grading_order_sorts_by_popcount():
