@@ -9,8 +9,9 @@ Suites: ybe rtt cr spectrum bethe symmetry fusion twist all.
 
 Precedence: command-line flags override the config file, which overrides
 built-in defaults. The environment variable TWISTCHAIN_SEED supplies the
-default seed. The exit status is nonzero exactly when a check that is not
-an expected-failure check fails.
+default seed. The exit status is 1 when a check that is not an
+expected-failure check fails, and 2, with no report written, when a
+tolerance override names a key that no check of the run reads.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = resolve_config(args)
     reports = run_suite(config, args.suite)
+    unread = config.unread_tolerances()
+    if unread:
+        print(f"twistchain: error: no check of this run reads the tolerance "
+              f"override(s) {', '.join(unread)}", file=sys.stderr)
+        return 2
 
     if args.out:
         emit_report(config, reports, args.format, args.out)

@@ -119,6 +119,8 @@ class RunConfig:
     samples: int | None = None
     complex_xi: bool = False
     tolerances: dict = field(default_factory=dict)
+    # keys that a check has looked up through `tolerance`, in any run
+    read_keys: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples is not None and self.samples < 1:
@@ -131,7 +133,12 @@ class RunConfig:
             raise ValueError("eta must be nonzero")
 
     def tolerance(self, check_id: str, default: float) -> float:
+        self.read_keys.add(check_id)
         return float(self.tolerances.get(check_id, default))
+
+    def unread_tolerances(self) -> list[str]:
+        """Override keys that no check has looked up: they changed nothing."""
+        return sorted(set(self.tolerances) - self.read_keys)
 
     def to_record(self) -> dict:
         return {

@@ -55,8 +55,10 @@ class _Check:
     """One check id and its tolerance; every suite report is built here.
 
     The tolerance is the config override of `key` (the check id unless a
-    group of checks shares one key) or `default`; a `fixed` tolerance is a
-    pass threshold on a count or a probe and takes no override.
+    group of checks shares one key) or `default`; the config records the key
+    as read, so an override that no check reads can be rejected. A `fixed`
+    tolerance is a pass threshold on a count or a probe, takes no override
+    and reads no key.
     """
 
     def __init__(self, config: RunConfig, check_id: str, default: float,

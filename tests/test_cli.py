@@ -85,6 +85,31 @@ def test_tol_flag(capsys):
     assert any(not r["pass"] for r in doc["reports"])
 
 
+def test_unread_tol_override_is_rejected(tmp_path, capsys):
+    """A key that no check reads changes nothing, so the run is refused and
+    the key named; no report is written."""
+    out = tmp_path / "cr.json"
+    code = main(["verify", "cr", "--tol", "cr.AC=1e-30", "--tol", "cr.relations=1e-3",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cr.AC" in err and "cr.relations" not in err
+    assert not out.exists()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol.ybe.nonsense = 1e-3\n")
+    assert main(["verify", "ybe", "--config", str(cfg)]) == 2
+    assert "ybe.nonsense" in capsys.readouterr().err
+
+
+def test_read_tol_override_turns_cr_rows_red(capsys):
+    code = main(["verify", "cr", "--tol", "cr.relations=1e-30"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    rows = [r for r in doc["reports"] if not r.get("expected_failure")]
+    assert rows and all(not r["pass"] for r in rows)
+
+
 def test_complex_xi_sampling_flag(capsys):
     code = main(["verify", "ybe", "--samples", "4", "--seed", "6", "--complex-xi"])
     assert code == 0

@@ -94,5 +94,7 @@ def test_cr_relations_share_one_tolerance_key():
     assert all(r.tolerance == 1e-30 and not r.passed for r in unflagged)
     assert [r.check_id for r in strict if r.expected_failure] == ["cr.DB_2"]
 
-    per_id = run_suite(RunConfig(n_sites=3, tolerances={"cr.AC": 1e-30}), "cr")
+    per_id_config = RunConfig(n_sites=3, tolerances={"cr.AC": 1e-30})
+    per_id = run_suite(per_id_config, "cr")
     assert {r.check_id: r.tolerance for r in per_id}["cr.AC"] == 1e-12
+    assert per_id_config.unread_tolerances() == ["cr.AC"]
