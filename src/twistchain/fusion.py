@@ -47,10 +47,11 @@ def multi_twist(xi: complex, level: int) -> tuple[np.ndarray, np.ndarray]:
 
     Built factor by factor as W_j = (W_{j-1} ⊗ 1) (1 + xi (sum_{k<j} h_k) ⊗ e):
     every factor is 1 + nilpotent-of-square-zero, so products and inverses
-    terminate without any approximation. W_2 is the fundamental twist matrix.
+    terminate without any approximation. W_2 is the fundamental twist matrix;
+    W_0 is the 1 x 1 identity of the 0-fold product and W_1 the 2 x 2 one.
     """
-    w = np.eye(2, dtype=complex)
-    w_inv = np.eye(2, dtype=complex)
+    w = np.eye(2 ** min(level, 1), dtype=complex)
+    w_inv = w.copy()
     h_sum = np.diag([1.0, -1.0]).astype(complex)  # h at the first slot
     e2 = np.array([[0, 0], [1, 0]], dtype=complex)
     for j in range(2, level + 1):
@@ -89,10 +90,9 @@ def fused_projector(xi: complex, level: int) -> np.ndarray:
     dimension level + 1; being a twist conjugate of the symmetrizer it is
     built from exactly terminating series, so the construction introduces
     no rounding beyond the symmetrizer weights. At level 2 it equals the
-    P+(xi) returned by the R-matrix module.
+    P+(xi) returned by the R-matrix module; at levels 0 and 1 it is the
+    identity.
     """
-    if level < 2:
-        return np.eye(2 ** max(level, 0), dtype=complex)
     w, w_inv = multi_twist(xi, level)
     return w @ symmetrizer(level) @ w_inv
 

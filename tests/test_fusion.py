@@ -27,6 +27,17 @@ def test_level1_equals_fundamental():
     assert np.array_equal(fused_transfer(spec, 1, u), transfer_matrix(spec, u))
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_low_level_projectors_are_identities(level):
+    """Levels 0 and 1 take the general route W S W^{-1}; the 0-fold twist
+    acts on the 1-dimensional 0-fold product."""
+    eye = np.eye(2 ** level, dtype=complex)
+    for m in multi_twist(0.3, level):
+        assert m.dtype == eye.dtype and m.tobytes() == eye.tobytes()
+    projector = fused_projector(0.3 - 0.2j, level)
+    assert projector.dtype == eye.dtype and projector.tobytes() == eye.tobytes()
+
+
 def test_multi_twist_level2_is_fundamental_twist():
     xi = 0.37
     w, w_inv = multi_twist(xi, 2)
