@@ -574,23 +574,22 @@ def spectrum_of(m: np.ndarray, n_sites: int) -> tuple[np.ndarray, str]:
 
 
 def spectrum_pair(m_xi: np.ndarray, m_0: np.ndarray,
-                  n_sites: int) -> tuple[np.ndarray, np.ndarray, str]:
+                  n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue multisets of a deformed matrix and of its undeformed
-    reference, plus the route taken for the deformed one.
+    reference.
 
     The reference is solved first (``spectrum_of``). If it is block lower
     triangular in the graded basis and m_xi - m_0 strictly lowers total sz
     exactly (``strictly_lowering_residual`` reads 0.0), every graded sector
     block of m_xi is bitwise that of m_0, and so is every entry above them:
-    m_xi's spectrum is m_0's, taken without a second solve (route
-    'certified'). Otherwise m_xi is solved on its own (route 'graded' or
-    'dense'), so a deformation that touches a sector block still shows.
+    m_xi's spectrum is m_0's, returned as the same array without a second
+    solve. Otherwise m_xi is solved on its own (``spectrum_of``), so a
+    deformation that touches a sector block still shows.
     """
     ev_0, route_0 = spectrum_of(m_0, n_sites)
     if route_0 == "graded" and strictly_lowering_residual(m_xi - m_0, n_sites) == 0.0:
-        return ev_0, ev_0, "certified"
-    ev_xi, route = spectrum_of(m_xi, n_sites)
-    return ev_xi, ev_0, route
+        return ev_0, ev_0
+    return spectrum_of(m_xi, n_sites)[0], ev_0
 
 
 def verify_spectrum_coincidence(
@@ -617,11 +616,11 @@ def verify_spectrum_coincidence(
     h_report = None
     if n >= 2:
         h_report = match_spectra(
-            *spectrum_pair(build_hamiltonian(spec), build_hamiltonian(spec0), n)[:2], tol_h)
+            *spectrum_pair(build_hamiltonian(spec), build_hamiltonian(spec0), n), tol_h)
     if u_samples is None:
         u_samples = [1.7, 2.9 + 0.4j, -1.3 + 0.8j]
     t_reports = []
     for u in u_samples:
         t_reports.append((u, match_spectra(
-            *spectrum_pair(transfer_matrix(spec, u), transfer_matrix(spec0, u), n)[:2], tol_t)))
+            *spectrum_pair(transfer_matrix(spec, u), transfer_matrix(spec0, u), n), tol_t)))
     return h_report, t_reports

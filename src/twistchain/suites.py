@@ -639,7 +639,7 @@ def suite_fusion(config: RunConfig) -> list[VerificationReport]:
     spectra = _Check(config, "fusion.spectra", 1e-7)
     spec0 = ch.ChainSpec(n, tw.TwistParams(0.0, eta))
     rep = match_spectra(
-        *ch.spectrum_pair(fu.fused_transfer(spec, 2, u), fu.fused_transfer(spec0, 2, u), n)[:2],
+        *ch.spectrum_pair(fu.fused_transfer(spec, 2, u), fu.fused_transfer(spec0, 2, u), n),
         spectra.tolerance,
     )
     reports.append(spectra.report(
