@@ -11,7 +11,10 @@ Precedence: command-line flags override the config file, which overrides
 built-in defaults. The environment variable TWISTCHAIN_SEED supplies the
 default seed. The exit status is 1 when a check that is not an
 expected-failure check fails, and 2, with no report written, when a
-tolerance override names a key that no check of the run reads.
+tolerance override names a key that no check of the run reads. A suite
+that raises ends in a failing ``<suite>.error`` report before its later
+checks read their keys, so then the report is written, the unread keys
+are named as a warning and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .reporting import (
     parse_complex,
     render_csv,
     render_json,
+    unread_tolerances,
 )
 from .suites import SUITES, run_suite
 
@@ -96,11 +100,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = resolve_config(args)
     reports = run_suite(config, args.suite)
-    unread = config.unread_tolerances()
-    if unread:
+    unread = unread_tolerances(config, reports)
+    errors = [r.check_id for r in reports if r.check_id.endswith(".error")]
+    if unread and not errors:
         print(f"twistchain: error: no check of this run reads the tolerance "
               f"override(s) {', '.join(unread)}", file=sys.stderr)
         return 2
+    if unread:
+        print(f"twistchain: warning: the tolerance override(s) {', '.join(unread)} "
+              f"went unread; {', '.join(errors)} stopped a suite before its later "
+              f"checks", file=sys.stderr)
 
     if args.out:
         emit_report(config, reports, args.format, args.out)

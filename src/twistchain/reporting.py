@@ -51,6 +51,8 @@ class VerificationReport:
 
     ``expected_failure`` marks checks whose pass condition is inverted
     (the residual must exceed the floor, the notes say why).
+    ``tolerance_key`` is the override key the tolerance was looked up under
+    (None for a fixed threshold); it is not part of the record.
     """
 
     check_id: str
@@ -60,6 +62,7 @@ class VerificationReport:
     passed: bool
     notes: str = ""
     expected_failure: bool = False
+    tolerance_key: str | None = None
 
     def to_record(self) -> dict:
         rec = {
@@ -89,21 +92,24 @@ def _encode_value(v):
 
 
 def report_from_residual(check_id: str, params: dict, residual: float,
-                         tolerance: float, notes: str = "") -> VerificationReport:
+                         tolerance: float, notes: str = "",
+                         tolerance_key: str | None = None) -> VerificationReport:
     return VerificationReport(
         check_id=check_id, params=params, residual=float(residual),
         tolerance=float(tolerance), passed=bool(residual <= tolerance), notes=notes,
+        tolerance_key=tolerance_key,
     )
 
 
 def expected_failure_report(check_id: str, params: dict, residual: float,
-                            floor: float, notes: str) -> VerificationReport:
+                            floor: float, notes: str,
+                            tolerance_key: str | None = None) -> VerificationReport:
     """A check that must fail: passes exactly when the residual exceeds the floor."""
     return VerificationReport(
         check_id=check_id, params=params, residual=float(residual),
         tolerance=float(floor), passed=bool(residual > floor),
         notes=notes or "expected failure: pass means the defect stays above the floor",
-        expected_failure=True,
+        expected_failure=True, tolerance_key=tolerance_key,
     )
 
 
@@ -119,8 +125,6 @@ class RunConfig:
     samples: int | None = None
     complex_xi: bool = False
     tolerances: dict = field(default_factory=dict)
-    # keys that a check has looked up through `tolerance`, in any run
-    read_keys: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples is not None and self.samples < 1:
@@ -133,12 +137,7 @@ class RunConfig:
             raise ValueError("eta must be nonzero")
 
     def tolerance(self, check_id: str, default: float) -> float:
-        self.read_keys.add(check_id)
         return float(self.tolerances.get(check_id, default))
-
-    def unread_tolerances(self) -> list[str]:
-        """Override keys that no check has looked up: they changed nothing."""
-        return sorted(set(self.tolerances) - self.read_keys)
 
     def to_record(self) -> dict:
         return {
@@ -151,6 +150,12 @@ class RunConfig:
             "complex_xi": self.complex_xi,
             "tolerances": {k: format_number(v) for k, v in sorted(self.tolerances.items())},
         }
+
+
+def unread_tolerances(config: RunConfig, reports: list[VerificationReport]) -> list[str]:
+    """Override keys of `config` that no report's tolerance was looked up
+    under: they changed nothing in the run."""
+    return sorted(set(config.tolerances) - {r.tolerance_key for r in reports})
 
 
 def render_json(config: RunConfig, reports: list[VerificationReport]) -> str:

@@ -55,23 +55,26 @@ class _Check:
     """One check id and its tolerance; every suite report is built here.
 
     The tolerance is the config override of `key` (the check id unless a
-    group of checks shares one key) or `default`; the config records the key
-    as read, so an override that no check reads can be rejected. A `fixed`
-    tolerance is a pass threshold on a count or a probe, takes no override
-    and reads no key.
+    group of checks shares one key) or `default`; each report carries the
+    key, so an override that no report was judged under can be rejected. A
+    `fixed` tolerance is a pass threshold on a count or a probe, takes no
+    override and carries no key.
     """
 
     def __init__(self, config: RunConfig, check_id: str, default: float,
                  key: str | None = None, fixed: bool = False):
         self.check_id = check_id
-        self.tolerance = float(default) if fixed else config.tolerance(key or check_id, default)
+        self.key = None if fixed else key or check_id
+        self.tolerance = float(default) if fixed else config.tolerance(self.key, default)
 
     def report(self, params: dict, residual: float, notes: str = "") -> VerificationReport:
-        return report_from_residual(self.check_id, params, residual, self.tolerance, notes)
+        return report_from_residual(self.check_id, params, residual, self.tolerance, notes,
+                                    tolerance_key=self.key)
 
     def expected_failure(self, params: dict, residual: float, notes: str) -> VerificationReport:
         """A check that must fail: it passes while the residual stays above the tolerance."""
-        return expected_failure_report(self.check_id, params, residual, self.tolerance, notes)
+        return expected_failure_report(self.check_id, params, residual, self.tolerance, notes,
+                                       tolerance_key=self.key)
 
 
 def _rng(config: RunConfig, suite: str) -> np.random.Generator:

@@ -102,6 +102,26 @@ def test_unread_tol_override_is_rejected(tmp_path, capsys):
     assert "ybe.nonsense" in capsys.readouterr().err
 
 
+def test_suite_error_report_wins_over_unread_override(tmp_path, capsys, monkeypatch):
+    """A suite that raises stops before its later checks read their keys: the
+    error report is written and fails the run, and the unread key is named."""
+    import twistchain.chain as ch
+
+    def broken(spec):
+        raise RuntimeError("extraction broke")
+
+    monkeypatch.setattr(ch, "extract_hamiltonian", broken)
+    out = tmp_path / "spectrum.json"
+    code = main(["verify", "spectrum", "--n-sites", "3",
+                 "--tol", "spectrum.extraction_fit=1e-3", "--out", str(out)])
+    assert code == 1
+    doc = json.loads(out.read_text())
+    assert [r["check_id"] for r in doc["reports"]] == ["spectrum.error"]
+    err = capsys.readouterr().err
+    assert "warning" in err and "spectrum.extraction_fit" in err
+    assert "FAIL spectrum.error" in err
+
+
 def test_read_tol_override_turns_cr_rows_red(capsys):
     code = main(["verify", "cr", "--tol", "cr.relations=1e-30"])
     assert code == 1

@@ -10,7 +10,7 @@ from twistchain.relations import (
     parse,
     relation_residual,
 )
-from twistchain.reporting import RunConfig
+from twistchain.reporting import RunConfig, unread_tolerances
 from twistchain.suites import run_suite
 
 
@@ -97,4 +97,4 @@ def test_cr_relations_share_one_tolerance_key():
     per_id_config = RunConfig(n_sites=3, tolerances={"cr.AC": 1e-30})
     per_id = run_suite(per_id_config, "cr")
     assert {r.check_id: r.tolerance for r in per_id}["cr.AC"] == 1e-12
-    assert per_id_config.unread_tolerances() == ["cr.AC"]
+    assert unread_tolerances(per_id_config, per_id) == ["cr.AC"]
