@@ -597,6 +597,7 @@ def verify_spectrum_coincidence(
     u_samples: list[complex] | None = None,
     tol_h: float = 1e-8,
     tol_t: float = 1e-7,
+    hamiltonians: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[SpectrumReport | None, list[tuple[complex, SpectrumReport]]]:
     """Match the spectra of the deformed and undeformed chain.
 
@@ -608,6 +609,8 @@ def verify_spectrum_coincidence(
     (exact, see graded_eigenvalues) and certified for the deformed matrix
     (``spectrum_pair``), making the coincidence exact rather than
     perturbative; a pair that fails the certificate is solved on both sides.
+    `hamiltonians` passes (H(xi), H(0)) when the caller has built them
+    already; they are built here otherwise.
     """
     if spec.boundary != "periodic":
         raise ValueError("spectrum coincidence is a periodic-chain statement")
@@ -615,8 +618,9 @@ def verify_spectrum_coincidence(
     n = spec.n_sites
     h_report = None
     if n >= 2:
-        h_report = match_spectra(
-            *spectrum_pair(build_hamiltonian(spec), build_hamiltonian(spec0), n), tol_h)
+        if hamiltonians is None:
+            hamiltonians = build_hamiltonian(spec), build_hamiltonian(spec0)
+        h_report = match_spectra(*spectrum_pair(*hamiltonians, n), tol_h)
     if u_samples is None:
         u_samples = [1.7, 2.9 + 0.4j, -1.3 + 0.8j]
     t_reports = []

@@ -228,7 +228,7 @@ def test_hamiltonian_matches_oracle():
 
 def test_hamiltonian_undeformed_is_hermitian():
     """Exactly, at N = 2..10 and both boundaries: the dense cross-check
-    solves H(0) with a Hermitian solver behind an exact guard."""
+    relies on it when it solves H(0) with the Hermitian solver."""
     for boundary in ("periodic", "open"):
         for n in range(2, 11):
             h = build_hamiltonian(ChainSpec(n, TwistParams(0.0, 1.0), boundary))

@@ -10,6 +10,7 @@ from twistchain.tensor import (
     as_matrix,
     eigenvalues,
     embed_at_site,
+    hermitian_eigenvalues,
     kron_all,
     lift,
     match_spectra,
@@ -113,9 +114,13 @@ def test_eigenvalues_diagonal():
 
 
 def test_eigenvalues_heisenberg_bond():
-    """sigma.sigma = 2P - 1 has eigenvalues {-3, 1, 1, 1} (direct 4x4 oracle)."""
+    """sigma.sigma = 2P - 1 has eigenvalues {-3, 1, 1, 1} (direct 4x4 oracle),
+    in (Re, Im) order from the general and the Hermitian solver alike."""
     bond = np.kron(SX, SX) + np.kron(SY, SY) + np.kron(SZ, SZ)
-    assert np.allclose(eigenvalues(bond), [-3, 1, 1, 1], atol=1e-12)
+    for solver in (eigenvalues, hermitian_eigenvalues):
+        ev = solver(bond)
+        assert ev.dtype == complex
+        assert np.allclose(ev, [-3, 1, 1, 1], atol=1e-12)
 
 
 def test_eigenvalues_nilpotent():
@@ -126,8 +131,9 @@ def test_eigenvalues_nilpotent():
 
 
 def test_eigenvalues_requires_square():
-    with pytest.raises(ValueError):
-        eigenvalues(np.ones((2, 3)))
+    for solver in (eigenvalues, hermitian_eigenvalues):
+        with pytest.raises(ValueError):
+            solver(np.ones((2, 3)))
 
 
 def test_as_matrix_rejects_nonfinite():
