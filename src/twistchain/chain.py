@@ -26,14 +26,10 @@ the auxiliary identity, as a matrix product operator is contracted
 (``_grow_site``); so is a product of monodromies on several auxiliary
 spaces, T_{a1}(u) T_{a2}(v) = prod_k L_{a1,k}(u) L_{a2,k}(v), from one site
 factor embedded with ``tensor.lift`` (``_monodromy_product``, for RTT and
-fusion). The transfer matrix t(u) = tr_aux T(u) is grown the same way
-through sites 1..N-1, and at site N only the two diagonal auxiliary blocks
-that the trace sums are formed (``_grow_traced_site``), so the full T(u) is
-never built for it. The Hamiltonian, a sum of local terms, is scattered into
-its matrix term by term with ``tensor.add_local``. Where only vectors are
-needed (``monodromy_apply``, ``transfer_apply``) the kernel
-``tensor.apply_local`` applies T(u) factor by factor, O(N 4^N) per column
-block.
+fusion). The Hamiltonian, a sum of local terms, is scattered into its matrix
+term by term with ``tensor.add_local``. Where only vectors are needed
+(``monodromy_apply``, ``transfer_apply``) the kernel ``tensor.apply_local``
+applies T(u) factor by factor, O(N 4^N) per column block.
 """
 
 from __future__ import annotations
@@ -168,27 +164,6 @@ def _grow_site(op: np.ndarray, t: np.ndarray) -> np.ndarray:
     return grown.transpose(0, 3, 1, 4, 2).reshape(2 * t.shape[0], 2 * t.shape[1])
 
 
-def _grow_traced_site(op: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """tr_a [op_{a,k} (t ⊗ 1_k)]: the last `_grow_site` step under the
-    auxiliary trace, for a 2A x 2A factor op.
-
-    The trace keeps only the diagonal auxiliary blocks, output index a equal
-    to input index a. So for each a, the rows of op with output index a meet
-    the columns of t with input index a: 1/A of the rows and 1/A of the
-    columns of `_grow_site`'s one matmul, 1/A of its work in all. Every entry
-    is the same short sum of products as there, and the blocks are added in
-    the order of A(u) + D(u), so the result equals that slice sum entry for
-    entry.
-    """
-    aux = op.shape[0] // 2
-    rows, cols = t.shape[0] // aux, t.shape[1] // aux
-    op_t = op.reshape(aux, 2, aux, 2).transpose(0, 1, 3, 2).reshape(aux, 4, aux)
-    t4 = t.reshape(aux, rows, aux, cols)
-    traced = reduce(np.add, (op_t[a] @ t4[:, :, a, :].reshape(aux, rows * cols)
-                             for a in range(aux)))
-    return traced.reshape(2, 2, rows, cols).transpose(2, 0, 3, 1).reshape(2 * rows, 2 * cols)
-
-
 def _site_product(factors: list[np.ndarray]) -> np.ndarray:
     """F_N ... F_1 on aux ⊗ chain, F_k acting on aux ⊗ site k, grown site by
     site from the identity of the auxiliary space (read from F_1's shape)."""
@@ -228,18 +203,9 @@ def build_monodromy(spec: ChainSpec, u: complex, form: str = "rational") -> Mono
 
 
 def transfer_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.ndarray:
-    """t(u) = tr_aux T(u) = A(u) + D(u).
-
-    T(u) is grown through sites 1..N-1; site N forms only the two diagonal
-    auxiliary blocks that the trace sums (``_grow_traced_site``), so the
-    2^(N+1)-square T(u) is never built. Equal, entry for entry, to the
-    A + D of ``build_monodromy``.
-    """
-    l4 = _local_l(spec, u, form)
-    t = np.eye(2, dtype=complex)
-    for _ in range(spec.n_sites - 1):
-        t = _grow_site(l4, t)
-    return _grow_traced_site(l4, t)
+    """t(u) = tr_aux T(u) = A(u) + D(u)."""
+    blocks = build_monodromy(spec, u, form)
+    return blocks.a + blocks.d
 
 
 def monodromy_blocks_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> MonodromyBlocks:

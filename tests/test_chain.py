@@ -81,26 +81,6 @@ def test_vacuum_annihilated_by_b(xi):
     assert np.max(np.abs(blocks.b @ vacuum_state(3))) < 1e-12
 
 
-def _traced_transfer_grid(n):
-    points = [1.7, 2.9 + 0.4j, -1.3 + 0.8j, 1e-5, -1e-5]
-    if n == 10:
-        points = points[:1]
-    for xi, eta in ((0.5, 1.0), (0.3 + 0.4j, 0.8 + 0.3j)):
-        spec = ChainSpec(n, TwistParams(xi, eta))
-        for form, extra in (("rational", []), ("polynomial", [0.0])):
-            for u in points + extra:
-                yield spec, u, form
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_transfer_matrix_equals_monodromy_trace(n):
-    """The traced build forms only the diagonal auxiliary blocks at the last
-    site; every entry equals the A + D of the full monodromy."""
-    for spec, u, form in _traced_transfer_grid(n):
-        blocks = build_monodromy(spec, u, form)
-        assert np.array_equal(transfer_matrix(spec, u, form), blocks.a + blocks.d), (spec, u, form)
-
-
 def test_transfer_vacuum_eigenvalue():
     spec = ChainSpec(4, TwistParams(0.55, 1.0))
     u = 2.6
