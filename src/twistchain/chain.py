@@ -356,13 +356,15 @@ def verify_commutation_relations(spec: ChainSpec, u: complex, v: complex) -> lis
     """Evaluate every displayed exchange relation at one parameter point.
 
     Returns one record per relation with its transcription, the relative
-    residual, and the note attached to lines known to fail everywhere
+    residual of the full matrices (both sides applied to the identity; the
+    table runs at N <= 3), and the note attached to lines known to fail everywhere
     (suspected misprints). Degenerate points with alpha(u,v) = 0 are skipped
     with a notice since several lines carry alpha as an overall coefficient.
     """
     if u == v or u == 0 or v == 0:
         raise ValueError("u, v must be nonzero and distinct")
     env = relation_env(spec, u, v)
+    eye = np.eye(spec.dim)
     out = []
     degenerate = abs(env["alpha(u,v)"]) < 1e-12 or abs(env["alpha(v,u)"]) < 1e-12
     for relation in rel.CR_RELATIONS:
@@ -375,9 +377,9 @@ def verify_commutation_relations(spec: ChainSpec, u: complex, v: complex) -> lis
             record["skipped"] = "alpha(u,v) ~ 0 at this sample"
             record["residual"] = float("nan")
         else:
-            record["residual"] = rel.relation_residual(relation.text, env)
+            record["residual"] = rel.relation_residual(relation.text, env, eye)
             if relation.rel_id == "DB_2":
-                record["variant_residual"] = rel.relation_residual(rel.DB_2_VARIANT, env)
+                record["variant_residual"] = rel.relation_residual(rel.DB_2_VARIANT, env, eye)
         out.append(record)
     return out
 
@@ -540,9 +542,9 @@ def spectrum_of(m: np.ndarray, n_sites: int) -> tuple[np.ndarray, str]:
 
 
 def spectrum_pair(m_xi: np.ndarray, m_0: np.ndarray,
-                  n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+                  n_sites: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenvalue multisets of a deformed matrix and of its undeformed
-    reference.
+    reference, and the certificate ``strictly_lowering_residual(m_xi - m_0)``.
 
     The reference is solved first (``spectrum_of``). If it is block lower
     triangular in the graded basis and m_xi - m_0 strictly lowers total sz
@@ -550,12 +552,15 @@ def spectrum_pair(m_xi: np.ndarray, m_0: np.ndarray,
     block of m_xi is bitwise that of m_0, and so is every entry above them:
     m_xi's spectrum is m_0's, returned as the same array without a second
     solve. Otherwise m_xi is solved on its own (``spectrum_of``), so a
-    deformation that touches a sector block still shows.
+    deformation that touches a sector block still shows. The certificate is
+    returned either way, so a caller that reports it forms the difference
+    only here.
     """
     ev_0, route_0 = spectrum_of(m_0, n_sites)
-    if route_0 == "graded" and strictly_lowering_residual(m_xi - m_0, n_sites) == 0.0:
-        return ev_0, ev_0
-    return spectrum_of(m_xi, n_sites)[0], ev_0
+    lowering = strictly_lowering_residual(m_xi - m_0, n_sites)
+    if route_0 == "graded" and lowering == 0.0:
+        return ev_0, ev_0, lowering
+    return spectrum_of(m_xi, n_sites)[0], ev_0, lowering
 
 
 def verify_spectrum_coincidence(
@@ -564,12 +569,13 @@ def verify_spectrum_coincidence(
     tol_h: float = 1e-8,
     tol_t: float = 1e-7,
     hamiltonians: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[SpectrumReport | None, list[tuple[complex, SpectrumReport]]]:
+) -> tuple[SpectrumReport | None, float | None, list[tuple[complex, SpectrumReport]]]:
     """Match the spectra of the deformed and undeformed chain.
 
-    Returns the eigenvalue comparison of H(xi) against H(0) (None at N = 1,
-    where the periodic chain has no Hamiltonian) and, for each sampled u, of
-    t_xi(u) against t_0(u). The twist terms strictly lower
+    Returns the eigenvalue comparison of H(xi) against H(0) and
+    ``strictly_lowering_residual(H(xi) - H(0))`` (both None at N = 1, where
+    the periodic chain has no Hamiltonian) and, for each sampled u, the
+    comparison of t_xi(u) against t_0(u). The twist terms strictly lower
     total sz, so both matrices are block triangular in the graded basis with
     the same diagonal blocks: the undeformed spectrum is computed blockwise
     (exact, see graded_eigenvalues) and certified for the deformed matrix
@@ -582,15 +588,16 @@ def verify_spectrum_coincidence(
         raise ValueError("spectrum coincidence is a periodic-chain statement")
     spec0 = ChainSpec(spec.n_sites, TwistParams(0.0, spec.params.eta), spec.boundary)
     n = spec.n_sites
-    h_report = None
+    h_report = h_lowering = None
     if n >= 2:
         if hamiltonians is None:
             hamiltonians = build_hamiltonian(spec), build_hamiltonian(spec0)
-        h_report = match_spectra(*spectrum_pair(*hamiltonians, n), tol_h)
+        ev_xi, ev_0, h_lowering = spectrum_pair(*hamiltonians, n)
+        h_report = match_spectra(ev_xi, ev_0, tol_h)
     if u_samples is None:
         u_samples = [1.7, 2.9 + 0.4j, -1.3 + 0.8j]
     t_reports = []
     for u in u_samples:
-        t_reports.append((u, match_spectra(
-            *spectrum_pair(transfer_matrix(spec, u), transfer_matrix(spec0, u), n), tol_t)))
-    return h_report, t_reports
+        ev_xi, ev_0, _ = spectrum_pair(transfer_matrix(spec, u), transfer_matrix(spec0, u), n)
+        t_reports.append((u, match_spectra(ev_xi, ev_0, tol_t)))
+    return h_report, h_lowering, t_reports

@@ -7,17 +7,31 @@ Each relation is stored verbatim as a string ``lhs = rhs`` over the grammar
     factor := ['-'] atom ('^' integer)?
     atom   := number | name | name '(' u_or_v (',' u_or_v)? ')' | '(' expr ')'
 
-with operator-valued names A, B, C, D, E, G, Einv (evaluated as matrices,
-products taken in the written order) and scalar names alpha, beta, xi.
+with operator-valued names A, B, C, D, E, G, Einv (bound to matrices,
+products kept in the written order) and scalar names alpha, beta, xi.
 Storing the relations as data keeps the transcription auditable line by
 line; nothing about them is hand-coded into the evaluator.
+
+``evaluate`` never forms a product of two matrices: it applies each side
+to a column block X, right to left, so a side with m operator factors
+costs m products of a d x d matrix with a d x k block. ``relation_residual``
+compares the two sides on X,
+
+    ||(L - R) X||_F / max(||L X||_F, ||R X||_F, 1).
+
+With X = I this is the relative Frobenius residual of the full matrices
+(the displayed CR table runs this way, at N <= 3). With X a complex Gaussian
+block scaled so that E||M X||_F^2 = ||M||_F^2, it is an unbiased
+randomized estimate of ||L - R||_F^2 (Halko, Martinsson and Tropp,
+arXiv:0909.4061, section 4), and L X = R X happens for L != R with
+probability 0 (Freivalds, 1977); ``symmetry.probe_block`` draws that block.
 
 Scalar coefficient conventions:
 
     alpha(u,v) = 1 + beta(u,v) = 1 - eta/(u-v)
 
 ``relation_residual`` parses each distinct relation text once per process
-and evaluates the cached trees on every call.
+and applies the cached trees on every call.
 
 A relation that fails at machine precision for every sampled parameter
 point is flagged by the verification suites as a suspected misprint, never
@@ -126,48 +140,36 @@ def parse(text: str):
     return node
 
 
-def _mul(a, b):
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return a @ b
-    return a * b
+def evaluate(node, env: dict, x: np.ndarray) -> np.ndarray:
+    """Apply the operator an AST denotes to the column block `x`, right to left.
 
-
-def _promote(a, b):
-    """Promote a scalar to scalar*I when added to or subtracted from a matrix."""
-    if isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
-        return a, b * np.eye(a.shape[0], dtype=complex)
-    if isinstance(b, np.ndarray) and not isinstance(a, np.ndarray):
-        return a * np.eye(b.shape[0], dtype=complex), b
-    return a, b
-
-
-def evaluate(node, env: dict):
-    """Evaluate an AST against symbol bindings (matrices and scalars)."""
+    A product ``a*b`` is ``a·(b·x)``, a scalar ``c`` (number or scalar
+    binding) is ``c·x``, ``M^k`` applies M k times and a sum is the sum of
+    the applied terms; matrices are never multiplied with each other. With
+    ``x = I`` the result is the operator itself, up to the order in which
+    scalar factors are applied.
+    """
     kind = node[0]
     if kind == "num":
-        return node[1]
+        return node[1] * x
     if kind == "sym":
         try:
-            return env[node[1]]
+            value = env[node[1]]
         except KeyError:
             raise KeyError(f"unbound symbol {node[1]!r}") from None
+        return value @ x if isinstance(value, np.ndarray) else value * x
     if kind == "neg":
-        return -evaluate(node[1], env)
+        return -evaluate(node[1], env, x)
     if kind == "pow":
-        base = evaluate(node[1], env)
-        if isinstance(base, np.ndarray):
-            return np.linalg.matrix_power(base, node[2])
-        return base ** node[2]
-    a = evaluate(node[1], env)
-    b = evaluate(node[2], env)
-    if kind == "+":
-        a, b = _promote(a, b)
-        return a + b
-    if kind == "-":
-        a, b = _promote(a, b)
-        return a - b
+        for _ in range(node[2]):
+            x = evaluate(node[1], env, x)
+        return x
     if kind == "*":
-        return _mul(a, b)
+        return evaluate(node[1], env, evaluate(node[2], env, x))
+    if kind == "+":
+        return evaluate(node[1], env, x) + evaluate(node[2], env, x)
+    if kind == "-":
+        return evaluate(node[1], env, x) - evaluate(node[2], env, x)
     raise ValueError(f"unknown node {kind!r}")
 
 
@@ -178,10 +180,11 @@ def _parse_relation(text: str):
     return parse(lhs_text), parse(rhs_text)
 
 
-def relation_residual(text: str, env: dict) -> float:
-    """Relative residual ||lhs - rhs|| / max(||lhs||, ||rhs||, 1) of 'lhs = rhs'."""
+def relation_residual(text: str, env: dict, x: np.ndarray) -> float:
+    """Relative residual of 'lhs = rhs' on the block x:
+    ||(lhs - rhs) x|| / max(||lhs x||, ||rhs x||, 1), Frobenius norms."""
     lhs_ast, rhs_ast = _parse_relation(text)
-    return rel_residual(evaluate(lhs_ast, env), evaluate(rhs_ast, env))
+    return rel_residual(evaluate(lhs_ast, env, x), evaluate(rhs_ast, env, x))
 
 
 @dataclass(frozen=True)

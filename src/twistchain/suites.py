@@ -322,8 +322,8 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
                         ch.build_hamiltonian(ch.ChainSpec(spec.n_sites, tw.TwistParams(0.0, eta))))
 
     u_samples = [_sample_u(rng) for _ in range(_count(config, 5))]
-    h_report, t_reports = ch.verify_spectrum_coincidence(spec, u_samples,
-                                                         hamiltonians=hamiltonians)
+    h_report, h_lowering, t_reports = ch.verify_spectrum_coincidence(
+        spec, u_samples, hamiltonians=hamiltonians)
     if h_report is not None:
         reports.append(_Check(config, "spectrum.hamiltonian", 1e-8).report(
             {"n_sites": spec.n_sites, "xi": config.xi}, h_report.max_pair_distance,
@@ -338,8 +338,7 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
     if spec.n_sites >= 2:
         h_xi, h_0 = hamiltonians
         reports.append(_Check(config, "spectrum.grading", 1e-13).report(
-            {"n_sites": spec.n_sites, "xi": config.xi},
-            ch.strictly_lowering_residual(h_xi - h_0, spec.n_sites),
+            {"n_sites": spec.n_sites, "xi": config.xi}, h_lowering,
             notes="H(xi) - H(0) strictly lowers total sz in the graded basis",
         ))
         dense_check = _Check(config, "spectrum.hamiltonian_dense", 1e-5)
@@ -559,19 +558,26 @@ def suite_symmetry(config: RunConfig) -> list[VerificationReport]:
         notes="diagonal blocks of the constant term are mutually inverse",
     ))
 
+    # the probe blocks come from a child stream: spawning does not advance
+    # rng, so the sampled (xi, u) are those drawn without probes
+    probe_rng = rng.spawn(1)[0]
     n_samples = _count(config, 5)
     sweeps = []
     for _ in range(n_samples):
         xi = _sample_xi(rng, config)
         u = _sample_u(rng)
-        sweeps.append(sy.verify_symmetry_relations(ch.ChainSpec(n, tw.TwistParams(xi, eta)), u))
-    reports.extend(_relation_reports(config, "symmetry", sweeps,
-                                     {"n_sites": n, "samples": n_samples}, 1e-11))
+        x, _ = sy.probe_block(spec.dim, probe_rng)
+        sweeps.append(sy.verify_symmetry_relations(ch.ChainSpec(n, tw.TwistParams(xi, eta)), u, x))
+    x, route = sy.probe_block(spec.dim, probe_rng)  # one more block, for unipotent
+    params = {"n_sites": n, "samples": n_samples, "probe": route,
+              "probe_columns": sy.PROBE_COLUMNS}
+    reports.extend(_relation_reports(config, "symmetry", sweeps, params, 1e-11))
 
-    unipotent = float(np.linalg.norm(
-        np.linalg.matrix_power(data.e - np.eye(spec.dim), n + 1)))
+    # E - I strictly lowers total sz, so N + 1 applications leave exact zeros
+    for _ in range(n + 1):
+        x = data.e @ x - x
     reports.append(_Check(config, "symmetry.unipotent", 1e-10).report(
-        {"n_sites": n, "xi": config.xi}, unipotent,
+        {"n_sites": n, "xi": config.xi}, float(np.linalg.norm(x)),
         notes="(E - I)^(N+1) = 0, E is unipotent (E = exp of -xi times the "
               "global lowering operator)",
     ))
@@ -652,10 +658,9 @@ def suite_fusion(config: RunConfig) -> list[VerificationReport]:
 
     spectra = _Check(config, "fusion.spectra", 1e-7)
     spec0 = ch.ChainSpec(n, tw.TwistParams(0.0, eta))
-    rep = match_spectra(
-        *ch.spectrum_pair(fu.fused_transfer(spec, 2, u), fu.fused_transfer(spec0, 2, u), n),
-        spectra.tolerance,
-    )
+    ev_xi, ev_0, _ = ch.spectrum_pair(fu.fused_transfer(spec, 2, u),
+                                      fu.fused_transfer(spec0, 2, u), n)
+    rep = match_spectra(ev_xi, ev_0, spectra.tolerance)
     reports.append(spectra.report(
         {"n_sites": n, "xi": config.xi, "u": u}, rep.max_pair_distance,
         notes="fused eigenvalue multisets coincide with the undeformed ones "

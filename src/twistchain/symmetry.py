@@ -15,7 +15,12 @@ never by numerical limiting. Reading T_0 in auxiliary-space blocks,
 defines the generators E (group-like, commutes with t(u); concretely
 E = exp(-xi sum_n sm_n), the exponential of the global lowering operator)
 and G. Their displayed relations with A, B, C, D live in
-``relations.SYMMETRY_RELATIONS`` and are evaluated here; the coproducts are
+``relations.SYMMETRY_RELATIONS`` and are evaluated here, both sides applied
+right to left to one probe block X (``probe_block``): X = I while
+2^N <= PROBE_COLUMNS, which gives the Frobenius residual of the full
+matrices, and a seeded complex Gaussian block of PROBE_COLUMNS columns
+above, which gives an unbiased estimate of its square and detects any
+failing relation with probability 1 (see ``relations``). The coproducts are
 
     E on a split chain:  E_{n1+n2} = E_{n1} ⊗ E_{n2},
     G on a split chain:  G_{n1+n2} = E_{n1} ⊗ G_{n2} + G_{n1} ⊗ E_{n2}^{-1},
@@ -37,6 +42,10 @@ from .chain import ChainSpec, _site_product, build_monodromy, monodromy_poly_pai
 from .rmatrix import build_r_xi
 from .tensor import MAX_SITES, permutation_op, rel_residual
 from .twist import TwistParams
+
+# columns of the Gaussian probe block; chains with 2^N <= PROBE_COLUMNS are
+# probed with the identity
+PROBE_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -75,13 +84,33 @@ def extract_t0(spec: ChainSpec) -> AsymptoticData:
     )
 
 
-def verify_symmetry_relations(spec: ChainSpec, u: complex) -> list[dict]:
-    """Evaluate every displayed E/G relation as a matrix identity.
+def probe_block(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, str]:
+    """Column block the E/G relations are applied to, and its route.
 
-    One record per relation with transcription and relative residual. The
-    suite reports a failing relation as a failure: it flags a suspected
-    misprint only for lines recorded in ``relations.KNOWN_MISPRINTS``, none
-    of which is an E/G relation.
+    ``"identity"``: X = I when dim <= PROBE_COLUMNS, so the relation residual
+    is that of the full matrices and nothing is drawn. ``"gaussian"``:
+    X = (G_re + i G_im) / sqrt(2K) with K = PROBE_COLUMNS columns of
+    independent standard normals drawn from `rng`, so E||M X||_F^2 =
+    ||M||_F^2 for every M and the floor of 1 in ``tensor.rel_residual``
+    keeps the scale it has at X = I.
+    """
+    if dim <= PROBE_COLUMNS:
+        return np.eye(dim), "identity"
+    re = rng.standard_normal((dim, PROBE_COLUMNS))
+    im = rng.standard_normal((dim, PROBE_COLUMNS))
+    return (re + 1j * im) / np.sqrt(2 * PROBE_COLUMNS), "gaussian"
+
+
+def verify_symmetry_relations(spec: ChainSpec, u: complex, x: np.ndarray) -> list[dict]:
+    """Evaluate every displayed E/G relation on the column block `x`.
+
+    Both sides are applied to `x` right to left (``relations.evaluate``), so
+    no product of two 2^N x 2^N matrices is formed; ``probe_block`` gives
+    `x`. One record per relation with transcription and relative residual
+    ``relations.relation_residual``, plus the corollary [E, t(u)] = 0 on the
+    same block. The suite reports a failing relation as a failure: it flags
+    a suspected misprint only for lines recorded in
+    ``relations.KNOWN_MISPRINTS``, none of which is an E/G relation.
     """
     if u == 0:
         raise ValueError("u = 0 is a pole of the rational monodromy")
@@ -97,14 +126,14 @@ def verify_symmetry_relations(spec: ChainSpec, u: complex) -> list[dict]:
         out.append({
             "rel_id": relation.rel_id,
             "text": relation.text,
-            "residual": rel.relation_residual(relation.text, env),
+            "residual": rel.relation_residual(relation.text, env, x),
             "note": relation.note,
         })
+    t_u = blocks.a + blocks.d
     out.append({
         "rel_id": "Et",
         "text": "E*(A(u) + D(u)) = (A(u) + D(u))*E",
-        "residual": rel_residual(env["E"] @ (blocks.a + blocks.d),
-                                 (blocks.a + blocks.d) @ env["E"]),
+        "residual": rel_residual(data.e @ (t_u @ x), t_u @ (data.e @ x)),
         "note": "group-like element commutes with the transfer matrix",
     })
     return out

@@ -110,7 +110,7 @@ def test_criterion_5_spectrum_coincidence():
         for xi in (0.3, 0.9, 10.0):
             spec = ch.ChainSpec(n, tw.TwistParams(xi, 1.0))
             u_samples = [_annulus(rng) for _ in range(5)]
-            h_rep, t_reps = ch.verify_spectrum_coincidence(
+            h_rep, _, t_reps = ch.verify_spectrum_coincidence(
                 spec, u_samples, tol_h=1e-8, tol_t=1e-7)
             assert h_rep.matched, (n, xi)
             worst_h = max(worst_h, h_rep.max_pair_distance)
@@ -259,7 +259,7 @@ def test_criterion_9_symmetry_algebra():
         spec = ch.ChainSpec(n, tw.TwistParams(xi, 1.0))
         data = sy.extract_t0(spec)
         worst_block = max(worst_block, data.zero_block_residual)
-        records = sy.verify_symmetry_relations(spec, _annulus(rng))
+        records = sy.verify_symmetry_relations(spec, _annulus(rng), np.eye(spec.dim))
         for record in records:
             per_relation.setdefault(record["rel_id"], []).append(record["residual"])
             if record["rel_id"] == "Et":

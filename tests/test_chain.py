@@ -268,8 +268,9 @@ def test_open_one_site_hamiltonian_is_zero():
 
 
 def test_one_site_spectrum_coincidence_has_no_hamiltonian():
-    h_report, t_reports = verify_spectrum_coincidence(ChainSpec(1, TwistParams(0.4, 1.0)))
-    assert h_report is None
+    h_report, h_lowering, t_reports = verify_spectrum_coincidence(
+        ChainSpec(1, TwistParams(0.4, 1.0)))
+    assert h_report is None and h_lowering is None
     assert all(rep.matched for _, rep in t_reports)
 
 
@@ -373,7 +374,8 @@ def _transfer_pair(n=4, u=1.7 + 0.3j):
 
 def test_spectrum_pair_certifies_a_strictly_lowering_deformation():
     t_xi, t_0 = _transfer_pair()
-    ev_xi, ev_0 = spectrum_pair(t_xi, t_0, 4)
+    ev_xi, ev_0, lowering = spectrum_pair(t_xi, t_0, 4)
+    assert lowering == 0.0
     assert ev_xi is ev_0  # reused, not solved again
     assert np.array_equal(ev_0, graded_eigenvalues(t_xi, 4))
 
@@ -383,7 +385,8 @@ def test_spectrum_pair_solves_a_perturbed_sector_block_on_its_own():
     the deformed side is solved independently and the spectra part."""
     t_xi, t_0 = _transfer_pair()
     t_xi[0, 0] += 0.1  # the 1 x 1 all-up sector block
-    ev_xi, ev_0 = spectrum_pair(t_xi, t_0, 4)
+    ev_xi, ev_0, lowering = spectrum_pair(t_xi, t_0, 4)
+    assert lowering == pytest.approx(0.1)
     assert ev_xi is not ev_0
     assert np.array_equal(ev_xi, graded_eigenvalues(t_xi, 4))
     assert not match_spectra(ev_xi, ev_0, 1e-7).matched
@@ -392,7 +395,8 @@ def test_spectrum_pair_solves_a_perturbed_sector_block_on_its_own():
 def test_spectrum_pair_solves_a_raising_deformation_densely():
     t_xi, t_0 = _transfer_pair()
     t_xi[0, -1] += 0.1  # all-up row, all-down column: raises total sz
-    ev_xi, _ = spectrum_pair(t_xi, t_0, 4)
+    ev_xi, _, lowering = spectrum_pair(t_xi, t_0, 4)
+    assert lowering == pytest.approx(0.1)
     assert np.array_equal(ev_xi, eigenvalues(t_xi))
 
 
@@ -407,14 +411,15 @@ def test_grading_order_sorts_by_popcount():
 def test_spectrum_coincidence(n, xi):
     """Deformed spectra equal the undeformed ones, even far from perturbative."""
     spec = ChainSpec(n, TwistParams(xi, 1.0))
-    h_report, t_reports = verify_spectrum_coincidence(spec)
+    h_report, h_lowering, t_reports = verify_spectrum_coincidence(spec)
+    assert h_lowering == 0.0
     assert h_report.matched and h_report.max_pair_distance < 1e-8
     for _, rep in t_reports:
         assert rep.matched and rep.max_pair_distance < 1e-7
 
 
 def test_spectrum_trivial_at_zero():
-    h_report, _ = verify_spectrum_coincidence(ChainSpec(3, TwistParams(0.0, 1.0)))
+    h_report, _, _ = verify_spectrum_coincidence(ChainSpec(3, TwistParams(0.0, 1.0)))
     assert h_report.matched and h_report.max_pair_distance == 0.0
 
 

@@ -10,8 +10,12 @@ from twistchain.relations import (
     parse,
     relation_residual,
 )
+from twistchain.chain import ChainSpec, build_monodromy, relation_env
 from twistchain.reporting import RunConfig, unread_tolerances
 from twistchain.suites import run_suite
+from twistchain.symmetry import extract_t0, verify_symmetry_relations
+from twistchain.tensor import rel_residual
+from twistchain.twist import TwistParams
 
 
 def _env():
@@ -24,39 +28,39 @@ def _env():
 
 def test_product_order_preserved():
     env = _env()
-    got = evaluate(parse("A(u)*B(u)"), env)
+    got = evaluate(parse("A(u)*B(u)"), env, np.eye(3))
     assert np.allclose(got, env["A(u)"] @ env["B(u)"])
     assert not np.allclose(got, env["B(u)"] @ env["A(u)"])
 
 
 def test_scalar_and_power():
     env = _env()
-    got = evaluate(parse("xi^2*A(u)"), env)
+    got = evaluate(parse("xi^2*A(u)"), env, np.eye(3))
     assert np.allclose(got, env["xi"] ** 2 * env["A(u)"])
 
 
 def test_parenthesized_combination():
     env = _env()
-    got = evaluate(parse("(alpha(u,v)*A(v) - xi*B(u))*A(u)"), env)
+    got = evaluate(parse("(alpha(u,v)*A(v) - xi*B(u))*A(u)"), env, np.eye(3))
     expected = (2.0 * env["A(v)"] - env["xi"] * env["B(u)"]) @ env["A(u)"]
     assert np.allclose(got, expected)
 
 
 def test_scalar_promotes_to_identity_in_sums():
     env = _env()
-    got = evaluate(parse("xi*(1 - E^2)"), env)
+    got = evaluate(parse("xi*(1 - E^2)"), env, np.eye(3))
     expected = env["xi"] * (np.eye(3) - env["E"] @ env["E"])
     assert np.allclose(got, expected)
 
 
 def test_unary_minus():
     env = _env()
-    assert np.allclose(evaluate(parse("-A(u)"), env), -env["A(u)"])
+    assert np.allclose(evaluate(parse("-A(u)"), env, np.eye(3)), -env["A(u)"])
 
 
 def test_residual_zero_for_identity():
     env = _env()
-    assert relation_residual("A(u)*B(u) = A(u)*B(u)", env) == 0.0
+    assert relation_residual("A(u)*B(u) = A(u)*B(u)", env, np.eye(3)) == 0.0
 
 
 def test_bad_token_rejected():
@@ -66,7 +70,7 @@ def test_bad_token_rejected():
 
 def test_unbound_symbol_reported():
     with pytest.raises(KeyError, match="C\\(u\\)"):
-        evaluate(parse("C(u)"), _env())
+        evaluate(parse("C(u)"), _env(), np.eye(3))
 
 
 def test_all_tables_parse():
@@ -98,3 +102,74 @@ def test_cr_relations_share_one_tolerance_key():
     per_id = run_suite(per_id_config, "cr")
     assert {r.check_id: r.tolerance for r in per_id}["cr.AC"] == 1e-12
     assert unread_tolerances(per_id_config, per_id) == ["cr.AC"]
+
+
+def _full_matrix_evaluate(node, env):
+    """The full-matrix evaluator the block evaluator replaced, kept as an
+    oracle: matrices multiplied in the written order, a scalar added to a
+    matrix promoted to scalar*I."""
+    kind = node[0]
+    if kind == "num":
+        return node[1]
+    if kind == "sym":
+        return env[node[1]]
+    if kind == "neg":
+        return -_full_matrix_evaluate(node[1], env)
+    if kind == "pow":
+        base = _full_matrix_evaluate(node[1], env)
+        if isinstance(base, np.ndarray):
+            return np.linalg.matrix_power(base, node[2])
+        return base ** node[2]
+    a = _full_matrix_evaluate(node[1], env)
+    b = _full_matrix_evaluate(node[2], env)
+    if kind == "*":
+        return a @ b if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) else a * b
+    if isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        b = b * np.eye(a.shape[0], dtype=complex)
+    if isinstance(b, np.ndarray) and not isinstance(a, np.ndarray):
+        a = a * np.eye(b.shape[0], dtype=complex)
+    return a + b if kind == "+" else a - b
+
+
+def _full_matrix_residual(text, env):
+    lhs, rhs = text.split("=")
+    return rel_residual(_full_matrix_evaluate(parse(lhs), env),
+                        _full_matrix_evaluate(parse(rhs), env))
+
+
+_POINTS = ((0.6, 1.9 - 0.4j, -0.7 + 2.2j), (-0.35 + 0.2j, 2.6 + 1.1j, 0.8 - 1.5j))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_identity_block_reproduces_the_full_matrix_cr_residuals(n):
+    """At X = I the block residual is the full-matrix one, up to the order in
+    which scalar factors are applied; every CR row and the DB_2 variant."""
+    for xi, u, v in _POINTS:
+        env = relation_env(ChainSpec(n, TwistParams(xi, 1.0)), u, v)
+        eye = np.eye(2 ** n)
+        for text in [r.text for r in CR_RELATIONS] + [DB_2_VARIANT]:
+            got = relation_residual(text, env, eye)
+            assert abs(got - _full_matrix_residual(text, env)) <= 1e-15, text
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_identity_block_reproduces_the_full_matrix_symmetry_residuals(n):
+    for xi, u, _ in _POINTS:
+        spec = ChainSpec(n, TwistParams(xi, 1.0))
+        data = extract_t0(spec)
+        blocks = build_monodromy(spec, u)
+        env = {"E": data.e, "G": data.g, "Einv": data.e_inv, "A(u)": blocks.a,
+               "B(u)": blocks.b, "C(u)": blocks.c, "D(u)": blocks.d, "xi": xi}
+        records = verify_symmetry_relations(spec, u, np.eye(spec.dim))
+        assert len(records) == len(SYMMETRY_RELATIONS) + 1
+        for record in records:
+            expected = _full_matrix_residual(record["text"], env)
+            assert abs(record["residual"] - expected) <= 1e-15, record["rel_id"]
+
+
+def test_block_evaluation_is_the_operator_applied_to_the_block():
+    env = _env()
+    x = np.random.default_rng(1).standard_normal((3, 2))
+    text = "xi*(1 - E^2)*A(u) + alpha(u,v)*A(u)*B(u)"
+    full = _full_matrix_evaluate(parse(text), env)
+    assert np.allclose(evaluate(parse(text), env, x), full @ x, rtol=0, atol=1e-13)

@@ -3,11 +3,13 @@ import pytest
 
 from twistchain import relations
 from twistchain.chain import ChainSpec, transfer_matrix
-from twistchain.reporting import RunConfig
+from twistchain.reporting import RunConfig, render_json
 from twistchain.suites import run_suite
 from twistchain.symmetry import (
+    PROBE_COLUMNS,
     extract_t0,
     order1_transcription_residual,
+    probe_block,
     verify_coproducts,
     verify_symmetry_relations,
 )
@@ -68,7 +70,7 @@ def test_e_unipotent():
 @pytest.mark.parametrize("n,xi", [(1, 0.6), (2, 0.6), (3, -0.8), (4, 0.35)])
 def test_displayed_relations_hold(n, xi):
     spec = ChainSpec(n, TwistParams(xi, 1.0))
-    records = verify_symmetry_relations(spec, 1.9 - 0.4j)
+    records = verify_symmetry_relations(spec, 1.9 - 0.4j, np.eye(spec.dim))
     assert len(records) == 11  # ten displayed lines plus the [E, t(u)] corollary
     for record in records:
         assert record["residual"] < 1e-11, record["rel_id"]
@@ -76,7 +78,7 @@ def test_displayed_relations_hold(n, xi):
 
 def test_relations_undeformed_collapse():
     spec = ChainSpec(3, TwistParams(0.0, 1.0))
-    for record in verify_symmetry_relations(spec, 2.4):
+    for record in verify_symmetry_relations(spec, 2.4, np.eye(spec.dim)):
         assert record["residual"] < 1e-12
 
 
@@ -146,3 +148,55 @@ def test_suite_reports_a_wrong_relation_as_a_failure(monkeypatch):
     assert not report.passed
     assert not report.expected_failure
     assert reports["symmetry.EB"].passed
+
+
+_RELATION_IDS = [r.rel_id for r in relations.SYMMETRY_RELATIONS] + ["Et"]
+
+
+def test_gaussian_probe_keeps_the_frobenius_scale():
+    """E||M X||_F^2 = ||M||_F^2: the mean over many draws is within a few
+    standard errors (each draw has relative spread about 1/sqrt(K))."""
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    draws = [np.linalg.norm(m @ probe_block(32, rng)[0]) ** 2 for _ in range(400)]
+    assert np.mean(draws) == pytest.approx(np.linalg.norm(m) ** 2, rel=0.05)
+
+
+@pytest.mark.parametrize("n,route", [(3, "identity"), (6, "gaussian")])
+def test_suite_records_the_probe_route(n, route):
+    reports = {r.check_id: r for r in run_suite(RunConfig(n_sites=n), "symmetry")}
+    for rel_id in _RELATION_IDS:
+        params = reports[f"symmetry.{rel_id}"].params
+        assert params["probe"] == route and params["probe_columns"] == PROBE_COLUMNS
+
+
+def test_relations_hold_on_the_gaussian_probe():
+    """N = 6 has 64 > K basis states, so every row is probed by a Gaussian block."""
+    reports = {r.check_id: r for r in run_suite(RunConfig(n_sites=6), "symmetry")}
+    for rel_id in _RELATION_IDS:
+        assert reports[f"symmetry.{rel_id}"].residual <= 1e-13, rel_id
+
+
+def test_gaussian_probe_reports_a_wrong_relation(monkeypatch):
+    """E B = B E, so the row E*B(u) = 2*B(u)*E reads ||BEX|| / ||2BEX|| = 1/2."""
+    wrong = relations.Relation("EB_wrong", "E*B(u) = 2*B(u)*E")
+    monkeypatch.setattr(relations, "SYMMETRY_RELATIONS",
+                        relations.SYMMETRY_RELATIONS + (wrong,))
+    reports = {r.check_id: r for r in run_suite(RunConfig(n_sites=6), "symmetry")}
+    report = reports["symmetry.EB_wrong"]
+    assert report.params["probe"] == "gaussian"
+    assert abs(report.residual - 0.5) < 1e-12
+    assert not report.passed and not report.expected_failure
+
+
+def test_probed_suite_is_deterministic():
+    config = RunConfig(n_sites=6)
+    first = render_json(config, run_suite(config, "symmetry"))
+    assert render_json(config, run_suite(config, "symmetry")) == first
+
+
+def test_unipotent_probe_residual_is_exactly_zero():
+    """E - I strictly lowers total sz: N + 1 applications to the probe block
+    leave structural zeros, not rounding."""
+    reports = {r.check_id: r for r in run_suite(RunConfig(n_sites=6), "symmetry")}
+    assert reports["symmetry.unipotent"].residual == 0.0
