@@ -1,6 +1,8 @@
 """Golden reports: `twistchain verify all --n-sites 4` at the default config,
-with `--boundary open` and with `--complex-xi`, and `twistchain verify
-spectrum --n-sites 7`, where `spectrum.hamiltonian_dense` is red at 1.06e-5.
+with `--boundary open` and with `--complex-xi`, `twistchain verify
+spectrum --n-sites 7`, where `spectrum.hamiltonian_dense` is red at 1.06e-5,
+and `twistchain verify bethe --n-sites 6`, whose eigenvalue gaps and
+completeness counts read the graded spectrum of the deformed t(u).
 
 The files under tests/data were rendered by the CLI. A refactor must keep
 every check id, parameter and verdict, and every residual to 1e-12
@@ -44,3 +46,7 @@ def test_verify_all_n4_variant_matches_golden_report(name, config):
 
 def test_verify_spectrum_n7_matches_golden_report():
     _assert_matches_golden("golden_verify_spectrum_n7.json", RunConfig(n_sites=7), "spectrum")
+
+
+def test_verify_bethe_n6_matches_golden_report():
+    _assert_matches_golden("golden_verify_bethe_n6.json", RunConfig(n_sites=6), "bethe")
