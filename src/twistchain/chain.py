@@ -35,7 +35,8 @@ applies T(u) factor by factor, O(N 4^N) per column block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from math import comb
 
 import numpy as np
 
@@ -60,6 +61,11 @@ from .tensor import (
 from .twist import TwistParams
 
 _P = permutation_op()
+
+# A sector block is split into momentum blocks only when the mass its
+# momentum basis leaves outside them is at most MOMENTUM_TOL times the
+# block's Frobenius norm (floored at 1); otherwise it is solved whole.
+MOMENTUM_TOL = 1e-12
 
 
 class ExtractionError(RuntimeError):
@@ -437,12 +443,50 @@ def _affine_fit(target: np.ndarray, base: np.ndarray) -> tuple[complex, complex,
     return a, b, float(res)
 
 
+def _scaled_permutation(m: np.ndarray) -> tuple[complex, np.ndarray] | None:
+    """(c, cols) when m is exactly c times a permutation matrix, with
+    m[i, cols[i]] = c != 0 the only nonzero of row i; None otherwise.
+
+    The test is bitwise: m has one nonzero per row, in distinct columns, all
+    equal to the same c, which is m == c * Pi entry by entry.
+    """
+    rows, cols = np.nonzero(m)
+    n = m.shape[0]
+    if not (np.array_equal(rows, np.arange(n))
+            and np.array_equal(np.sort(cols), np.arange(n))):
+        return None
+    values = m[rows, cols]
+    if not np.all(values == values[0]):
+        return None
+    return values[0], cols
+
+
+def _solve_t0(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """t0^{-1} t1, exactly when t0 is a scaled permutation, by LU otherwise.
+
+    The polynomial transfer matrix at u = 0 is tbar(0) = (-eta)^N U with U
+    the cyclic shift, bitwise, so its inverse needs no factorization:
+    c x[cols[i]] = t1[i]. Any other t0 is solved with ``np.linalg.solve``.
+    """
+    scaled = _scaled_permutation(t0)
+    if scaled is not None:
+        c, cols = scaled
+        x = np.empty(t1.shape, dtype=np.result_type(t1, c))
+        x[cols] = t1 / c
+        return x
+    try:
+        return np.linalg.solve(t0, t1)
+    except np.linalg.LinAlgError as exc:
+        raise ExtractionError(f"t(0) is singular: {exc}") from exc
+
+
 def log_derivative(spec: ChainSpec, derivative: str = "poly") -> np.ndarray:
     """Log-derivative Hamiltonian t(0)^{-1} t'(0) from the polynomial form.
 
     The derivative is taken from the exact polynomial coefficients by
     default; derivative="fd" uses central differences with step 1e-5 on the
-    polynomial transfer matrix as a cross-check.
+    polynomial transfer matrix as a cross-check. Both routes invert t(0),
+    the scaled cyclic shift, exactly (``_solve_t0``).
     """
     if spec.boundary != "periodic":
         raise ValueError("extraction requires periodic boundary")
@@ -457,10 +501,7 @@ def log_derivative(spec: ChainSpec, derivative: str = "poly") -> np.ndarray:
               - transfer_matrix(spec, -step, form="polynomial")) / (2 * step)
     else:
         raise ValueError(f"unknown derivative method {derivative!r}")
-    try:
-        return np.linalg.solve(t0, t1)
-    except np.linalg.LinAlgError as exc:
-        raise ExtractionError(f"t(0) is singular: {exc}") from exc
+    return _solve_t0(t0, t1)
 
 
 def extract_hamiltonian(spec: ChainSpec) -> HamiltonianPair:
@@ -506,6 +547,68 @@ def strictly_lowering_residual(m: np.ndarray, n_sites: int) -> float:
     return float(np.max(np.hypot(upper.real, upper.imag), initial=0.0))
 
 
+@lru_cache(maxsize=None)
+def _momentum_basis(n_sites: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit basis of the sector with p down spins under the cyclic shift.
+
+    Returns (V, labels). V is unitary; its rows follow the sector's states
+    in ascending order (as in ``grading_order``) and its columns are
+
+        |r, k> = R^{-1/2} sum_{j < R} exp(2 pi i k j / N) S^j |r>,
+
+    one for each orbit representative r (the smallest state of its orbit),
+    of period R, and each momentum k with k R = 0 mod N, grouped by k;
+    labels[c] is the momentum of column c. S moves every site label
+    cyclically by one, so each column is an eigenvector of S and a matrix
+    that commutes with S is block diagonal in this basis (Sandvik,
+    arXiv:1101.3281, section 4).
+    """
+    idx = np.arange(2 ** n_sites)
+    states = idx[np.bitwise_count(idx) == p]
+    # images[j] is S^j applied to every state of the sector
+    images = [states]
+    for _ in range(n_sites - 1):
+        s = images[-1]
+        images.append(((s << 1) | (s >> (n_sites - 1))) & (2 ** n_sites - 1))
+    images = np.array(images)
+    columns = []
+    for col, r in enumerate(states):
+        if r != images[:, col].min():
+            continue
+        returns = np.flatnonzero(images[1:, col] == r)
+        period = int(returns[0]) + 1 if returns.size else n_sites
+        rows = np.searchsorted(states, images[:period, col])
+        for k in range(0, n_sites, n_sites // period):
+            phase = np.exp(2j * np.pi * (k * np.arange(period) % n_sites) / n_sites)
+            columns.append((k, rows, phase / np.sqrt(period)))
+    columns.sort(key=lambda c: c[0])
+    v = np.zeros((len(states), len(states)), dtype=complex)
+    for c, (_, rows, values) in enumerate(columns):
+        v[rows, c] = values
+    labels = np.array([k for k, _, _ in columns])
+    # the cache hands these arrays to every caller
+    v.flags.writeable = labels.flags.writeable = False
+    return v, labels
+
+
+def _sector_eigenvalues(block: np.ndarray, n_sites: int, p: int) -> list[np.ndarray]:
+    """Eigenvalues of the sector block with p down spins, one array per
+    momentum block when the split is certified, one array otherwise.
+
+    The block is rotated into ``_momentum_basis`` and its momentum blocks
+    are solved with ``eigvals``. The split is accepted only if the mass
+    outside them is at most MOMENTUM_TOL max(||block||_F, 1); a block that
+    does not commute with the cyclic shift (an open chain) is solved whole.
+    """
+    v, labels = _momentum_basis(n_sites, p)
+    w = v.conj().T @ block @ v
+    same = labels[:, None] == labels[None, :]
+    if np.linalg.norm(w[~same]) > MOMENTUM_TOL * max(np.linalg.norm(block), 1.0):
+        return [np.linalg.eigvals(block)]
+    return [np.linalg.eigvals(w[np.ix_(labels == k, labels == k)])
+            for k in np.unique(labels)]
+
+
 def graded_eigenvalues(m: np.ndarray, n_sites: int) -> np.ndarray | None:
     """Eigenvalues via the total-sz block structure, when it is exact.
 
@@ -514,11 +617,11 @@ def graded_eigenvalues(m: np.ndarray, n_sites: int) -> np.ndarray | None:
     Hamiltonians here: the deformation only ever lowers total sz), the
     spectrum is exactly the union of the diagonal-block spectra, which
     sidesteps the accuracy loss of dense eigensolvers on the defective full
-    matrix. Returns None when the structure is not exact, so callers can
-    fall back to a dense computation.
+    matrix. Each diagonal block is split further by momentum when it
+    commutes with the cyclic shift (``_sector_eigenvalues``). Returns None
+    when the structure is not exact, so callers can fall back to a dense
+    computation.
     """
-    from math import comb
-
     order = grading_order(n_sites)
     g = m[np.ix_(order, order)]
     evs = []
@@ -527,7 +630,7 @@ def graded_eigenvalues(m: np.ndarray, n_sites: int) -> np.ndarray | None:
         size = comb(n_sites, p)
         if np.any(g[start:start + size, start + size:] != 0):
             return None
-        evs.append(np.linalg.eigvals(g[start:start + size, start:start + size]))
+        evs.extend(_sector_eigenvalues(g[start:start + size, start:start + size], n_sites, p))
         start += size
     ev = np.concatenate(evs)
     return ev[np.lexsort((ev.imag, ev.real))]

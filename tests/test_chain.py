@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from twistchain.chain import (
+    MOMENTUM_TOL,
     ChainSpec,
+    ExtractionError,
+    _momentum_basis,
+    _scaled_permutation,
+    _sector_eigenvalues,
+    _solve_t0,
     build_hamiltonian,
     build_monodromy,
     extract_hamiltonian,
@@ -11,6 +17,7 @@ from twistchain.chain import (
     log_derivative,
     monodromy_matrix,
     monodromy_poly_coeffs,
+    monodromy_poly_pair,
     rtt_components,
     spectrum_pair,
     strictly_lowering_residual,
@@ -22,7 +29,7 @@ from twistchain.chain import (
     verify_spectrum_coincidence,
 )
 from twistchain.rmatrix import build_r
-from twistchain.tensor import SM, SX, SY, SZ, eigenvalues, match_spectra
+from twistchain.tensor import SM, SX, SY, SZ, eigenvalues, match_spectra, rel_residual
 from twistchain.twist import TwistParams
 
 
@@ -365,6 +372,121 @@ def test_graded_eigenvalues_reject_generic_matrix():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((16, 16))
     assert graded_eigenvalues(m, 4) is None
+
+
+def _sector_spectra(m, n):
+    """Reference: one ``eigvals`` per graded sector block, sorted as
+    ``graded_eigenvalues`` sorts."""
+    order = grading_order(n)
+    g = m[np.ix_(order, order)]
+    pops = np.bitwise_count(order)
+    ev = np.concatenate([np.linalg.eigvals(g[np.ix_(pops == p, pops == p)])
+                         for p in range(n + 1)])
+    return ev[np.lexsort((ev.imag, ev.real))]
+
+
+def _shift_on_sector(n, p):
+    """The cyclic shift on the sector with p down spins, from bit strings."""
+    states = [s for s in range(2**n) if bin(s).count("1") == p]
+    shift = np.zeros((len(states), len(states)))
+    for col, s in enumerate(states):
+        bits = format(s, f"0{n}b")
+        shift[states.index(int(bits[1:] + bits[0], 2)), col] = 1.0
+    return shift
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_momentum_basis_is_unitary_and_diagonalizes_the_shift(n):
+    for p in range(n + 1):
+        v, labels = _momentum_basis(n, p)
+        assert np.all(np.diff(labels) >= 0)  # columns grouped by momentum
+        assert np.allclose(v.conj().T @ v, np.eye(len(labels)), rtol=0, atol=1e-13)
+        rotated = v.conj().T @ _shift_on_sector(n, p) @ v
+        assert np.allclose(rotated, np.diag(np.exp(-2j * np.pi * labels / n)),
+                           rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_momentum_spectra_equal_sector_spectra(n):
+    """The certified momentum split reproduces the per-sector spectra of the
+    periodic transfer matrices and of H(0) to 1e-12 relative."""
+    matrices = [
+        transfer_matrix(ChainSpec(n, TwistParams(0.0, 1.0)), 1.7),
+        transfer_matrix(ChainSpec(n, TwistParams(0.5, 1.0)), 1.7),
+        transfer_matrix(ChainSpec(n, TwistParams(0.0, 0.8 + 0.3j)), -1.3 + 0.8j),
+        transfer_matrix(ChainSpec(n, TwistParams(0.3 + 0.4j, 0.8 + 0.3j)), -1.3 + 0.8j),
+        build_hamiltonian(ChainSpec(n, TwistParams(0.0, 1.0))),
+    ]
+    order = grading_order(n)
+    pops = np.bitwise_count(order)
+    for m in matrices:
+        ref = _sector_spectra(m, n)
+        got = graded_eigenvalues(m, n)
+        assert match_spectra(got, ref, 0.0).max_pair_distance <= 1e-12 * np.max(np.abs(ref))
+        g = m[np.ix_(order, order)]
+        for p in range(n + 1):
+            split = _sector_eigenvalues(g[np.ix_(pops == p, pops == p)], n, p)
+            assert len(split) == len(np.unique(_momentum_basis(n, p)[1]))
+
+
+def test_open_hamiltonian_fails_the_momentum_certificate():
+    """The open chain is graded but not shift-invariant: every sector with
+    more than one momentum is solved whole, bitwise as per-sector eigvals."""
+    n = 5
+    h = build_hamiltonian(ChainSpec(n, TwistParams(0.5, 1.0), "open"))
+    order = grading_order(n)
+    pops = np.bitwise_count(order)
+    g = h[np.ix_(order, order)]
+    for p in range(1, n):
+        block = g[np.ix_(pops == p, pops == p)]
+        v, labels = _momentum_basis(n, p)
+        w = v.conj().T @ block @ v
+        assert np.linalg.norm(w[labels[:, None] != labels]) > MOMENTUM_TOL * np.linalg.norm(block)
+        assert len(_sector_eigenvalues(block, n, p)) == 1
+    assert np.array_equal(graded_eigenvalues(h, n), _sector_spectra(h, n))
+
+
+def _poly_t0_t1(spec):
+    d = spec.dim
+    return [c[:d, :d] + c[d:, d:] for c in monodromy_poly_pair(spec, "low")]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_log_derivative_inverts_the_shift_exactly(n):
+    """t(0) is bitwise (-eta)^N times the cyclic shift, so the log-derivative
+    is read off without a factorization: bitwise the LU solve at eta = 1,
+    within 1e-14 of it at complex eta."""
+    for params, bitwise in ((TwistParams(0.5, 1.0), True),
+                            (TwistParams(0.3 + 0.4j, 0.8 + 0.3j), False)):
+        spec = ChainSpec(n, params)
+        t0, t1 = _poly_t0_t1(spec)
+        c, _ = _scaled_permutation(t0)
+        assert abs(c - (-params.eta) ** n) <= 1e-14 * abs(c)
+        expected = np.linalg.solve(t0, t1)
+        got = log_derivative(spec)
+        if bitwise:
+            assert np.array_equal(got, expected)
+        else:
+            assert rel_residual(got, expected) <= 1e-14
+        assert _scaled_permutation(transfer_matrix(spec, 0.0, form="polynomial")) is not None
+
+
+def test_perturbed_t0_takes_the_lu_route():
+    spec = ChainSpec(4, TwistParams(0.5, 1.0))
+    t0, t1 = _poly_t0_t1(spec)
+    t0[3, 5] += 1e-3
+    assert _scaled_permutation(t0) is None
+    assert np.array_equal(_solve_t0(t0, t1), np.linalg.solve(t0, t1))
+
+
+@pytest.mark.parametrize("t0", [
+    np.zeros((4, 4)),
+    np.array([[2.0, 0, 0, 0], [2.0, 0, 0, 0], [0, 0, 2.0, 0], [0, 0, 0, 2.0]]),
+], ids=["zero", "repeated_column"])
+def test_singular_t0_raises_extraction_error(t0):
+    assert _scaled_permutation(t0) is None
+    with pytest.raises(ExtractionError):
+        _solve_t0(t0, np.eye(4))
 
 
 def _transfer_pair(n=4, u=1.7 + 0.3j):
