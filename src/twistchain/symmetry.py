@@ -60,27 +60,39 @@ class AsymptoticData:
     order1_blocks: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
+def _aux_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Auxiliary-space blocks (upper left, upper right, lower left, lower
+    right) of a matrix on aux ⊗ chain."""
+    d = m.shape[0] // 2
+    return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
+
+
+def _constant_blocks(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E, G and E^{-1}, the blocks of T_0 = prod_k R_{a,k}(xi).
+
+    The product is grown site by site from the constant R-matrix alone:
+    bitwise the u^N coefficient of ``monodromy_poly_pair(spec, "high")``,
+    without carrying the 1/u coefficient.
+    """
+    e, _, g, e_inv = _aux_blocks(_site_product([build_r_xi(spec.params.xi)] * spec.n_sites))
+    return e, g, e_inv
+
+
 def extract_t0(spec: ChainSpec) -> AsymptoticData:
     """Constant and 1/u terms of T(u), with block and invertibility checks."""
     d = spec.dim
     # T(u) = Tbar(u)/u^N, so the constant term is the u^N coefficient and
     # the 1/u term is the u^{N-1} coefficient.
     t0, t1 = monodromy_poly_pair(spec, "high")
-    e = t0[:d, :d]
-    zero_block = t0[:d, d:]
-    g = t0[d:, :d]
-    e_inv = t0[d:, d:]
+    e, zero_block, g, e_inv = _aux_blocks(t0)
     zero_res = float(np.linalg.norm(zero_block))
     inv_res = float(np.linalg.norm(e @ e_inv - np.eye(d)))
-    blocks = (
-        (t1[:d, :d], t1[:d, d:]),
-        (t1[d:, :d], t1[d:, d:]),
-    )
+    tl, tr, bl, br = _aux_blocks(t1)
     return AsymptoticData(
         e=e, g=g, e_inv=e_inv,
         zero_block_residual=zero_res,
         inverse_pair_residual=inv_res,
-        order1_blocks=blocks,
+        order1_blocks=((tl, tr), (bl, br)),
     )
 
 
@@ -114,10 +126,10 @@ def verify_symmetry_relations(spec: ChainSpec, u: complex, x: np.ndarray) -> lis
     """
     if u == 0:
         raise ValueError("u = 0 is a pole of the rational monodromy")
-    data = extract_t0(spec)
+    e, g, e_inv = _constant_blocks(spec)
     blocks = build_monodromy(spec, u)
     env = {
-        "E": data.e, "G": data.g, "Einv": data.e_inv,
+        "E": e, "G": g, "Einv": e_inv,
         "A(u)": blocks.a, "B(u)": blocks.b, "C(u)": blocks.c, "D(u)": blocks.d,
         "xi": spec.params.xi,
     }
@@ -133,7 +145,7 @@ def verify_symmetry_relations(spec: ChainSpec, u: complex, x: np.ndarray) -> lis
     out.append({
         "rel_id": "Et",
         "text": "E*(A(u) + D(u)) = (A(u) + D(u))*E",
-        "residual": rel_residual(data.e @ (t_u @ x), t_u @ (data.e @ x)),
+        "residual": rel_residual(e @ (t_u @ x), t_u @ (e @ x)),
         "note": "group-like element commutes with the transfer matrix",
     })
     return out
@@ -149,17 +161,17 @@ def verify_coproducts(n1: int, n2: int, xi: complex, eta: complex = 1.0) -> dict
     if n1 < 1 or n2 < 1 or n1 + n2 > MAX_SITES:
         raise ValueError(f"segment lengths must be >= 1 with n1 + n2 <= {MAX_SITES}")
     params = TwistParams(xi, eta)
-    d1 = extract_t0(ChainSpec(n1, params))
-    d2 = extract_t0(ChainSpec(n2, params))
-    dn = extract_t0(ChainSpec(n1 + n2, params))
+    e1, g1, _ = _constant_blocks(ChainSpec(n1, params))
+    e2, g2, _ = _constant_blocks(ChainSpec(n2, params))
+    en, gn, _ = _constant_blocks(ChainSpec(n1 + n2, params))
 
-    e_res = rel_residual(dn.e, np.kron(d1.e, d2.e))
+    e_res = rel_residual(en, np.kron(e1, e2))
     # abstract left factor = first segment
-    g_first = np.kron(d1.g, d2.e) + np.kron(np.linalg.inv(d1.e), d2.g)
+    g_first = np.kron(g1, e2) + np.kron(np.linalg.inv(e1), g2)
     # abstract left factor = second segment
-    g_second = np.kron(d1.e, d2.g) + np.kron(d1.g, np.linalg.inv(d2.e))
-    res_first = rel_residual(dn.g, g_first)
-    res_second = rel_residual(dn.g, g_second)
+    g_second = np.kron(e1, g2) + np.kron(g1, np.linalg.inv(e2))
+    res_first = rel_residual(gn, g_first)
+    res_second = rel_residual(gn, g_second)
     return {
         "e_residual": e_res,
         "g_residual": min(res_first, res_second),

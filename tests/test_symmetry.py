@@ -7,6 +7,7 @@ from twistchain.reporting import RunConfig, render_json
 from twistchain.suites import run_suite
 from twistchain.symmetry import (
     PROBE_COLUMNS,
+    _constant_blocks,
     extract_t0,
     order1_transcription_residual,
     probe_block,
@@ -38,6 +39,17 @@ def test_t0_block_structure(n):
     data = extract_t0(ChainSpec(n, TwistParams(0.45, 1.0)))
     assert data.zero_block_residual == 0.0
     assert data.inverse_pair_residual < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("xi", [0.45, 0.3 + 0.4j])
+def test_constant_blocks_are_those_of_extract_t0(n, xi):
+    """E, G and E^{-1} grown from R(xi) alone are bitwise the blocks of the
+    u^N coefficient that ``extract_t0`` carries together with the 1/u one."""
+    spec = ChainSpec(n, TwistParams(xi, 0.8 + 0.3j))
+    data = extract_t0(spec)
+    for got, want in zip(_constant_blocks(spec), (data.e, data.g, data.e_inv)):
+        assert np.array_equal(got, want)
 
 
 def test_e_is_grouplike_product():
