@@ -60,13 +60,6 @@ class AsymptoticData:
     order1_blocks: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _aux_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Auxiliary-space blocks (upper left, upper right, lower left, lower
-    right) of a matrix on aux ⊗ chain."""
-    d = m.shape[0] // 2
-    return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
-
-
 def _constant_blocks(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E, G and E^{-1}, the blocks of T_0 = prod_k R_{a,k}(xi).
 
@@ -74,8 +67,9 @@ def _constant_blocks(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
     bitwise the u^N coefficient of ``monodromy_poly_pair(spec, "high")``,
     without carrying the 1/u coefficient.
     """
-    e, _, g, e_inv = _aux_blocks(_site_product([build_r_xi(spec.params.xi)] * spec.n_sites))
-    return e, g, e_inv
+    d = spec.dim
+    t0 = _site_product([build_r_xi(spec.params.xi)] * spec.n_sites)
+    return t0[:d, :d], t0[d:, :d], t0[d:, d:]
 
 
 def extract_t0(spec: ChainSpec) -> AsymptoticData:
@@ -84,15 +78,21 @@ def extract_t0(spec: ChainSpec) -> AsymptoticData:
     # T(u) = Tbar(u)/u^N, so the constant term is the u^N coefficient and
     # the 1/u term is the u^{N-1} coefficient.
     t0, t1 = monodromy_poly_pair(spec, "high")
-    e, zero_block, g, e_inv = _aux_blocks(t0)
+    e = t0[:d, :d]
+    zero_block = t0[:d, d:]
+    g = t0[d:, :d]
+    e_inv = t0[d:, d:]
     zero_res = float(np.linalg.norm(zero_block))
     inv_res = float(np.linalg.norm(e @ e_inv - np.eye(d)))
-    tl, tr, bl, br = _aux_blocks(t1)
+    blocks = (
+        (t1[:d, :d], t1[:d, d:]),
+        (t1[d:, :d], t1[d:, d:]),
+    )
     return AsymptoticData(
         e=e, g=g, e_inv=e_inv,
         zero_block_residual=zero_res,
         inverse_pair_residual=inv_res,
-        order1_blocks=((tl, tr), (bl, br)),
+        order1_blocks=blocks,
     )
 
 
