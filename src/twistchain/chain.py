@@ -64,12 +64,13 @@ _P = permutation_op()
 
 # A sector block is split into momentum blocks only when the mass its
 # momentum basis leaves outside them is at most MOMENTUM_TOL times the
-# block's Frobenius norm (floored at 1); otherwise it is solved whole.
+# block's Frobenius norm; otherwise it is solved whole.
 MOMENTUM_TOL = 1e-12
 
 
 class ExtractionError(RuntimeError):
-    """Raised when t(0) is singular and the log-derivative cannot be formed."""
+    """Raised when t(0) is not the invertible scaled shift it should be, so
+    the log-derivative cannot be formed."""
 
 
 @dataclass(frozen=True)
@@ -462,22 +463,19 @@ def _scaled_permutation(m: np.ndarray) -> tuple[complex, np.ndarray] | None:
 
 
 def _solve_t0(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """t0^{-1} t1, exactly when t0 is a scaled permutation, by LU otherwise.
+    """t0^{-1} t1 for t0 a scaled permutation, read off with no factorization.
 
     The polynomial transfer matrix at u = 0 is tbar(0) = (-eta)^N U with U
-    the cyclic shift, bitwise, so its inverse needs no factorization:
-    c x[cols[i]] = t1[i]. Any other t0 is solved with ``np.linalg.solve``.
+    the cyclic shift, bitwise, so c x[cols[i]] = t1[i]. Any other t0 raises
+    ExtractionError.
     """
     scaled = _scaled_permutation(t0)
-    if scaled is not None:
-        c, cols = scaled
-        x = np.empty(t1.shape, dtype=np.result_type(t1, c))
-        x[cols] = t1 / c
-        return x
-    try:
-        return np.linalg.solve(t0, t1)
-    except np.linalg.LinAlgError as exc:
-        raise ExtractionError(f"t(0) is singular: {exc}") from exc
+    if scaled is None:
+        raise ExtractionError("t(0) is not a scaled permutation (singular or unexpected)")
+    c, cols = scaled
+    x = np.empty(t1.shape, dtype=np.result_type(t1, c))
+    x[cols] = t1 / c
+    return x
 
 
 def log_derivative(spec: ChainSpec, derivative: str = "poly") -> np.ndarray:
@@ -597,13 +595,13 @@ def _sector_eigenvalues(block: np.ndarray, n_sites: int, p: int) -> list[np.ndar
 
     The block is rotated into ``_momentum_basis`` and its momentum blocks
     are solved with ``eigvals``. The split is accepted only if the mass
-    outside them is at most MOMENTUM_TOL max(||block||_F, 1); a block that
+    outside them is at most MOMENTUM_TOL ||block||_F; a block that
     does not commute with the cyclic shift (an open chain) is solved whole.
     """
     v, labels = _momentum_basis(n_sites, p)
     w = v.conj().T @ block @ v
     same = labels[:, None] == labels[None, :]
-    if np.linalg.norm(w[~same]) > MOMENTUM_TOL * max(np.linalg.norm(block), 1.0):
+    if np.linalg.norm(w[~same]) > MOMENTUM_TOL * np.linalg.norm(block):
         return [np.linalg.eigvals(block)]
     return [np.linalg.eigvals(w[np.ix_(labels == k, labels == k)])
             for k in np.unique(labels)]

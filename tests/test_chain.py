@@ -443,7 +443,11 @@ def test_open_hamiltonian_fails_the_momentum_certificate():
         w = v.conj().T @ block @ v
         assert np.linalg.norm(w[labels[:, None] != labels]) > MOMENTUM_TOL * np.linalg.norm(block)
         assert len(_sector_eigenvalues(block, n, p)) == 1
+        # the certificate is relative at every scale, also below norm 1
+        assert len(_sector_eigenvalues(1e-13 * block, n, p)) == 1
     assert np.array_equal(graded_eigenvalues(h, n), _sector_spectra(h, n))
+    small = 1e-13 * h
+    assert np.array_equal(graded_eigenvalues(small, n), _sector_spectra(small, n))
 
 
 def _poly_t0_t1(spec):
@@ -471,12 +475,15 @@ def test_log_derivative_inverts_the_shift_exactly(n):
         assert _scaled_permutation(transfer_matrix(spec, 0.0, form="polynomial")) is not None
 
 
-def test_perturbed_t0_takes_the_lu_route():
+def test_perturbed_t0_raises_extraction_error():
+    """An invertible t0 that is not a scaled permutation is refused, not
+    solved: the transfer matrix never produces one."""
     spec = ChainSpec(4, TwistParams(0.5, 1.0))
     t0, t1 = _poly_t0_t1(spec)
     t0[3, 5] += 1e-3
     assert _scaled_permutation(t0) is None
-    assert np.array_equal(_solve_t0(t0, t1), np.linalg.solve(t0, t1))
+    with pytest.raises(ExtractionError):
+        _solve_t0(t0, t1)
 
 
 @pytest.mark.parametrize("t0", [
