@@ -26,7 +26,12 @@ the auxiliary identity, as a matrix product operator is contracted
 (``_grow_site``); so is a product of monodromies on several auxiliary
 spaces, T_{a1}(u) T_{a2}(v) = prod_k L_{a1,k}(u) L_{a2,k}(v), from one site
 factor embedded with ``tensor.lift`` (``_monodromy_product``, for RTT and
-fusion). The Hamiltonian, a sum of local terms, is scattered into its matrix
+fusion). The transfer matrix is traced at the last site: t(u), and t(0),
+t'(0) of the polynomial form for the log-derivative, are grown over sites
+1..N-1, and site N forms only the two auxiliary-diagonal blocks
+(``_trace_last_site``). Only the full monodromy (``monodromy_matrix``,
+``build_monodromy``) forms all four blocks A..D, for the checks that read
+them. The Hamiltonian, a sum of local terms, is scattered into its matrix
 term by term with ``tensor.add_local``. Where only vectors are needed
 (``monodromy_apply``, ``transfer_apply``) the kernel ``tensor.apply_local``
 applies T(u) factor by factor, O(N 4^N) per column block.
@@ -36,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb
 
 import numpy as np
 
@@ -209,10 +213,34 @@ def build_monodromy(spec: ChainSpec, u: complex, form: str = "rational") -> Mono
     return MonodromyBlocks(a=t[:d, :d], b=t[:d, d:], c=t[d:, :d], d=t[d:, d:], u=u)
 
 
+def _trace_last_site(op: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two auxiliary-diagonal blocks of op_{a,N} (t ⊗ 1_N), for a = 0
+    and a = 1: the two terms of its trace over the auxiliary space.
+
+    `op` is a 4 x 4 factor on aux ⊗ site N and `t` a product on aux ⊗ sites
+    1..N-1. Block a reads only the columns of t with auxiliary index a: one
+    matmul of op's rows with a'' = a, reshaped to (s'' s, a'), against those
+    columns read as (a', rows cols), and one transpose to (rows, s'', cols,
+    s). The 2^(N+1)-square op_{a,N} (t ⊗ 1_N) is never formed.
+    """
+    rows, cols = t.shape[0] // 2, t.shape[1] // 2
+    op_t = op.reshape(2, 2, 2, 2).transpose(0, 1, 3, 2).reshape(2, 4, 2)
+    t_cols = t.reshape(2, rows, 2, cols)
+    return tuple((op_t[a] @ t_cols[:, :, a, :].reshape(2, -1))
+                 .reshape(2, 2, rows, cols).transpose(2, 0, 3, 1).reshape(2 * rows, 2 * cols)
+                 for a in range(2))
+
+
 def transfer_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.ndarray:
-    """t(u) = tr_aux T(u) = A(u) + D(u)."""
-    blocks = build_monodromy(spec, u, form)
-    return blocks.a + blocks.d
+    """t(u) = tr_aux T(u) = A(u) + D(u), traced at the last site: T(u) is
+    grown over sites 1..N-1 and L_{a,N}(u) forms only A and D
+    (``_trace_last_site``)."""
+    l4 = _local_l(spec, u, form)
+    t = np.eye(2, dtype=complex)
+    for _ in range(spec.n_sites - 1):
+        t = _grow_site(l4, t)
+    a, d = _trace_last_site(l4, t)
+    return a + d
 
 
 def monodromy_blocks_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> MonodromyBlocks:
@@ -274,18 +302,20 @@ def monodromy_poly_pair(spec: ChainSpec, end: str) -> tuple[np.ndarray, np.ndarr
         const, lin = lin, const
     elif end != "low":
         raise ValueError(f"unknown end {end!r}")
+    return _poly_carry(const, lin, spec.n_sites)
+
+
+def _poly_carry(const: np.ndarray, lin: np.ndarray,
+                n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of u^0 and u^1 of prod_{k <= n_sites} (const + u lin)_{a,k},
+    grown site by site (n_sites >= 1)."""
     c0 = np.eye(2, dtype=complex)
     c1 = None
-    for _ in range(spec.n_sites):
+    for _ in range(n_sites):
         step = _grow_site(lin, c0)
         c1 = step if c1 is None else _grow_site(const, c1) + step
         c0 = _grow_site(const, c0)
     return c0, c1
-
-
-def _trace_aux(m: np.ndarray) -> np.ndarray:
-    d = m.shape[0] // 2
-    return m[:d, :d] + m[d:, d:]
 
 
 def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
@@ -491,7 +521,14 @@ def log_derivative(spec: ChainSpec, derivative: str = "poly") -> np.ndarray:
     if spec.n_sites < 2:
         raise ValueError("need at least 2 sites")
     if derivative == "poly":
-        t0, t1 = (_trace_aux(c) for c in monodromy_poly_pair(spec, "low"))
+        # carry (c0, c1) over sites 1..N-1, then trace site N: t(0) is
+        # tr const_{a,N} c0 and t'(0) is tr [const_{a,N} c1 + lin_{a,N} c0]
+        const, lin = _poly_factors(spec)
+        c0, c1 = _poly_carry(const, lin, spec.n_sites - 1)
+        t0 = np.add(*_trace_last_site(const, c0))
+        a1, d1 = _trace_last_site(const, c1)
+        a2, d2 = _trace_last_site(lin, c0)
+        t1 = (a1 + a2) + (d1 + d2)
     elif derivative == "fd":
         step = 1e-5
         t0 = transfer_matrix(spec, 0.0, form="polynomial")
@@ -620,16 +657,17 @@ def graded_eigenvalues(m: np.ndarray, n_sites: int) -> np.ndarray | None:
     when the structure is not exact, so callers can fall back to a dense
     computation.
     """
-    order = grading_order(n_sites)
-    g = m[np.ix_(order, order)]
+    popcount = np.bitwise_count(np.arange(2 ** n_sites))
+    # as in strictly_lowering_residual, the entries above the diagonal blocks
+    # are those whose row has fewer down spins than their column
+    if np.any((m != 0) & (popcount[:, None] < popcount[None, :])):
+        return None
     evs = []
-    start = 0
     for p in range(n_sites + 1):
-        size = comb(n_sites, p)
-        if np.any(g[start:start + size, start + size:] != 0):
-            return None
-        evs.extend(_sector_eigenvalues(g[start:start + size, start:start + size], n_sites, p))
-        start += size
+        # the sector's states in ascending order, as in ``grading_order``,
+        # gathered from m directly: m is never copied whole
+        rows = np.flatnonzero(popcount == p)
+        evs.extend(_sector_eigenvalues(m[np.ix_(rows, rows)], n_sites, p))
     ev = np.concatenate(evs)
     return ev[np.lexsort((ev.imag, ev.real))]
 

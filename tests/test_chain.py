@@ -1,3 +1,6 @@
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,44 @@ def test_transfer_undeformed_matches_brute():
     brute = brute_monodromy(2, u, 0.0, 1.0)
     t_brute = brute[:4, :4] + brute[4:, 4:]
     assert np.allclose(transfer_matrix(spec, u), t_brute, atol=1e-13)
+
+
+_TRACE_PARAMS = [TwistParams(0.5, 1.0), TwistParams(0.3 + 0.4j, 0.8 + 0.3j)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_transfer_matrix_is_bitwise_a_plus_d(n):
+    """Traced at the last site, t(u) is bitwise A + D of the full monodromy,
+    for both forms, including the finite-difference points of the polynomial
+    form."""
+    points = {"rational": [1.7, -1.3 + 0.8j],
+              "polynomial": [2.9 + 0.4j, 0.0, 1e-5, -1e-5]}
+    for params in _TRACE_PARAMS:
+        spec = ChainSpec(n, params)
+        for form, us in points.items():
+            for u in us:
+                blocks = build_monodromy(spec, u, form)
+                assert np.array_equal(transfer_matrix(spec, u, form), blocks.a + blocks.d)
+
+
+def _peak_mib(f):
+    """Peak traced allocation of one call of f, in MiB, after a warm call."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_traced_transfer_and_log_derivative_stay_in_budget():
+    """At N = 9 one 2^(N+1)-square matrix is 16 MiB. Traced at the last site,
+    t(u) peaks at 18 MiB or less and the log-derivative at 44 MiB or less
+    (with the full monodromy they peaked at 36 and 68 MiB)."""
+    spec = ChainSpec(9, TwistParams(0.5, 1.0))
+    assert _peak_mib(lambda: transfer_matrix(spec, 1.7)) <= 18.0
+    assert _peak_mib(lambda: log_derivative(spec)) <= 44.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -395,6 +436,41 @@ def _shift_on_sector(n, p):
     return shift
 
 
+def _graded_eigenvalues_by_permutation(m, n):
+    """Reference: the sector route through the whole matrix permuted into
+    graded order, then sliced into sector blocks."""
+    order = grading_order(n)
+    g = m[np.ix_(order, order)]
+    evs = []
+    start = 0
+    for p in range(n + 1):
+        size = comb(n, p)
+        if np.any(g[start:start + size, start + size:] != 0):
+            return None
+        evs.extend(_sector_eigenvalues(g[start:start + size, start:start + size], n, p))
+        start += size
+    ev = np.concatenate(evs)
+    return ev[np.lexsort((ev.imag, ev.real))]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sector_gather_matches_the_permuted_route(n):
+    """Gathering each sector from m directly gives bitwise the spectra of
+    the permuted route, and the same None for an entry above the blocks."""
+    matrices = [transfer_matrix(ChainSpec(n, TwistParams(0.5, 1.0)), 1.7),
+                build_hamiltonian(ChainSpec(n, TwistParams(0.5, 1.0), "open"))]
+    if n >= 2:
+        matrices.append(build_hamiltonian(ChainSpec(n, TwistParams(0.5, 1.0))))
+    for m in matrices:
+        want = _graded_eigenvalues_by_permutation(m, n)
+        assert want is not None
+        assert np.array_equal(graded_eigenvalues(m, n), want)
+    raised = matrices[0].copy()
+    raised[0, -1] = 0.1  # all-up row, all-down column: above the blocks
+    assert _graded_eigenvalues_by_permutation(raised, n) is None
+    assert graded_eigenvalues(raised, n) is None
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_momentum_basis_is_unitary_and_diagonalizes_the_shift(n):
     for p in range(n + 1):
@@ -473,6 +549,15 @@ def test_log_derivative_inverts_the_shift_exactly(n):
         else:
             assert rel_residual(got, expected) <= 1e-14
         assert _scaled_permutation(transfer_matrix(spec, 0.0, form="polynomial")) is not None
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_log_derivative_equals_the_untraced_trace(n):
+    """Traced at the last site, the log-derivative is bitwise that of the
+    trace of the full coefficients of ``monodromy_poly_pair``."""
+    for params in _TRACE_PARAMS:
+        spec = ChainSpec(n, params)
+        assert np.array_equal(log_derivative(spec), _solve_t0(*_poly_t0_t1(spec)))
 
 
 def test_perturbed_t0_raises_extraction_error():
