@@ -465,10 +465,13 @@ def test_sector_gather_matches_the_permuted_route(n):
         want = _graded_eigenvalues_by_permutation(m, n)
         assert want is not None
         assert np.array_equal(graded_eigenvalues(m, n), want)
-    raised = matrices[0].copy()
-    raised[0, -1] = 0.1  # all-up row, all-down column: above the blocks
-    assert _graded_eigenvalues_by_permutation(raised, n) is None
-    assert graded_eigenvalues(raised, n) is None
+    # all-up row with all-down column, and one down spin with two: each
+    # entry sits above the diagonal blocks
+    for row, col in [(0, 2**n - 1)] + ([(1, 3)] if n >= 2 else []):
+        raised = matrices[0].copy()
+        raised[row, col] = 0.1
+        assert _graded_eigenvalues_by_permutation(raised, n) is None
+        assert graded_eigenvalues(raised, n) is None
 
 
 @pytest.mark.parametrize("n", range(1, 11))
