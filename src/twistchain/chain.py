@@ -556,16 +556,6 @@ def extract_hamiltonian(spec: ChainSpec) -> HamiltonianPair:
     )
 
 
-def grading_order(n_sites: int) -> np.ndarray:
-    """Basis permutation sorting by total sz, descending (all-up first).
-
-    Within a grading block the natural binary order is kept. Down spins are
-    the set bits, so descending total sz is ascending popcount.
-    """
-    idx = np.arange(2 ** n_sites)
-    return idx[np.lexsort((idx, np.bitwise_count(idx)))]
-
-
 def strictly_lowering_residual(m: np.ndarray, n_sites: int) -> float:
     """Largest |entry| of m in or above the total-sz diagonal blocks.
 
@@ -587,7 +577,7 @@ def _momentum_basis(n_sites: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Orbit basis of the sector with p down spins under the cyclic shift.
 
     Returns (V, labels). V is unitary; its rows follow the sector's states
-    in ascending order (as in ``grading_order``) and its columns are
+    (down spins are set bits) in ascending binary order and its columns are
 
         |r, k> = R^{-1/2} sum_{j < R} exp(2 pi i k j / N) S^j |r>,
 
@@ -664,8 +654,8 @@ def graded_eigenvalues(m: np.ndarray, n_sites: int) -> np.ndarray | None:
         return None
     evs = []
     for p in range(n_sites + 1):
-        # the sector's states in ascending order, as in ``grading_order``,
-        # gathered from m directly: m is never copied whole
+        # the sector's states in ascending binary order, the row order of
+        # _momentum_basis, gathered from m directly: m is never copied whole
         rows = np.flatnonzero(popcount == p)
         evs.extend(_sector_eigenvalues(m[np.ix_(rows, rows)], n_sites, p))
     ev = np.concatenate(evs)

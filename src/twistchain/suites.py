@@ -18,6 +18,9 @@ E/G relations share ``symmetry.relations``; three pass thresholds on counts
 and probes take no override. The two relation tables go through one
 reducer, ``_relation_reports``, which flags a relation as a suspected
 misprint only when ``relations.KNOWN_MISPRINTS`` records it.
+
+Every sampled sweep is summarised by ``_worst``: its largest sample, 0.0
+with none, and NaN, which fails the check, when any sample is NaN.
 """
 
 from __future__ import annotations
@@ -119,58 +122,65 @@ def _count(config: RunConfig, default: int) -> int:
     return config.samples if config.samples is not None else default
 
 
+def _worst(samples) -> float:
+    """The residual of a sweep: its largest sample, 0.0 when there is none,
+    and NaN when any sample is NaN, so that the check fails.
+
+    Every sample is consumed, so a generator that draws from an rng stream
+    advances it the same whatever the residuals read.
+    """
+    return float(np.max(list(samples), initial=0.0))
+
+
 def _worst_sample(samples: int, draw, residual) -> tuple[float, dict]:
-    """Largest residual over `samples` draws of params and the params of the
-    first draw that reached it ({} when every residual is 0)."""
-    worst, worst_at = 0.0, {}
-    for _ in range(samples):
-        params = draw()
-        res = residual(**params)
-        if res > worst:
-            worst, worst_at = res, params
-    return worst, worst_at
+    """``_worst`` over `samples` draws of params, and the params of the first
+    draw that reached it: the first NaN draw if there is one, {} when every
+    residual is 0."""
+    draws = [draw() for _ in range(samples)]
+    residuals = [residual(**params) for params in draws]
+    worst = _worst(residuals)
+    # argmax returns the first maximum, and the first NaN when there is one
+    return worst, draws[int(np.argmax(residuals))] if worst != 0.0 else {}
 
 
-def _transfer_commutator(spec: ch.ChainSpec, u: complex, v: complex) -> float:
-    tu = ch.transfer_matrix(spec, u)
-    tv = ch.transfer_matrix(spec, v)
-    return float(np.linalg.norm(tu @ tv - tv @ tu) / np.linalg.norm(tu @ tv))
+def _commutator(a: np.ndarray, b: np.ndarray) -> float:
+    """||AB - BA|| / ||AB||, the denominator floored at 1e-300."""
+    ab = a @ b
+    return float(np.linalg.norm(ab - b @ a) / max(np.linalg.norm(ab), 1e-300))
 
 
 def _relation_reports(config: RunConfig, suite: str, sweeps, params: dict,
                       default: float) -> list[VerificationReport]:
-    """One report per relation of a displayed table, on its worst residual.
+    """One report per relation of a displayed table, on its ``_worst`` residual.
 
     `sweeps` holds the relation records of each sample (records marked
     ``skipped`` are left out), each carrying its relation's note; every
     relation shares the tolerance key ``<suite>.relations``. A relation
-    recorded in ``relations.KNOWN_MISPRINTS`` whose best residual is above
+    recorded in ``relations.KNOWN_MISPRINTS`` whose every residual is above
     the misprint floor is flagged as a suspected misprint, never corrected,
-    and reported as an expected failure; every other relation must hold at
-    every sample.
+    and reported as an expected failure; every other relation, one with a
+    NaN sample included, must hold at every sample.
     """
-    worst: dict[str, float] = {}
-    best: dict[str, float] = {}
+    residuals: dict[str, list[float]] = {}
     notes: dict[str, str] = {}
     for records in sweeps:
         for record in records:
             if "skipped" in record:
                 continue
-            rid, res = record["rel_id"], record["residual"]
-            worst[rid] = max(worst.get(rid, 0.0), res)
-            best[rid] = min(best.get(rid, np.inf), res)
-            notes.setdefault(rid, record["note"])
+            residuals.setdefault(record["rel_id"], []).append(record["residual"])
+            notes.setdefault(record["rel_id"], record["note"])
     reports = []
-    for rid in worst:
+    for rid, values in residuals.items():
         check = _Check(config, f"{suite}.{rid}", default, key=f"{suite}.relations")
-        if rid in rl.KNOWN_MISPRINTS and best[rid] > _MISPRINT_FLOOR:
+        worst = _worst(values)
+        if rid in rl.KNOWN_MISPRINTS and all(res > _MISPRINT_FLOOR for res in values):
             reports.append(check.expected_failure(
-                dict(params), worst[rid],
+                dict(params), worst,
                 notes="fails for every sampled parameter point; flagged as a suspected "
                       "misprint, not corrected. " + rl.KNOWN_MISPRINTS[rid],
             ))
         else:
-            reports.append(check.report(dict(params), worst[rid], notes=notes[rid]))
+            reports.append(check.report(dict(params), worst, notes=notes[rid]))
     return reports
 
 
@@ -184,20 +194,20 @@ def suite_ybe(config: RunConfig) -> list[VerificationReport]:
         residual = rm.verify_ybe(point["u"], point["v"], tw.TwistParams(point["xi"], eta))
         reports.append(ybe.report({"sample": i, **point}, residual))
 
-    worst = 0.0
-    worst_u = 0.0
+    r_xi_res, r_u_res = [], []
     for _ in range(50):
         xi = _sample_xi(rng, config)
         params = tw.TwistParams(xi, eta)
-        worst = max(worst, float(np.linalg.norm(rm.build_r_xi(xi) - rm.r_xi_from_twist(xi))))
+        r_xi_res.append(np.linalg.norm(rm.build_r_xi(xi) - rm.r_xi_from_twist(xi)))
         u = _sample_u(rng)
-        worst_u = max(worst_u, float(np.linalg.norm(
-            rm.build_r(u, params) - rm.build_r_conjugated(u, params))))
+        r_u_res.append(np.linalg.norm(rm.build_r(u, params) - rm.build_r_conjugated(u, params)))
     reports.append(_Check(config, "ybe.construction_r_xi", 1e-13).report(
-        {"samples": 50}, worst, notes="displayed entries against the twist product route",
+        {"samples": 50}, _worst(r_xi_res),
+        notes="displayed entries against the twist product route",
     ))
     reports.append(_Check(config, "ybe.construction_r_u", 1e-13).report(
-        {"samples": 50}, worst_u, notes="both displayed forms of the spectral R-matrix agree",
+        {"samples": 50}, _worst(r_u_res),
+        notes="both displayed forms of the spectral R-matrix agree",
     ))
 
     params = tw.TwistParams(config.xi, eta)
@@ -208,16 +218,15 @@ def suite_ybe(config: RunConfig) -> list[VerificationReport]:
 
     p_plus, p_minus = rm.spectral_projectors(params)
     eye4 = np.eye(4)
-    proj_res = max(
-        float(np.linalg.norm(p_plus @ p_plus - p_plus)),
-        float(np.linalg.norm(p_minus @ p_minus - p_minus)),
-        float(np.linalg.norm(p_plus @ p_minus)),
-        float(np.linalg.norm(p_plus + p_minus - eye4)),
-        float(np.linalg.norm(
-            permutation_op() @ rm.build_r_xi(config.xi) - (p_plus - p_minus))),
+    proj_res = _worst([
+        np.linalg.norm(p_plus @ p_plus - p_plus),
+        np.linalg.norm(p_minus @ p_minus - p_minus),
+        np.linalg.norm(p_plus @ p_minus),
+        np.linalg.norm(p_plus + p_minus - eye4),
+        np.linalg.norm(permutation_op() @ rm.build_r_xi(config.xi) - (p_plus - p_minus)),
         abs(np.trace(p_plus) - 3.0),
         abs(np.trace(p_minus) - 1.0),
-    )
+    ])
     reports.append(_Check(config, "ybe.projectors", 1e-13).report(
         {"xi": config.xi}, proj_res,
         notes="idempotent, orthogonal, complete; P R_xi = P+ - P-; traces 3 and 1",
@@ -249,14 +258,16 @@ def suite_rtt(config: RunConfig) -> list[VerificationReport]:
     for n in range(2, min(6, config.n_sites) + 1):
         worst, worst_at = _worst_sample(
             per_n, lambda: _sample_xi_u_v(rng, config),
-            lambda xi, u, v: _transfer_commutator(ch.ChainSpec(n, tw.TwistParams(xi, eta)), u, v))
+            lambda xi, u, v: _commutator(
+                ch.transfer_matrix(ch.ChainSpec(n, tw.TwistParams(xi, eta)), u),
+                ch.transfer_matrix(ch.ChainSpec(n, tw.TwistParams(xi, eta)), v)))
         reports.append(commuting.report({"n_sites": n, "samples": per_n, **worst_at}, worst))
 
     point = _sample_xi_u_v(rng, config)
     spec = ch.ChainSpec(min(2, config.n_sites), tw.TwistParams(point["xi"], eta))
     comp = ch.rtt_components(spec, point["u"], point["v"])
     reports.append(_Check(config, "rtt.components", 1e-11).report(
-        {"n_sites": spec.n_sites, **point}, max(res for _, res in comp),
+        {"n_sites": spec.n_sites, **point}, _worst(res for _, res in comp),
         notes="all 16 component identities derived directly from the exchange relation",
     ))
     return reports
@@ -281,7 +292,7 @@ def suite_cr(config: RunConfig) -> list[VerificationReport]:
                if "variant_residual" in record]
     if variant:
         reports.append(_Check(config, "cr.DB_2_variant", 1e-12, key="cr.relations").report(
-            {"n_sites": n, "samples": len(variant)}, max(variant),
+            {"n_sites": n, "samples": len(variant)}, _worst(variant),
             notes="nearest identity to the flagged DB_2 line: last term xi*B(u)*B(v)",
         ))
     return reports
@@ -310,7 +321,7 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
             diff - config.xi**2 * quad - config.xi * boundary))
         reports.append(_Check(config, "spectrum.open_boundary_terms", 1e-13).report(
             {"n_sites": n, "xi": config.xi},
-            max(residual, ch.strictly_lowering_residual(diff, n)),
+            _worst([residual, ch.strictly_lowering_residual(diff, n)]),
             notes="open chain: the linear terms telescope to the boundary pair "
                   "sm_1 - sm_N and the deformation strictly lowers total sz",
         ))
@@ -376,10 +387,8 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
         ))
         u = _sample_u(rng)
         t_u = ch.transfer_matrix(spec, u)
-        comm = float(np.linalg.norm(pair.h_extracted @ t_u - t_u @ pair.h_extracted)
-                     / np.linalg.norm(pair.h_extracted @ t_u))
         reports.append(_Check(config, "spectrum.extraction_commutes", 1e-10).report(
-            {"n_sites": spec.n_sites, "u": u}, comm,
+            {"n_sites": spec.n_sites, "u": u}, _commutator(pair.h_extracted, t_u),
         ))
         reports.append(_Check(config, "spectrum.extraction_fd_agrees", 1e-6).report(
             {"n_sites": spec.n_sites},
@@ -399,11 +408,11 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
     u = _sample_u(rng, avoid=(0.0,))
     omega = ch.vacuum_state(n)
     on_vacuum = ch.monodromy_blocks_apply(spec, u, omega)
-    vac_res = max(
-        float(np.linalg.norm(on_vacuum.a - omega)),
-        float(np.linalg.norm(on_vacuum.d - ch.vacuum_d(u, spec) * omega)),
-        float(np.max(np.abs(on_vacuum.b))),
-    )
+    vac_res = _worst([
+        np.linalg.norm(on_vacuum.a - omega),
+        np.linalg.norm(on_vacuum.d - ch.vacuum_d(u, spec) * omega),
+        np.max(np.abs(on_vacuum.b)),
+    ])
     reports.append(_Check(config, "bethe.vacuum", 1e-11).report(
         {"n_sites": n, "xi": config.xi, "u": u}, vac_res,
         notes="A O = O, D O = d(u) O, B O = 0 on the all-down vacuum",
@@ -411,37 +420,34 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
 
     if n >= 2:
         closed = bt.one_magnon_roots(n, eta)
-        worst_defect = 0.0
+        defects = []
         states = [bt.BetheState(n, 0, (), 0.0, eta)]
         for root in closed:
             state = bt.solve_bethe(n, 1, eta, [root * 1.1 + 0.03])
-            worst_defect = max(worst_defect, state.residual,
-                               float(abs(state.roots[0] - root)))
+            defects.extend([state.residual, abs(state.roots[0] - root)])
             states.append(state)
         reports.append(_Check(config, "bethe.one_magnon_roots", 1e-12).report(
-            {"n_sites": n, "found": len(closed)}, worst_defect,
+            {"n_sites": n, "found": len(closed)}, _worst(defects),
             notes="solver lands on the closed-form roots eta/(1 - w), w^N = 1",
         ))
 
-        on_shell = 0.0
+        on_shell = []
         for root in closed:
             u2 = _sample_u(rng, avoid=(root, root + eta))
             lam = bt.eval_lambda(u2, bt.BetheState(n, 1, (complex(root),), 0.0, eta))
             psi = bt.magnon_product_state(spec, [root])
-            on_shell = max(on_shell, float(
-                np.linalg.norm(ch.transfer_apply(spec, u2, psi) - lam * psi)
-                / np.linalg.norm(psi)))
+            on_shell.append(np.linalg.norm(ch.transfer_apply(spec, u2, psi) - lam * psi)
+                            / np.linalg.norm(psi))
         reports.append(_Check(config, "bethe.one_magnon_on_shell", 1e-10).report(
-            {"n_sites": n, "xi": config.xi}, on_shell,
+            {"n_sites": n, "xi": config.xi}, _worst(on_shell),
         ))
 
-        off_shell = 0.0
+        off_shell = []
         for _ in range(_count(config, 20)):
             u3 = _sample_u(rng)
-            v3 = _sample_u(rng, avoid=(u3,))
-            off_shell = max(off_shell, bt.verify_one_magnon_action(spec, u3, v3))
+            off_shell.append(bt.verify_one_magnon_action(spec, u3, _sample_u(rng, avoid=(u3,))))
         reports.append(_Check(config, "bethe.one_magnon_off_shell", 1e-11).report(
-            {"n_sites": n, "xi": config.xi, "samples": _count(config, 20)}, off_shell,
+            {"n_sites": n, "xi": config.xi, "samples": _count(config, 20)}, _worst(off_shell),
             notes="three-term action of t(u) on C(v) O",
         ))
 
@@ -463,15 +469,13 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
                 pole_guard.extend([r, r + eta, r - eta])
         u4 = _sample_u(rng, avoid=pole_guard, min_gap=0.15)
         records = bt.verify_multi_magnon_spectrum(spec, found, u4)
-        gap = 0.0
-        for rec in records:
-            gap = max(gap, rec["eigenvalue_gap"])
         reports.append(_Check(config, "bethe.two_magnon_lambda", 1e-8).report(
-            {"n_sites": n, "solutions": len(found), "u": u4}, gap,
+            {"n_sites": n, "solutions": len(found), "u": u4},
+            _worst(rec["eigenvalue_gap"] for rec in records),
             notes="every Lambda(u, roots) sits in the exact t(u) spectrum",
         ))
 
-        defect0 = max(
+        defect0 = _worst(
             rec["eigenvector_defect"]
             for rec in bt.verify_multi_magnon_spectrum(
                 ch.ChainSpec(n, tw.TwistParams(0.0, eta)), found, u4)
@@ -481,7 +485,8 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
             notes="at xi = 0 the product states are genuine eigenvectors",
         ))
         if config.xi != 0:
-            defect = min(rec["eigenvector_defect"] for rec in records)
+            # the least defect, NaN when any defect is NaN, as in _worst
+            defect = float(np.min([rec["eigenvector_defect"] for rec in records]))
             reports.append(_Check(config, "bethe.product_state_deformed", 1e-4).expected_failure(
                 {"n_sites": n, "xi": config.xi, "u": u4}, defect,
                 notes="expected failure: C(v1)C(v2) O stops being an eigenvector at "
@@ -489,43 +494,39 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
                       "stays above the floor",
             ))
 
-        tq_worst = 0.0
+        tq = []
         for state in states:
             for _ in range(_count(config, 10)):
                 avoid = [0.0]
                 for r in state.roots:
                     avoid.extend([r, r + eta, r - eta])
-                u5 = _sample_u(rng, avoid=avoid)
-                tq_worst = max(tq_worst, bt.verify_tq(state, u5))
+                tq.append(bt.verify_tq(state, _sample_u(rng, avoid=avoid)))
         reports.append(_Check(config, "bethe.tq", 1e-10).report(
-            {"n_sites": n, "states": len(states)}, tq_worst,
+            {"n_sites": n, "states": len(states)}, _worst(tq),
             notes="Baxter difference equation on all found root sets",
         ))
 
-        idem = 0.0
+        idem = []
         conj_fail = 0
         for state in found:
             again = bt.solve_bethe(n, 2, eta, list(state.roots))
-            idem = max(idem, float(np.max(np.abs(
-                np.array(again.roots) - np.array(state.roots)))))
+            idem.append(np.max(np.abs(np.array(again.roots) - np.array(state.roots))))
             if complex(eta).imag == 0:
                 roots = np.array(state.roots)
                 if not match_spectra(roots, np.conj(roots), 1e-8).matched:
                     conj_fail += 1
         reports.append(_Check(config, "bethe.solver_idempotence", 1e-12).report(
-            {"n_sites": n, "states": len(found)}, idem,
+            {"n_sites": n, "states": len(found)}, _worst(idem),
         ))
         reports.append(_Check(config, "bethe.conjugation_closure", 0.5, fixed=True).report(
             {"n_sites": n, "exceptions": conj_fail}, float(conj_fail),
             notes="root sets closed under conjugation for real eta; exceptions counted",
         ))
 
-        residue = 0.0
-        for state in found:
-            for j in range(state.magnons):
-                residue = max(residue, bt.lambda_pole_residue(state, j))
         reports.append(_Check(config, "bethe.lambda_analytic", 1e-9).report(
-            {"n_sites": n}, residue,
+            {"n_sites": n},
+            _worst(bt.lambda_pole_residue(state, j)
+                   for state in found for j in range(state.magnons)),
             notes="apparent poles of Lambda(u) at the roots cancel on shell",
         ))
 
@@ -587,7 +588,7 @@ def suite_symmetry(config: RunConfig) -> list[VerificationReport]:
         result = sy.verify_coproducts(n1, n2, config.xi, eta)
         reports.append(coproducts.report(
             {"n1": n1, "n2": n2, "xi": config.xi},
-            max(result["e_residual"], result["g_residual"]),
+            _worst([result["e_residual"], result["g_residual"]]),
             notes=f"E and G split-chain formulas; factor order: {result['order']}",
         ))
 
@@ -619,7 +620,7 @@ def suite_fusion(config: RunConfig) -> list[VerificationReport]:
 
     qdet, off = fu.quantum_determinant(spec, u)
     reports.append(_Check(config, "fusion.quantum_determinant", 1e-11).report(
-        {"n_sites": n, "u": u}, max(off, float(abs(qdet - ch.vacuum_d(u - eta, spec)))),
+        {"n_sites": n, "u": u}, _worst([off, abs(qdet - ch.vacuum_d(u - eta, spec))]),
         notes="rank-one projection of the two-fold product is the scalar d(u - eta)",
     ))
 
@@ -634,25 +635,17 @@ def suite_fusion(config: RunConfig) -> list[VerificationReport]:
                   "shift convention calibrated at xi = 0, N = 1 and frozen",
         ))
 
-    inv = max(
-        fu.fusion_invariance_residual(spec, 2, u),
-        fu.fusion_invariance_residual(spec, 3, u),
-    )
     reports.append(_Check(config, "fusion.projector", 1e-11).report(
-        {"n_sites": n, "xi": config.xi, "u": u}, inv,
+        {"n_sites": n, "xi": config.xi, "u": u},
+        _worst(fu.fusion_invariance_residual(spec, level, u) for level in (2, 3)),
         notes="staggered product preserves the fused auxiliary subspace",
     ))
 
     v = _sample_u(rng, avoid=(0.0, eta, 2 * eta, u), min_gap=0.2)
-    comm = 0.0
-    for la, ua in ((1, u), (2, u), (3, u)):
-        for lb, ub in ((1, v), (2, v)):
-            ta = fu.fused_transfer(spec, la, ua)
-            tb = fu.fused_transfer(spec, lb, ub)
-            comm = max(comm, float(
-                np.linalg.norm(ta @ tb - tb @ ta) / max(np.linalg.norm(ta @ tb), 1e-300)))
     reports.append(_Check(config, "fusion.commuting_family", 1e-9).report(
-        {"n_sites": n, "u": u, "v": v}, comm,
+        {"n_sites": n, "u": u, "v": v},
+        _worst(_commutator(fu.fused_transfer(spec, la, u), fu.fused_transfer(spec, lb, v))
+               for la in (1, 2, 3) for lb in (1, 2)),
         notes="all levels and spectral parameters commute",
     ))
 
@@ -674,58 +667,52 @@ def suite_twist(config: RunConfig) -> list[VerificationReport]:
     reports = []
     half = tw.make_spin_rep(0.5)
 
-    rep_res = 0.0
+    rep_res = []
     for two_s in (1, 2, 3):
         rep = tw.make_spin_rep(two_s / 2)
-        rep_res = max(
-            rep_res,
-            float(np.linalg.norm(rep.h @ rep.e - rep.e @ rep.h + 2 * rep.e)),
-            float(np.linalg.norm(rep.h @ rep.f - rep.f @ rep.h - 2 * rep.f)),
-            float(np.linalg.norm(rep.e @ rep.f - rep.f @ rep.e + rep.h)),
-            float(np.linalg.norm(np.linalg.matrix_power(rep.e, rep.dim))),
-        )
+        rep_res.extend([
+            np.linalg.norm(rep.h @ rep.e - rep.e @ rep.h + 2 * rep.e),
+            np.linalg.norm(rep.h @ rep.f - rep.f @ rep.h - 2 * rep.f),
+            np.linalg.norm(rep.e @ rep.f - rep.f @ rep.e + rep.h),
+            np.linalg.norm(np.linalg.matrix_power(rep.e, rep.dim)),
+        ])
     reports.append(_Check(config, "twist.rep_relations", 1e-13).report(
-        {"spins": "1/2,1,3/2"}, rep_res,
+        {"spins": "1/2,1,3/2"}, _worst(rep_res),
         notes="[h,e] = -2e, [h,f] = 2f, [e,f] = -h, e nilpotent",
     ))
 
-    anchor = max(rm.fundamental_twist_matches_universal(x) for x in (0.0, 1.0, -2.0, 0.5))
+    anchor = _worst(rm.fundamental_twist_matches_universal(x) for x in (0.0, 1.0, -2.0, 0.5))
     reports.append(_Check(config, "twist.anchor_f12", 0.0).report(
         {"xi_values": "0,1,-2,1/2"}, anchor,
         notes="twist at spin (1/2, 1/2) reproduces the displayed 4x4 matrix exactly",
     ))
 
-    series = 0.0
-    sig = 0.0
+    series, sig = [], []
     for _ in range(_count(config, 5)):
         xi = _sample_xi(rng, config)
         for (sa, sb) in ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.5, 1.0)):
             ra, rb = tw.make_spin_rep(sa), tw.make_spin_rep(sb)
-            series = max(series, rel_residual(
-                tw.universal_twist(ra, rb, xi), tw.twist_series(ra, rb, xi)))
+            series.append(rel_residual(tw.universal_twist(ra, rb, xi), tw.twist_series(ra, rb, xi)))
         for two_s in (1, 2, 3):
             rep = tw.make_spin_rep(two_s / 2)
-            sig = max(sig, float(np.linalg.norm(
-                tw._nilpotent_exp(-tw.sigma_element(rep, xi))
-                - (np.eye(rep.dim) - 2 * xi * rep.e))))
+            sig.append(np.linalg.norm(tw._nilpotent_exp(-tw.sigma_element(rep, xi))
+                                      - (np.eye(rep.dim) - 2 * xi * rep.e)))
     reports.append(_Check(config, "twist.series_matches_exponential", 1e-12).report(
-        {"samples": _count(config, 5)}, series,
+        {"samples": _count(config, 5)}, _worst(series),
         notes="displayed series coefficients against the closed exponential form",
     ))
     reports.append(_Check(config, "twist.sigma_exp", 1e-13).report(
-        {"samples": _count(config, 5)}, sig,
+        {"samples": _count(config, 5)}, _worst(sig),
         notes="exp(-sigma) = 1 - 2 xi e for spins up to 3/2",
     ))
 
-    coc = 0.0
+    coc = []
     one = tw.make_spin_rep(1.0)
     for _ in range(_count(config, 5)):
         xi = complex(rng.uniform(-1.0, 1.0))
-        coc = max(coc,
-                  tw.verify_cocycle(half, half, half, xi),
-                  tw.verify_cocycle(half, half, one, xi))
+        coc.extend([tw.verify_cocycle(half, half, half, xi), tw.verify_cocycle(half, half, one, xi)])
     reports.append(_Check(config, "twist.cocycle", 1e-12).report(
-        {"samples": _count(config, 5)}, coc,
+        {"samples": _count(config, 5)}, _worst(coc),
         notes="triples (1/2,1/2,1/2) and (1/2,1/2,1)",
     ))
 

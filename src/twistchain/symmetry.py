@@ -50,14 +50,13 @@ PROBE_COLUMNS = 8
 
 @dataclass(frozen=True)
 class AsymptoticData:
-    """Blocks of the constant term T_0 and the exact 1/u coefficient."""
+    """Blocks of the constant term T_0 and the residuals of its block form."""
 
     e: np.ndarray
     g: np.ndarray
     e_inv: np.ndarray
     zero_block_residual: float
     inverse_pair_residual: float
-    order1_blocks: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _constant_blocks(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -73,26 +72,18 @@ def _constant_blocks(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def extract_t0(spec: ChainSpec) -> AsymptoticData:
-    """Constant and 1/u terms of T(u), with block and invertibility checks."""
+    """Constant term of T(u), with block and invertibility checks.
+
+    T_0 is the product that ``_constant_blocks`` reads, here with its
+    upper-right block as well.
+    """
     d = spec.dim
-    # T(u) = Tbar(u)/u^N, so the constant term is the u^N coefficient and
-    # the 1/u term is the u^{N-1} coefficient.
-    t0, t1 = monodromy_poly_pair(spec, "high")
-    e = t0[:d, :d]
-    zero_block = t0[:d, d:]
-    g = t0[d:, :d]
-    e_inv = t0[d:, d:]
-    zero_res = float(np.linalg.norm(zero_block))
-    inv_res = float(np.linalg.norm(e @ e_inv - np.eye(d)))
-    blocks = (
-        (t1[:d, :d], t1[:d, d:]),
-        (t1[d:, :d], t1[d:, d:]),
-    )
+    t0 = _site_product([build_r_xi(spec.params.xi)] * spec.n_sites)
+    e, e_inv = t0[:d, :d], t0[d:, d:]
     return AsymptoticData(
-        e=e, g=g, e_inv=e_inv,
-        zero_block_residual=zero_res,
-        inverse_pair_residual=inv_res,
-        order1_blocks=blocks,
+        e=e, g=t0[d:, :d], e_inv=e_inv,
+        zero_block_residual=float(np.linalg.norm(t0[:d, d:])),
+        inverse_pair_residual=float(np.linalg.norm(e @ e_inv - np.eye(d))),
     )
 
 

@@ -16,7 +16,6 @@ from twistchain.chain import (
     build_monodromy,
     extract_hamiltonian,
     graded_eigenvalues,
-    grading_order,
     log_derivative,
     monodromy_matrix,
     monodromy_poly_coeffs,
@@ -418,7 +417,8 @@ def test_graded_eigenvalues_reject_generic_matrix():
 def _sector_spectra(m, n):
     """Reference: one ``eigvals`` per graded sector block, sorted as
     ``graded_eigenvalues`` sorts."""
-    order = grading_order(n)
+    # graded order: by number of down spins, binary order within a sector
+    order = np.argsort(np.bitwise_count(np.arange(2**n)), kind="stable")
     g = m[np.ix_(order, order)]
     pops = np.bitwise_count(order)
     ev = np.concatenate([np.linalg.eigvals(g[np.ix_(pops == p, pops == p)])
@@ -439,7 +439,7 @@ def _shift_on_sector(n, p):
 def _graded_eigenvalues_by_permutation(m, n):
     """Reference: the sector route through the whole matrix permuted into
     graded order, then sliced into sector blocks."""
-    order = grading_order(n)
+    order = np.argsort(np.bitwise_count(np.arange(2**n)), kind="stable")
     g = m[np.ix_(order, order)]
     evs = []
     start = 0
@@ -496,7 +496,7 @@ def test_momentum_spectra_equal_sector_spectra(n):
         transfer_matrix(ChainSpec(n, TwistParams(0.3 + 0.4j, 0.8 + 0.3j)), -1.3 + 0.8j),
         build_hamiltonian(ChainSpec(n, TwistParams(0.0, 1.0))),
     ]
-    order = grading_order(n)
+    order = np.argsort(np.bitwise_count(np.arange(2**n)), kind="stable")
     pops = np.bitwise_count(order)
     for m in matrices:
         ref = _sector_spectra(m, n)
@@ -513,7 +513,7 @@ def test_open_hamiltonian_fails_the_momentum_certificate():
     more than one momentum is solved whole, bitwise as per-sector eigvals."""
     n = 5
     h = build_hamiltonian(ChainSpec(n, TwistParams(0.5, 1.0), "open"))
-    order = grading_order(n)
+    order = np.argsort(np.bitwise_count(np.arange(2**n)), kind="stable")
     pops = np.bitwise_count(order)
     g = h[np.ix_(order, order)]
     for p in range(1, n):
@@ -615,13 +615,6 @@ def test_spectrum_pair_solves_a_raising_deformation_densely():
     ev_xi, _, lowering = spectrum_pair(t_xi, t_0, 4)
     assert lowering == pytest.approx(0.1)
     assert np.array_equal(ev_xi, eigenvalues(t_xi))
-
-
-def test_grading_order_sorts_by_popcount():
-    order = grading_order(3)
-    pops = [bin(i).count("1") for i in order]
-    assert pops == sorted(pops)
-    assert order[0] == 0 and order[-1] == 7
 
 
 @pytest.mark.parametrize("n,xi", [(6, 0.9), (4, 10.0)])

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from twistchain.cli import main
@@ -155,3 +156,27 @@ def test_bad_tol_flag():
 def test_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "everything"])
+
+
+def test_overflowing_symmetry_sweep_fails_with_nan(capsys):
+    """At eta = 1e200 the monodromy overflows: every sample of the E/G rows
+    that read A..D is NaN, so they report nan and fail instead of reading 0."""
+    with np.errstate(all="ignore"):
+        code = main(["verify", "symmetry", "--n-sites", "3", "--eta", "1e200"])
+    assert code == 1
+    rows = {r["check_id"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+    for rid in ("EA", "ED", "EB", "EC_1", "EC_2", "GB", "GA", "GD", "GC", "Et"):
+        assert rows[f"symmetry.{rid}"]["residual"] == "nan"
+        assert not rows[f"symmetry.{rid}"]["pass"]
+
+
+def test_overflowing_rtt_sweep_fails_at_its_first_nan_draw(capsys):
+    with np.errstate(all="ignore"):
+        code = main(["verify", "rtt", "--n-sites", "2", "--eta", "1e200"])
+    assert code == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    rows = [r for r in reports if r["check_id"] in ("rtt.exchange", "rtt.commuting_transfer")]
+    assert {r["check_id"] for r in rows} == {"rtt.exchange", "rtt.commuting_transfer"}
+    for r in rows:
+        assert r["residual"] == "nan" and not r["pass"]
+        assert {"xi", "u", "v"} <= set(r["params"])

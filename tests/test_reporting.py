@@ -16,7 +16,7 @@ from twistchain.reporting import (
     render_json,
     report_from_residual,
 )
-from twistchain.suites import SUITES, run_suite
+from twistchain.suites import SUITES, _relation_reports, _worst, _worst_sample, run_suite
 
 
 @pytest.mark.parametrize("text,value", [
@@ -197,3 +197,51 @@ def test_one_site_spectrum_skips_only_the_hamiltonian(boundary, check_ids):
         reports = run_suite(config, "spectrum")
         assert [r.check_id for r in reports] == check_ids
         assert all(r.passed for r in reports)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("samples", [[NAN, 1e-3, 2.0], [1e-3, NAN, 2.0], [1e-3, 2.0, NAN]])
+def test_worst_is_nan_wherever_the_nan_sample_sits(samples):
+    assert np.isnan(_worst(samples))
+    assert np.isnan(_worst(iter(samples)))
+
+
+def test_worst_of_finite_samples_is_their_max():
+    assert _worst([]) == 0.0
+    assert _worst([0.0, 0.0]) == 0.0
+    worst = _worst(x for x in [3e-16, np.float64(7e-13), 0.0, 1e-14])
+    assert worst == 7e-13 and type(worst) is float
+
+
+def test_worst_sample_reports_the_first_nan_draw_and_draws_every_sample():
+    rng = np.random.default_rng(7)
+    residuals = iter([1e-3, NAN, 5.0, NAN, 2e-3])
+    worst, worst_at = _worst_sample(5, lambda: {"x": rng.uniform()}, lambda x: next(residuals))
+    reference = np.random.default_rng(7)
+    xs = [reference.uniform() for _ in range(5)]
+    assert np.isnan(worst) and worst_at == {"x": xs[1]}
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_worst_sample_reports_the_first_draw_of_the_max():
+    draws = iter(range(4))
+    residuals = iter([1e-3, 2.0, 2.0, 0.5])
+    assert _worst_sample(4, lambda: {"k": next(draws)}, lambda k: next(residuals)) == (2.0, {"k": 1})
+    assert _worst_sample(3, lambda: {"k": 0}, lambda k: 0.0) == (0.0, {})
+
+
+def test_relation_reports_leave_skipped_records_out_and_fail_on_nan():
+    """A skipped record carries NaN by design and is left out; a NaN sample
+    of a relation makes it read NaN and fail, even for a recorded misprint."""
+    def record(rid, residual, **extra):
+        return {"rel_id": rid, "residual": residual, "note": "", **extra}
+    sweeps = [
+        [record("AC", 2e-14), record("AC", NAN, skipped="alpha(u,v) ~ 0"), record("DB_2", 0.5)],
+        [record("AC", 3e-14), record("DB_2", NAN)],
+    ]
+    ac, db2 = _relation_reports(RunConfig(), "cr", sweeps, {}, 1e-12)
+    assert ac.check_id == "cr.AC" and ac.residual == 3e-14 and ac.passed
+    assert db2.check_id == "cr.DB_2" and np.isnan(db2.residual)
+    assert not db2.passed and not db2.expected_failure

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twistchain import relations
-from twistchain.chain import ChainSpec, transfer_matrix
+from twistchain.chain import ChainSpec, monodromy_poly_pair, transfer_matrix
 from twistchain.reporting import RunConfig, render_json
 from twistchain.suites import run_suite
 from twistchain.symmetry import (
@@ -44,12 +44,18 @@ def test_t0_block_structure(n):
 @pytest.mark.parametrize("n", [2, 5, 8])
 @pytest.mark.parametrize("xi", [0.45, 0.3 + 0.4j])
 def test_constant_blocks_are_those_of_extract_t0(n, xi):
-    """E, G and E^{-1} grown from R(xi) alone are bitwise the blocks of the
-    u^N coefficient that ``extract_t0`` carries together with the 1/u one."""
+    """The blocks that ``_constant_blocks`` and ``extract_t0`` grow from R(xi)
+    alone are bitwise the four blocks of the u^N coefficient of the
+    two-degree carry, which also carries the 1/u coefficient."""
     spec = ChainSpec(n, TwistParams(xi, 0.8 + 0.3j))
+    d = spec.dim
+    t0 = monodromy_poly_pair(spec, "high")[0]
+    want = (t0[:d, :d], t0[d:, :d], t0[d:, d:])
     data = extract_t0(spec)
-    for got, want in zip(_constant_blocks(spec), (data.e, data.g, data.e_inv)):
-        assert np.array_equal(got, want)
+    for got in (_constant_blocks(spec), (data.e, data.g, data.e_inv)):
+        for block, reference in zip(got, want):
+            assert np.array_equal(block, reference)
+    assert data.zero_block_residual == float(np.linalg.norm(t0[:d, d:]))
 
 
 def test_e_is_grouplike_product():
@@ -137,15 +143,6 @@ def test_order1_coefficient_reading(n, xi):
     """The exact 1/u coefficient equals the ordered product transcription with
     empty boundary products, which settles the printed index ambiguity."""
     assert order1_transcription_residual(ChainSpec(n, TwistParams(xi, 1.0))) < 1e-12
-
-
-def test_order1_blocks_shape():
-    data = extract_t0(ChainSpec(2, TwistParams(0.4, 1.0)))
-    (tl, tr), (bl, br) = data.order1_blocks
-    assert tl.shape == (4, 4) and tr.shape == (4, 4)
-    assert bl.shape == (4, 4) and br.shape == (4, 4)
-    # the 1/u data is kept raw: no generator identification is asserted
-    assert np.linalg.norm(tl) > 0
 
 
 def test_suite_reports_a_wrong_relation_as_a_failure(monkeypatch):
