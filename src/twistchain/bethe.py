@@ -27,15 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    ChainSpec,
-    monodromy_apply,
-    spectrum_of,
-    transfer_apply,
-    transfer_matrix,
-    vacuum_d,
-    vacuum_state,
-)
+from .chain import ChainSpec, monodromy_apply, transfer_apply, vacuum_d, vacuum_state
 
 MAX_ROOT_MAGNITUDE = 1e8  # beyond this a root is treated as escaped to infinity
 
@@ -280,25 +272,26 @@ def magnon_product_state(spec: ChainSpec, roots) -> np.ndarray:
 
 
 def verify_multi_magnon_spectrum(spec: ChainSpec, states: list[BetheState],
-                                 u: complex) -> list[dict]:
+                                 u: complex, spectrum: np.ndarray) -> list[dict]:
     """Two sub-checks per converged state at the point u.
 
-    (i)  Lambda(u, {v_j}) lies in the exact spectrum of t(u), taken
-         blockwise in the graded basis (eigenvalues coincide with the
-         undeformed chain, so this is expected to hold for every xi);
-    (ii) the eigenvector defect of the product state C(v_1)...C(v_M) Omega,
-         expected to vanish at xi = 0 and to stay finite for M >= 2 once
-         xi != 0 (the equations constrain the eigenvalue, not the vector).
+    (i)  the gap of Lambda(u, {v_j}) to `spectrum`, the exact eigenvalue
+         multiset of t(u) that the caller solved (eigenvalues coincide with
+         the undeformed chain, so this is expected to vanish for every xi);
+    (ii) the eigenvector defect ||t(u) psi - Lambda psi|| / ||psi|| of the
+         product state psi = C(v_1)...C(v_M) Omega, with t(u) psi from
+         ``transfer_apply``; expected to vanish at xi = 0 and to stay finite
+         for M >= 2 once xi != 0 (the equations constrain the eigenvalue,
+         not the vector).
     """
-    t_u = transfer_matrix(spec, u)
-    spectrum = spectrum_of(t_u, spec.n_sites)[0]
     out = []
     for state in states:
         lam = eval_lambda(u, state)
         gap = float(np.min(np.abs(spectrum - lam)))
         psi = magnon_product_state(spec, state.roots)
         defect = float(
-            np.linalg.norm(t_u @ psi - lam * psi) / max(np.linalg.norm(psi), 1e-30)
+            np.linalg.norm(transfer_apply(spec, u, psi) - lam * psi)
+            / max(np.linalg.norm(psi), 1e-30)
         )
         out.append({
             "magnons": state.magnons,
@@ -325,30 +318,30 @@ def lambda_pole_residue(state: BetheState, j: int, radius: float = 1e-4) -> floa
     return float(abs(np.mean(samples)))
 
 
-def completeness_audit(spec: ChainSpec, u: complex, states: list[BetheState]) -> dict:
-    """Count how much of the exact t(u) spectrum the found states explain.
+def completeness_audit(spec: ChainSpec, u: complex, states: list[BetheState],
+                       spectrum: np.ndarray) -> dict:
+    """Count how much of `spectrum`, the exact t(u) spectrum the caller
+    solved, the found states explain.
 
     Each state of S = N/2 - M carries multiplicity 2S + 1 (descendants add
-    roots at infinity without changing Lambda). Unmatched eigenvalues are
-    counted and reported, never asserted absent; at N = 4 exactly one
-    eigenvalue family (the singular two-string with paired roots at 0 and
-    eta) is invisible to the logarithmic solver.
+    roots at infinity without changing Lambda). In order, each state claims
+    up to that many unclaimed eigenvalues within 1e-6 of its Lambda, nearest
+    first and the lower index on a tie. Unmatched eigenvalues are counted
+    and reported, never asserted absent; at N = 4 exactly one eigenvalue
+    family (the singular two-string with paired roots at 0 and eta) is
+    invisible to the logarithmic solver.
     """
-    spectrum = list(spectrum_of(transfer_matrix(spec, u), spec.n_sites)[0])
+    free = np.ones(len(spectrum), dtype=bool)
     matched = 0
     details = []
     for state in states:
-        lam = eval_lambda(u, state)
+        gaps = np.abs(spectrum - eval_lambda(u, state))
         mult = spec.n_sites - 2 * state.magnons + 1
-        hits = 0
-        for _ in range(mult):
-            gaps = [abs(s - lam) for s in spectrum]
-            k = int(np.argmin(gaps))
-            if gaps[k] < 1e-6:
-                spectrum.pop(k)
-                hits += 1
-        matched += hits
-        details.append({"magnons": state.magnons, "expected": mult, "matched": hits})
+        near = np.flatnonzero(free & (gaps < 1e-6))
+        claimed = near[np.argsort(gaps[near], kind="stable")[:mult]]
+        free[claimed] = False
+        matched += claimed.size
+        details.append({"magnons": state.magnons, "expected": mult, "matched": claimed.size})
     return {
         "dimension": spec.dim,
         "matched": matched,

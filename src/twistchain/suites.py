@@ -333,15 +333,18 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
                         ch.build_hamiltonian(ch.ChainSpec(spec.n_sites, tw.TwistParams(0.0, eta))))
 
     u_samples = [_sample_u(rng) for _ in range(_count(config, 5))]
+    # the spectra are paired under the tolerances they are judged by
+    hamiltonian = _Check(config, "spectrum.hamiltonian", 1e-8)
+    transfer = _Check(config, "spectrum.transfer", 1e-7)
     h_report, h_lowering, t_reports = ch.verify_spectrum_coincidence(
-        spec, u_samples, hamiltonians=hamiltonians)
+        spec, u_samples, tol_h=hamiltonian.tolerance, tol_t=transfer.tolerance,
+        hamiltonians=hamiltonians)
     if h_report is not None:
-        reports.append(_Check(config, "spectrum.hamiltonian", 1e-8).report(
+        reports.append(hamiltonian.report(
             {"n_sites": spec.n_sites, "xi": config.xi}, h_report.max_pair_distance,
             notes="eigenvalue multiset of H(xi) against H(0), computed blockwise in the "
                   "graded basis (block triangularity verified exactly)",
         ))
-    transfer = _Check(config, "spectrum.transfer", 1e-7)
     for u, rep in t_reports:
         reports.append(transfer.report(
             {"n_sites": spec.n_sites, "xi": config.xi, "u": u}, rep.max_pair_distance))
@@ -468,17 +471,19 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
             for r in state.roots:
                 pole_guard.extend([r, r + eta, r - eta])
         u4 = _sample_u(rng, avoid=pole_guard, min_gap=0.15)
-        records = bt.verify_multi_magnon_spectrum(spec, found, u4)
+        spectrum = ch.spectrum_of(ch.transfer_matrix(spec, u4), n)[0]
+        records = bt.verify_multi_magnon_spectrum(spec, found, u4, spectrum)
         reports.append(_Check(config, "bethe.two_magnon_lambda", 1e-8).report(
             {"n_sites": n, "solutions": len(found), "u": u4},
             _worst(rec["eigenvalue_gap"] for rec in records),
             notes="every Lambda(u, roots) sits in the exact t(u) spectrum",
         ))
 
+        # t_0(u4) shares the spectrum of t(u4); only the defects are read here
         defect0 = _worst(
             rec["eigenvector_defect"]
             for rec in bt.verify_multi_magnon_spectrum(
-                ch.ChainSpec(n, tw.TwistParams(0.0, eta)), found, u4)
+                ch.ChainSpec(n, tw.TwistParams(0.0, eta)), found, u4, spectrum)
         )
         reports.append(_Check(config, "bethe.product_state_undeformed", 1e-10).report(
             {"n_sites": n, "xi": 0.0, "u": u4}, defect0,
@@ -530,7 +535,7 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
             notes="apparent poles of Lambda(u) at the roots cancel on shell",
         ))
 
-        audit = bt.completeness_audit(spec, u4, states)
+        audit = bt.completeness_audit(spec, u4, states, spectrum)
         known_invisible = 1 if n == 4 else 0
         reports.append(_Check(config, "bethe.completeness", 0.5, fixed=True).report(
             {"n_sites": n, **{k: audit[k] for k in ("dimension", "matched", "unmatched")}},

@@ -212,8 +212,19 @@ def match_spectra(s1, s2, tol: float) -> SpectrumReport:
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Frobenius distance of lhs and rhs relative to their scale (floored at 1)."""
+    """Frobenius distance of lhs and rhs relative to their scale (floored at 1).
+
+    ``np.linalg.norm`` squares the entries, so operands of size about 1e154
+    and above overflow it; when a norm is inf although every entry is
+    finite, the three norms are taken of the operands divided by their
+    largest |entry| instead. Non-finite entries give NaN.
+    """
     lhs = np.asarray(lhs)
     rhs = np.asarray(rhs)
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    floor = 1.0
+    norms = np.linalg.norm(lhs), np.linalg.norm(rhs), np.linalg.norm(lhs - rhs)
+    if math.inf in norms and np.isfinite(lhs).all() and np.isfinite(rhs).all():
+        big = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+        lhs, rhs, floor = lhs / big, rhs / big, 1.0 / big
+        norms = np.linalg.norm(lhs), np.linalg.norm(rhs), np.linalg.norm(lhs - rhs)
+    return float(norms[2] / max(norms[0], norms[1], floor))

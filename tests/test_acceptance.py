@@ -226,8 +226,9 @@ def test_criterion_8_bethe_tq():
     guard = [0.0] + [r for s in found for r in
                      (*s.roots, *(z + eta for z in s.roots), *(z - eta for z in s.roots))]
     u = _annulus(rng, avoid=guard, gap=0.15)
+    ev_half = ch.spectrum_of(ch.transfer_matrix(spec_half, u), n)[0]
     worst_gap = max(rec["eigenvalue_gap"]
-                    for rec in bt.verify_multi_magnon_spectrum(spec_half, found, u))
+                    for rec in bt.verify_multi_magnon_spectrum(spec_half, found, u, ev_half))
 
     worst_tq = 0.0
     for state in states:
@@ -236,10 +237,11 @@ def test_criterion_8_bethe_tq():
             worst_tq = max(worst_tq, bt.verify_tq(state, _annulus(rng, avoid=avoid)))
 
     defect_half = min(rec["eigenvector_defect"]
-                      for rec in bt.verify_multi_magnon_spectrum(spec_half, found, u))
+                      for rec in bt.verify_multi_magnon_spectrum(spec_half, found, u, ev_half))
     spec_zero = ch.ChainSpec(n, tw.TwistParams(0.0, eta))
+    ev_zero = ch.spectrum_of(ch.transfer_matrix(spec_zero, u), n)[0]
     defect_zero = max(rec["eigenvector_defect"]
-                      for rec in bt.verify_multi_magnon_spectrum(spec_zero, found, u))
+                      for rec in bt.verify_multi_magnon_spectrum(spec_zero, found, u, ev_zero))
     elapsed = time.time() - start
     ok = (worst_m1 < 1e-12 and worst_gap < 1e-8 and worst_tq < 1e-10
           and defect_half > 1e-4 and defect_zero < 1e-10 and elapsed < 60.0)

@@ -16,7 +16,10 @@ from twistchain.bethe import (
     verify_one_magnon_action,
     verify_tq,
 )
-from twistchain.chain import ChainSpec, transfer_matrix
+from twistchain import bethe, chain
+from twistchain.chain import ChainSpec, spectrum_of, transfer_matrix
+from twistchain.reporting import RunConfig
+from twistchain.suites import run_suite
 from twistchain.tensor import eigenvalues
 from twistchain.twist import TwistParams
 
@@ -170,7 +173,8 @@ def test_multi_magnon_undeformed_both_subchecks_pass():
     n, eta = 4, 1.0
     state = solve_bethe(n, 2, eta, [0.5 + 0.3j, 0.5 - 0.3j])
     spec = ChainSpec(n, TwistParams(0.0, eta))
-    rec = verify_multi_magnon_spectrum(spec, [state], 2.7)[0]
+    spectrum = spectrum_of(transfer_matrix(spec, 2.7), n)[0]
+    rec = verify_multi_magnon_spectrum(spec, [state], 2.7, spectrum)[0]
     assert rec["eigenvalue_gap"] < 1e-8
     assert rec["eigenvector_defect"] < 1e-10
 
@@ -181,7 +185,8 @@ def test_multi_magnon_deformed_eigenvector_fails():
     n, eta = 4, 1.0
     state = solve_bethe(n, 2, eta, [0.5 + 0.3j, 0.5 - 0.3j])
     spec = ChainSpec(n, TwistParams(0.5, eta))
-    rec = verify_multi_magnon_spectrum(spec, [state], 2.7)[0]
+    spectrum = spectrum_of(transfer_matrix(spec, 2.7), n)[0]
+    rec = verify_multi_magnon_spectrum(spec, [state], 2.7, spectrum)[0]
     assert rec["eigenvalue_gap"] < 1e-8
     assert rec["eigenvector_defect"] > 1e-4
 
@@ -191,7 +196,8 @@ def test_one_magnon_deformed_is_still_eigenvector():
     root = one_magnon_roots(n, eta)[0]
     state = BetheState(n, 1, (complex(root),), 0.0, eta)
     spec = ChainSpec(n, TwistParams(0.9, eta))
-    rec = verify_multi_magnon_spectrum(spec, [state], 3.1)[0]
+    spectrum = spectrum_of(transfer_matrix(spec, 3.1), n)[0]
+    rec = verify_multi_magnon_spectrum(spec, [state], 3.1, spectrum)[0]
     assert rec["eigenvalue_gap"] < 1e-8
     assert rec["eigenvector_defect"] < 1e-10
 
@@ -210,7 +216,8 @@ def test_completeness_audit_n4():
     states = [BetheState(n, 0, (), 0.0, eta)]
     states += [solve_bethe(n, 1, eta, [r * 1.1 + 0.04]) for r in one_magnon_roots(n, eta)]
     states += [solve_bethe(n, 2, eta, [0.5 + 0.3j, 0.5 - 0.3j])]
-    audit = completeness_audit(ChainSpec(n, TwistParams(0.5, eta)), 2.3, states)
+    spec = ChainSpec(n, TwistParams(0.5, eta))
+    audit = completeness_audit(spec, 2.3, states, spectrum_of(transfer_matrix(spec, 2.3), n)[0])
     assert audit["dimension"] == 16
     assert audit["matched"] == 15
     assert audit["unmatched"] == 1
@@ -220,3 +227,96 @@ def test_two_magnon_seeds_structure():
     seeds = two_magnon_seeds(4, 1.0)
     assert all(len(s) == 2 for s in seeds)
     assert len(seeds) >= 4
+
+
+def _suite_states(n, eta):
+    """Vacuum, closed-form one-magnon and solved two-magnon states, as the
+    bethe suite gathers them."""
+    states = [BetheState(n, 0, (), 0.0, eta)]
+    states += [BetheState(n, 1, (complex(r),), 0.0, eta) for r in one_magnon_roots(n, eta)]
+    found = []
+    for seed in two_magnon_seeds(n, eta):
+        try:
+            state = solve_bethe(n, 2, eta, seed)
+        except BetheSolverError:
+            continue
+        if all(not np.allclose(s.roots, state.roots, atol=1e-8) for s in found):
+            found.append(state)
+    return states + found
+
+
+def _list_scan_audit(spec, u, states, spectrum):
+    """The audit's matching as a repeated argmin and pop over a list."""
+    spectrum = list(spectrum)
+    matched = 0
+    details = []
+    for state in states:
+        lam = bethe.eval_lambda(u, state)
+        mult = spec.n_sites - 2 * state.magnons + 1
+        hits = 0
+        for _ in range(mult):
+            gaps = [abs(s - lam) for s in spectrum]
+            k = int(np.argmin(gaps))
+            if gaps[k] < 1e-6:
+                spectrum.pop(k)
+                hits += 1
+        matched += hits
+        details.append({"magnons": state.magnons, "expected": mult, "matched": hits})
+    return {"dimension": spec.dim, "matched": matched, "unmatched": spec.dim - matched,
+            "per_state": details}
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_completeness_audit_matches_the_list_scan(n):
+    eta, u = 1.0, 2.3 + 1.1j
+    spec = ChainSpec(n, TwistParams(0.5, eta))
+    states = _suite_states(n, eta)
+    spectrum = spectrum_of(transfer_matrix(spec, u), n)[0]
+    audit = completeness_audit(spec, u, states, spectrum)
+    assert audit == _list_scan_audit(spec, u, states, spectrum)
+    assert audit["matched"] > 0
+
+
+def test_completeness_audit_breaks_an_exact_tie_by_the_lower_index(monkeypatch):
+    """Lambda_A = 0 sits exactly between -d and d; A must claim -d, the lower
+    index, so that B, within 1e-6 of d only, can claim d."""
+    d = 2.0 ** -21
+    lam = {0.3: 0.0, 0.7: d + 2.0 ** -22}
+    monkeypatch.setattr(bethe, "eval_lambda", lambda u, state: lam[state.roots[0]])
+    spec = ChainSpec(2, TwistParams(0.5, 1.0))
+    states = [BetheState(2, 1, (0.3,), 0.0, 1.0), BetheState(2, 1, (0.7,), 0.0, 1.0)]
+    spectrum = np.array([-d, d, 5.0, 6.0], dtype=complex)
+    audit = completeness_audit(spec, 1.5, states, spectrum)
+    assert audit["matched"] == 2
+    assert audit == _list_scan_audit(spec, 1.5, states, spectrum)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("xi", [0.0, 0.5])
+def test_multi_magnon_defect_equals_the_dense_product(n, xi):
+    """The defect from transfer_apply agrees with ||t(u) psi - Lambda psi|| / ||psi||
+    from the full t(u) to 1e-12 relative to ||t(u) psi|| / ||psi||."""
+    eta, u = 1.0, 2.3 + 1.1j
+    spec = ChainSpec(n, TwistParams(xi, eta))
+    states = [s for s in _suite_states(n, eta) if s.magnons]
+    t_u = transfer_matrix(spec, u)
+    records = verify_multi_magnon_spectrum(spec, states, u, spectrum_of(t_u, n)[0])
+    for state, rec in zip(states, records):
+        psi = magnon_product_state(spec, state.roots)
+        lam = eval_lambda(u, state)
+        dense = np.linalg.norm(t_u @ psi - lam * psi) / np.linalg.norm(psi)
+        scale = np.linalg.norm(t_u @ psi) / np.linalg.norm(psi)
+        assert abs(rec["eigenvector_defect"] - dense) <= 1e-12 * max(scale, 1.0)
+        assert rec["eigenvalue_gap"] < 1e-8
+
+
+def test_bethe_suite_builds_and_solves_t_u4_once(monkeypatch):
+    """One verify bethe traces one full t(u4) and solves one graded spectrum."""
+    calls = {"_trace_last_site": 0, "graded_eigenvalues": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(chain, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(chain, name, counting)
+    run_suite(RunConfig(n_sites=6), "bethe")
+    assert calls == {"_trace_last_site": 1, "graded_eigenvalues": 1}

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from twistchain import chain as ch
 from twistchain.reporting import (
     RunConfig,
     VerificationReport,
@@ -17,6 +18,7 @@ from twistchain.reporting import (
     report_from_residual,
 )
 from twistchain.suites import SUITES, _relation_reports, _worst, _worst_sample, run_suite
+from twistchain.tensor import match_spectra
 
 
 @pytest.mark.parametrize("text,value", [
@@ -197,6 +199,21 @@ def test_one_site_spectrum_skips_only_the_hamiltonian(boundary, check_ids):
         reports = run_suite(config, "spectrum")
         assert [r.check_id for r in reports] == check_ids
         assert all(r.passed for r in reports)
+
+
+def test_spectrum_suite_pairs_spectra_under_its_check_tolerances(monkeypatch):
+    """A tolerance override decides the greedy-or-optimal pairing too."""
+    seen = []
+
+    def recording(s1, s2, tol):
+        seen.append(tol)
+        return match_spectra(s1, s2, tol)
+
+    monkeypatch.setattr(ch, "match_spectra", recording)
+    config = RunConfig(n_sites=3, samples=2, tolerances={
+        "spectrum.hamiltonian": 3e-9, "spectrum.transfer": 4e-8})
+    run_suite(config, "spectrum")
+    assert seen == [3e-9, 4e-8, 4e-8]
 
 
 NAN = float("nan")

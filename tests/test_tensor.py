@@ -15,6 +15,7 @@ from twistchain.tensor import (
     lift,
     match_spectra,
     permutation_op,
+    rel_residual,
 )
 
 UP = np.array([1, 0], dtype=complex)
@@ -203,3 +204,23 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_rel_residual_survives_overflowing_norms():
+    """Entries of 1e160 overflow the squared norms; the relative error of
+    1e-7 must still read as it does on the same pair scaled by 1e-150."""
+    a = np.full((4, 4), 1e160)
+    b = a + 1e153
+    small = rel_residual(a * 1e-150, b * 1e-150)
+    assert small == pytest.approx(1e-7, rel=1e-6)
+    assert rel_residual(a, b) == pytest.approx(small, rel=1e-12)
+
+
+def test_rel_residual_keeps_nan_for_non_finite_entries():
+    a = np.full((4, 4), 1e160)
+    b = a.copy()
+    b[1, 2] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(rel_residual(a, b))
+        assert np.isnan(rel_residual(b, a))
