@@ -189,25 +189,87 @@ class SpectrumReport:
     max_pair_distance: float
 
 
+def _min_sum_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column matched to each row by a minimum-sum perfect matching of the
+    square real matrix `cost`: the Hungarian method (Kuhn 1955) with
+    shortest augmenting paths (Jonker and Volgenant 1987).
+
+    Row potentials u and column potentials v keep every reduced cost
+    cost[i, j] - u[i] - v[j] at or above 0 and every matched one at 0, so
+    the matching is optimal once it is perfect. Each row starts on its
+    cheapest column (u the row minima, v = 0) unless an earlier row took
+    that column. Each row left over is matched along one shortest path of
+    reduced costs from it to a free column (Dijkstra). Every step labels a
+    new column, so each path takes at most n steps, even on costs too
+    large for their sums to stay finite.
+    """
+    n = cost.shape[0]
+    first = cost.argmin(axis=1)
+    u = cost[np.arange(n), first]
+    v = np.zeros(n)
+    col_of = np.full(n, -1)
+    row_of = np.full(n, -1)
+    cols, rows = np.unique(first, return_index=True)
+    col_of[rows], row_of[cols] = cols, rows
+    new = np.empty(n)
+    better = np.empty(n, dtype=bool)
+    for r in np.flatnonzero(col_of < 0):
+        dist = cost[r] - u[r] - v  # tentative distances; inf once final
+        final = np.zeros(n)
+        pred = np.full(n, r)
+        todo = np.ones(n, dtype=bool)
+        while True:
+            j = int(dist.argmin())
+            if not todo[j]:  # every distance left is inf
+                j = int(todo.argmax())
+            dj = final[j] = dist[j]
+            dist[j] = np.inf
+            todo[j] = False
+            i = row_of[j]
+            if i < 0:
+                break
+            np.subtract(cost[i], v, out=new)
+            new += dj - u[i]
+            np.less(new, dist, out=better)
+            better &= todo
+            np.copyto(dist, new, where=better)
+            np.copyto(pred, i, where=better)
+        # shift the potentials of the labelled columns but the sink j (whose
+        # shift is 0) and of their rows: the path is tight, no cost negative
+        todo[j] = True
+        labelled = ~todo
+        shift = dj - final[labelled]
+        v[labelled] -= shift
+        u[row_of[labelled]] += shift
+        u[r] += dj
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == r:
+                break
+    return col_of
+
+
 def match_spectra(s1, s2, tol: float) -> SpectrumReport:
     """Pair two eigenvalue multisets and test whether they coincide.
 
     Both multisets are sorted lexicographically by (Re, Im) and paired
-    greedily; if the greedy pairing exceeds `tol` the comparison is retried
-    with an optimal bipartite assignment before declaring a mismatch (this
-    protects near-degenerate clusters from unlucky sort order).
+    greedily; if the greedy pairing exceeds `tol` they are paired again by
+    the in-package exact minimum-sum assignment (``_min_sum_assignment``)
+    of the distances |a_i - b_j| before a mismatch is declared (this
+    protects near-degenerate clusters from unlucky sort order). The report
+    carries the largest distance of the pairing used. A non-finite entry
+    gives a non-finite greedy distance, reported unmatched as it is.
     """
     a = np.sort_complex(np.asarray(s1, dtype=complex))
     b = np.sort_complex(np.asarray(s2, dtype=complex))
     if a.shape != b.shape:
         raise ValueError(f"cardinality mismatch: {a.shape} vs {b.shape}")
     dist = float(np.max(np.abs(a - b))) if a.size else 0.0
-    if dist > tol and a.size:
-        from scipy.optimize import linear_sum_assignment
-
+    if a.size and tol < dist < math.inf:
         cost = np.abs(a[:, None] - b[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        dist = float(np.max(cost[rows, cols]))
+        dist = float(np.max(cost[np.arange(a.size), _min_sum_assignment(cost)]))
     return SpectrumReport(eigenvalues=a, matched=bool(dist <= tol), max_pair_distance=dist)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twistchain import tensor
 from twistchain.tensor import (
     I2,
     SM,
@@ -171,6 +172,84 @@ def test_match_spectra_near_degenerate_uses_assignment():
     assert match_spectra(a, b, 1e-8).matched
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, np.inf)])
+def test_match_spectra_non_finite_input_is_unmatched_without_the_solver(bad, monkeypatch):
+    """A non-finite eigenvalue gives a non-finite greedy distance, reported
+    unmatched as it is; the assignment is never entered."""
+
+    def refuse(cost):
+        raise AssertionError("the assignment was entered")
+
+    monkeypatch.setattr(tensor, "_min_sum_assignment", refuse)
+    for s1, s2 in (([bad, 1], [1, 2]), ([1, 2], [2, bad])):
+        report = match_spectra(s1, s2, 1e-8)
+        assert not report.matched
+        dist = report.max_pair_distance
+        assert np.isnan(dist) if np.isnan(bad) else dist == np.inf
+
+
+def _assignment_cases():
+    """Cost matrices of sizes 1..40: distances of random complex points,
+    small integer costs full of ties, and distances between permuted
+    clusters of near-degenerate points split by 1e-9."""
+    rng = np.random.default_rng(20)
+    for n in range(1, 41):
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        yield np.abs(a[:, None] - b[None, :])
+        yield rng.integers(0, 4, (n, n)).astype(float)
+        centres = 3 * rng.standard_normal(max(1, n // 4))
+        a = centres[rng.integers(0, centres.size, n)] + 1e-9 * rng.standard_normal(n)
+        b = rng.permutation(a) + 1e-9 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        yield np.abs(a[:, None] - b[None, :])
+
+
+def test_min_sum_assignment_matches_scipy():
+    """Differential test: the permutation's total cost is scipy's minimum."""
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    for cost in _assignment_cases():
+        n = cost.shape[0]
+        cols = tensor._min_sum_assignment(cost)
+        assert np.array_equal(np.sort(cols), np.arange(n))
+        rows, ref_cols = linear_sum_assignment(cost)
+        best = cost[rows, ref_cols].sum()
+        assert abs(cost[np.arange(n), cols].sum() - best) <= 1e-9 * best
+
+
+def test_min_sum_assignment_ends_without_a_finite_matching():
+    """With no finite perfect matching every augmenting path is infinite;
+    each step still labels a new column, so a permutation comes back."""
+    import threading
+
+    cost = np.array([[0.0, np.inf], [0.0, np.inf]])
+    out = []
+    # a solver that spins fails the test instead of hanging the session
+    worker = threading.Thread(target=lambda: out.append(tensor._min_sum_assignment(cost)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert np.array_equal(np.sort(out[0]), [0, 1])
+
+
+@pytest.mark.parametrize("n_sites", [7, 8, 9])
+@pytest.mark.parametrize("xi,eta", [(0.5, 1.0), (complex(0.3, 0.4), complex(0.8, 0.3))])
+def test_hamiltonian_dense_pairing_equals_scipy(n_sites, xi, eta):
+    """The red spectrum.hamiltonian_dense reaches the assignment at N >= 7;
+    its max_pair_distance is bitwise the one of scipy's assignment."""
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    from twistchain.chain import ChainSpec, build_hamiltonian
+    from twistchain.twist import TwistParams
+
+    ev_xi = eigenvalues(build_hamiltonian(ChainSpec(n_sites, TwistParams(xi, eta))))
+    ev_0 = hermitian_eigenvalues(build_hamiltonian(ChainSpec(n_sites, TwistParams(0.0, eta))))
+    a, b = np.sort_complex(ev_xi), np.sort_complex(ev_0)
+    assert np.max(np.abs(a - b)) > 1e-5  # the greedy pairing is above tolerance
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert match_spectra(ev_xi, ev_0, 1e-5).max_pair_distance == np.max(cost[rows, cols])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_similarity_preserves_spectrum(seed):
     rng = np.random.default_rng(seed)
@@ -196,7 +275,8 @@ def test_kron_all_empty_rejected():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """The assignment solver is only imported by the fallback of match_spectra."""
+    """Importing the package loads no scipy.optimize: the assignment that
+    match_spectra falls back to is the package's own."""
     import subprocess
     import sys
 
@@ -204,6 +284,32 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_suites_reaching_the_assignment_load_no_scipy():
+    """`verify bethe` at N = 5 with real eta (conjugation closure) and
+    `verify spectrum` at N = 7 (hamiltonian_dense) pair spectra through
+    the assignment, and no scipy module is loaded on the way."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from twistchain import RunConfig, tensor\n"
+        "from twistchain.suites import run_suite\n"
+        "sizes = []\n"
+        "solve = tensor._min_sum_assignment\n"
+        "tensor._min_sum_assignment = lambda cost: sizes.append(len(cost)) or solve(cost)\n"
+        "run_suite(RunConfig(n_sites=5), 'bethe')\n"
+        "run_suite(RunConfig(n_sites=7, boundary='periodic'), 'spectrum')\n"
+        "print(sorted(set(sizes)))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    sizes, loaded = out.stdout.strip().splitlines()
+    assert sizes == "[2, 128]"
+    assert loaded == "[]"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
