@@ -151,12 +151,33 @@ def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray,
                     form: str = "rational") -> np.ndarray:
     """T(u) x = L_N(u)...L_1(u) x for a vector or column block x on
     aux ⊗ chain, matrix-free."""
-    n = spec.n_sites
-    dims = [2] * (n + 1)
-    l4 = _local_l(spec, u, form)
-    for k in range(1, n + 1):
-        x = apply_local(l4, x, dims, [0, k])
+    return _factors_apply(_local_l(spec, u, form), spec.n_sites, x)
+
+
+def _factors_apply(op: np.ndarray, n_sites: int, x: np.ndarray) -> np.ndarray:
+    """op_{a,N} ... op_{a,1} x on aux ⊗ chain, one ``apply_local`` per site."""
+    dims = [2] * (n_sites + 1)
+    for k in range(1, n_sites + 1):
+        x = apply_local(op, x, dims, [0, k])
     return x
+
+
+def _aux_blocks_apply(op: np.ndarray, n_sites: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four auxiliary blocks of op_{a,N} ... op_{a,1} applied to a chain
+    vector or block x: top left, top right, bottom left, bottom right.
+
+    One application to [[x, 0], [0, x]]: the first column half comes out as
+    the two left blocks applied to x, the second as the two right ones.
+    """
+    x = np.asarray(x, dtype=complex)
+    d = 2 ** n_sites
+    block = x.reshape(d, -1)
+    k = block.shape[1]
+    stacked = np.zeros((2 * d, 2 * k), dtype=complex)
+    stacked[:d, :k] = block
+    stacked[d:, k:] = block
+    y = _factors_apply(op, n_sites, stacked)
+    return tuple(part.reshape(x.shape) for part in (y[:d, :k], y[:d, k:], y[d:, :k], y[d:, k:]))
 
 
 def _grow_site(op: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -244,21 +265,10 @@ def transfer_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.n
 
 
 def monodromy_blocks_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> MonodromyBlocks:
-    """A(u) x, B(u) x, C(u) x and D(u) x for a chain vector or block x.
-
-    One application of T(u) to [[x, 0], [0, x]]: the first column half
-    comes out as [A x; C x], the second as [B x; D x].
-    """
-    x = np.asarray(x, dtype=complex)
-    d = spec.dim
-    block = x.reshape(d, -1)
-    k = block.shape[1]
-    stacked = np.zeros((2 * d, 2 * k), dtype=complex)
-    stacked[:d, :k] = block
-    stacked[d:, k:] = block
-    y = monodromy_apply(spec, u, stacked)
-    a, c, b, dd = (part.reshape(x.shape) for part in (y[:d, :k], y[d:, :k], y[:d, k:], y[d:, k:]))
-    return MonodromyBlocks(a=a, b=b, c=c, d=dd, u=u)
+    """A(u) x, B(u) x, C(u) x and D(u) x for a chain vector or block x:
+    one application of T(u) to [[x, 0], [0, x]] (``_aux_blocks_apply``)."""
+    a, b, c, d = _aux_blocks_apply(build_r(u, spec.params), spec.n_sites, x)
+    return MonodromyBlocks(a=a, b=b, c=c, d=d, u=u)
 
 
 def transfer_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
@@ -401,10 +411,13 @@ def verify_commutation_relations(spec: ChainSpec, u: complex, v: complex) -> lis
     if u == v or u == 0 or v == 0:
         raise ValueError("u, v must be nonzero and distinct")
     env = relation_env(spec, u, v)
-    eye = np.eye(spec.dim)
     out = []
     degenerate = abs(env["alpha(u,v)"]) < 1e-12 or abs(env["alpha(v,u)"]) < 1e-12
-    for relation in rel.CR_RELATIONS:
+    if not degenerate:
+        # the whole table and the DB_2 variant over one set of operator words
+        texts = [relation.text for relation in rel.CR_RELATIONS] + [rel.DB_2_VARIANT]
+        *residuals, variant = rel.relation_residuals(texts, env, np.eye(spec.dim))
+    for i, relation in enumerate(rel.CR_RELATIONS):
         record = {
             "rel_id": relation.rel_id,
             "text": relation.text,
@@ -414,9 +427,9 @@ def verify_commutation_relations(spec: ChainSpec, u: complex, v: complex) -> lis
             record["skipped"] = "alpha(u,v) ~ 0 at this sample"
             record["residual"] = float("nan")
         else:
-            record["residual"] = rel.relation_residual(relation.text, env, eye)
+            record["residual"] = residuals[i]
             if relation.rel_id == "DB_2":
-                record["variant_residual"] = rel.relation_residual(rel.DB_2_VARIANT, env, eye)
+                record["variant_residual"] = variant
         out.append(record)
     return out
 

@@ -7,22 +7,29 @@ Each relation is stored verbatim as a string ``lhs = rhs`` over the grammar
     factor := ['-'] atom ('^' integer)?
     atom   := number | name | name '(' u_or_v (',' u_or_v)? ')' | '(' expr ')'
 
-with operator-valued names A, B, C, D, E, G, Einv (bound to matrices,
-products kept in the written order) and scalar names alpha, beta, xi.
+with operator-valued names A, B, C, D, E, G, Einv (bound to dense
+matrices or to ``Member`` families, products kept in the written order)
+and scalar names alpha, beta, xi.
 Storing the relations as data keeps the transcription auditable line by
 line; nothing about them is hand-coded into the evaluator.
 
-``evaluate`` never forms a product of two matrices: it applies each side
-to a column block X, right to left, so a side with m operator factors
-costs m products of a d x d matrix with a d x k block. ``relation_residual``
-compares the two sides on X,
+``evaluate`` never forms a product of two operators. It expands a side
+into a linear combination of operator words (scalars commute into the
+coefficients) and applies each distinct word to a column block X, right to
+left. An operator name is bound either to a dense matrix or to a ``Member``
+of a family whose members are all read off one application, such as the
+four blocks A..D of T(u) applied to [[X, 0], [0, X]]; on each level of the
+words the inputs of one family are stacked into a single call.
+``relation_residuals`` evaluates a whole table over one set of words, so a
+word that several relations share is applied once, and compares the two
+sides of each relation on X,
 
     ||(L - R) X||_F / max(||L X||_F, ||R X||_F, 1).
 
 With X = I this is the relative Frobenius residual of the full matrices
-(the displayed CR table runs this way, at N <= 3). With X a complex Gaussian
-block scaled so that E||M X||_F^2 = ||M||_F^2, it is an unbiased
-randomized estimate of ||L - R||_F^2 (Halko, Martinsson and Tropp,
+(the displayed CR table runs this way, on dense A..D at N <= 3). With X a
+complex Gaussian block scaled so that E||M X||_F^2 = ||M||_F^2, it is an
+unbiased randomized estimate of ||L - R||_F^2 (Halko, Martinsson and Tropp,
 arXiv:0909.4061, section 4), and L X = R X happens for L != R with
 probability 0 (Freivalds, 1977); ``symmetry.probe_block`` draws that block.
 
@@ -30,8 +37,7 @@ Scalar coefficient conventions:
 
     alpha(u,v) = 1 + beta(u,v) = 1 - eta/(u-v)
 
-``relation_residual`` parses each distinct relation text once per process
-and applies the cached trees on every call.
+Each distinct relation text is parsed and expanded once per process.
 
 A relation that fails at machine precision for every sampled parameter
 point is flagged by the verification suites as a suspected misprint, never
@@ -43,6 +49,7 @@ failing relation is reported as a failure.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,51 +147,154 @@ def parse(text: str):
     return node
 
 
-def evaluate(node, env: dict, x: np.ndarray) -> np.ndarray:
-    """Apply the operator an AST denotes to the column block `x`, right to left.
+@dataclass(frozen=True)
+class Member:
+    """Operator `index` of a family of operators read off one application:
+    ``apply(y)`` returns every member of the family applied to the column
+    block y. Bound to a name in an environment, it stands for that operator
+    without forming its matrix."""
 
-    A product ``a*b`` is ``a·(b·x)``, a scalar ``c`` (number or scalar
-    binding) is ``c·x``, ``M^k`` applies M k times and a sum is the sum of
-    the applied terms; matrices are never multiplied with each other. With
-    ``x = I`` the result is the operator itself, up to the order in which
-    scalar factors are applied.
-    """
+    apply: Callable[[np.ndarray], Sequence[np.ndarray]]
+    index: int
+
+
+# bindings of these types are operators, any other binding is a scalar
+_OPERATORS = (np.ndarray, Member)
+
+
+def _lookup(env: dict, name: str):
+    try:
+        return env[name]
+    except KeyError:
+        raise KeyError(f"unbound symbol {name!r}") from None
+
+
+def _product(left: tuple, right: tuple) -> tuple:
+    return tuple((c1 * c2, n1 + n2) for c1, n1 in left for c2, n2 in right)
+
+
+def _expand(node) -> tuple[tuple[complex, tuple[str, ...]], ...]:
+    """The monomials whose sum an AST denotes: (number, names) pairs, the
+    names of each product in written order, scalars among them."""
     kind = node[0]
     if kind == "num":
-        return node[1] * x
+        return ((node[1], ()),)
     if kind == "sym":
-        try:
-            value = env[node[1]]
-        except KeyError:
-            raise KeyError(f"unbound symbol {node[1]!r}") from None
-        return value @ x if isinstance(value, np.ndarray) else value * x
+        return ((1, (node[1],)),)
     if kind == "neg":
-        return -evaluate(node[1], env, x)
+        return tuple((-c, names) for c, names in _expand(node[1]))
     if kind == "pow":
+        out = ((1, ()),)
         for _ in range(node[2]):
-            x = evaluate(node[1], env, x)
-        return x
+            out = _product(out, _expand(node[1]))
+        return out
+    if kind not in ("*", "+", "-"):
+        raise ValueError(f"unknown node {kind!r}")
+    left, right = _expand(node[1]), _expand(node[2])
     if kind == "*":
-        return evaluate(node[1], env, evaluate(node[2], env, x))
+        return _product(left, right)
     if kind == "+":
-        return evaluate(node[1], env, x) + evaluate(node[2], env, x)
-    if kind == "-":
-        return evaluate(node[1], env, x) - evaluate(node[2], env, x)
-    raise ValueError(f"unknown node {kind!r}")
+        return left + right
+    return left + tuple((-c, names) for c, names in right)
+
+
+def _word_table(monomials, env: dict) -> dict[tuple[str, ...], complex]:
+    """Coefficient of each operator word of a side: the scalar names of a
+    monomial are read from `env` into its coefficient (scalars commute),
+    the operator names left in order form its word, and the coefficients
+    of equal words are summed."""
+    table: dict[tuple[str, ...], complex] = {}
+    for coef, names in monomials:
+        word = ()
+        for name in names:
+            value = _lookup(env, name)
+            if isinstance(value, _OPERATORS):
+                word += (name,)
+            else:
+                coef = coef * value
+        table[word] = table.get(word, 0) + coef
+    return table
+
+
+def _apply_words(words, env: dict, x: np.ndarray) -> dict[tuple[str, ...], np.ndarray]:
+    """Every word and each of its suffixes applied to the column block `x`,
+    each exactly once.
+
+    A word is applied right to left, so level l applies the l-th name from
+    the right to a suffix of level l - 1. On each level the inputs of one
+    family (the members of one ``Member.apply``, or one dense matrix) are
+    stacked side by side and go through one call. Words are visited in the
+    order given, so the same words give the same stacking, bit for bit.
+    """
+    blocks = {(): x}
+    width = x.shape[1]
+    depth = max((len(w) for w in words), default=0)
+    for level in range(1, depth + 1):
+        batches: dict[int, tuple] = {}
+        for word in words:
+            suffix = word[len(word) - level:]
+            if len(word) < level or suffix in blocks:
+                continue
+            value = _lookup(env, suffix[0])
+            if isinstance(value, Member):
+                key, apply, index = id(value.apply), value.apply, value.index
+            else:
+                key, apply, index = id(value), value.__matmul__, None
+            _, parents, wanted = batches.setdefault(key, (apply, {}, {}))
+            wanted[suffix] = (parents.setdefault(suffix[1:], len(parents)), index)
+        for apply, parents, wanted in batches.values():
+            stacked = (blocks[next(iter(parents))] if len(parents) == 1
+                       else np.hstack([blocks[p] for p in parents]))
+            out = apply(stacked)
+            for suffix, (pos, index) in wanted.items():
+                part = out if index is None else out[index]
+                blocks[suffix] = part[:, pos * width:(pos + 1) * width]
+    return blocks
+
+
+def _combine(table: dict, blocks: dict) -> np.ndarray:
+    total = None
+    for word, coef in table.items():
+        term = coef * blocks[word]
+        total = term if total is None else total + term
+    return total
+
+
+def evaluate(node, env: dict, x: np.ndarray) -> np.ndarray:
+    """Apply the operator an AST denotes to the column block `x`.
+
+    The AST is expanded into a linear combination of operator words; each
+    distinct word is applied to `x` once, right to left (``_apply_words``),
+    and the applied words are summed with their coefficients. Names bound to
+    dense matrices or to ``Member`` families are operators, any other
+    binding is a scalar; no two operators are ever multiplied together.
+    """
+    table = _word_table(_expand(node), env)
+    return _combine(table, _apply_words(list(table), env, x))
 
 
 @lru_cache(maxsize=256)
-def _parse_relation(text: str):
-    """ASTs of both sides of 'lhs = rhs', parsed once per distinct text."""
+def _relation_monomials(text: str):
+    """Expanded monomials of both sides of 'lhs = rhs', once per distinct text."""
     lhs_text, rhs_text = text.split("=")
-    return parse(lhs_text), parse(rhs_text)
+    return _expand(parse(lhs_text)), _expand(parse(rhs_text))
+
+
+def relation_residuals(texts, env: dict, x: np.ndarray) -> list[float]:
+    """``relation_residual`` of each relation text on the block x, with one
+    word table for all of them: a word that several sides share is applied
+    to x once."""
+    tables = [tuple(_word_table(side, env) for side in _relation_monomials(text))
+              for text in texts]
+    words = dict.fromkeys(word for pair in tables for table in pair for word in table)
+    blocks = _apply_words(list(words), env, x)
+    return [rel_residual(_combine(lhs, blocks), _combine(rhs, blocks)) for lhs, rhs in tables]
 
 
 def relation_residual(text: str, env: dict, x: np.ndarray) -> float:
     """Relative residual of 'lhs = rhs' on the block x:
     ||(lhs - rhs) x|| / max(||lhs x||, ||rhs x||, 1), Frobenius norms."""
-    lhs_ast, rhs_ast = _parse_relation(text)
-    return rel_residual(evaluate(lhs_ast, env, x), evaluate(rhs_ast, env, x))
+    return relation_residuals([text], env, x)[0]
 
 
 @dataclass(frozen=True)

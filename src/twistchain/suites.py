@@ -547,22 +547,19 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
     return reports
 
 
+def _probe_note(route: str) -> str:
+    """How a residual read on a ``symmetry.probe_block`` relates to the full matrices."""
+    if route == "identity":
+        return "probe: identity, the full-matrix residual"
+    return (f"probe: gaussian, {sy.PROBE_COLUMNS} columns, an unbiased estimate of the "
+            "squared full-matrix residual")
+
+
 def suite_symmetry(config: RunConfig) -> list[VerificationReport]:
     rng = _rng(config, "symmetry")
     eta = config.eta
     n = config.n_sites
     spec = ch.ChainSpec(n, tw.TwistParams(config.xi, eta))
-    reports = []
-
-    data = sy.extract_t0(spec)
-    reports.append(_Check(config, "symmetry.t0_zero_block", 1e-13).report(
-        {"n_sites": n, "xi": config.xi}, data.zero_block_residual,
-        notes="upper-right block of the constant term vanishes",
-    ))
-    reports.append(_Check(config, "symmetry.t0_inverse_pair", 1e-12).report(
-        {"n_sites": n, "xi": config.xi}, data.inverse_pair_residual,
-        notes="diagonal blocks of the constant term are mutually inverse",
-    ))
 
     # the probe blocks come from a child stream: spawning does not advance
     # rng, so the sampled (xi, u) are those drawn without probes
@@ -574,16 +571,32 @@ def suite_symmetry(config: RunConfig) -> list[VerificationReport]:
         u = _sample_u(rng)
         x, _ = sy.probe_block(spec.dim, probe_rng)
         sweeps.append(sy.verify_symmetry_relations(ch.ChainSpec(n, tw.TwistParams(xi, eta)), u, x))
-    x, route = sy.probe_block(spec.dim, probe_rng)  # one more block, for unipotent
+    # one more block for T_0 and unipotent, and one on aux ⊗ chain for order1
+    x, route = sy.probe_block(spec.dim, probe_rng)
+    x_aux, route_aux = sy.probe_block(2 * spec.dim, probe_rng)
+
+    data = sy.extract_t0(spec, x)
+    reports = [
+        _Check(config, "symmetry.t0_zero_block", 1e-13).report(
+            {"n_sites": n, "xi": config.xi}, data.zero_block_residual,
+            notes=f"upper-right block of the constant term vanishes; {_probe_note(route)}",
+        ),
+        _Check(config, "symmetry.t0_inverse_pair", 1e-12).report(
+            {"n_sites": n, "xi": config.xi}, data.inverse_pair_residual,
+            notes="diagonal blocks of the constant term are mutually inverse; "
+                  + _probe_note(route),
+        ),
+    ]
     params = {"n_sites": n, "samples": n_samples, "probe": route,
               "probe_columns": sy.PROBE_COLUMNS}
     reports.extend(_relation_reports(config, "symmetry", sweeps, params, 1e-11))
 
     # E - I strictly lowers total sz, so N + 1 applications leave exact zeros
-    for _ in range(n + 1):
-        x = data.e @ x - x
+    y = data.e - x
+    for _ in range(n):
+        y = sy.t0_apply(spec, y)[0] - y
     reports.append(_Check(config, "symmetry.unipotent", 1e-10).report(
-        {"n_sites": n, "xi": config.xi}, float(np.linalg.norm(x)),
+        {"n_sites": n, "xi": config.xi}, float(np.linalg.norm(y)),
         notes="(E - I)^(N+1) = 0, E is unipotent (E = exp of -xi times the "
               "global lowering operator)",
     ))
@@ -598,9 +611,9 @@ def suite_symmetry(config: RunConfig) -> list[VerificationReport]:
         ))
 
     reports.append(_Check(config, "symmetry.order1_reading", 1e-12).report(
-        {"n_sites": n, "xi": config.xi}, sy.order1_transcription_residual(spec),
+        {"n_sites": n, "xi": config.xi}, sy.order1_transcription_residual(spec, x_aux),
         notes="exact 1/u coefficient matches the product transcription with empty "
-              "boundary products",
+              f"boundary products; {_probe_note(route_aux)}",
     ))
     return reports
 

@@ -15,12 +15,27 @@ never by numerical limiting. Reading T_0 in auxiliary-space blocks,
 defines the generators E (group-like, commutes with t(u); concretely
 E = exp(-xi sum_n sm_n), the exponential of the global lowering operator)
 and G. Their displayed relations with A, B, C, D live in
-``relations.SYMMETRY_RELATIONS`` and are evaluated here, both sides applied
-right to left to one probe block X (``probe_block``): X = I while
-2^N <= PROBE_COLUMNS, which gives the Frobenius residual of the full
-matrices, and a seeded complex Gaussian block of PROBE_COLUMNS columns
-above, which gives an unbiased estimate of its square and detects any
-failing relation with probability 1 (see ``relations``). The coproducts are
+``relations.SYMMETRY_RELATIONS``.
+
+Every check at the requested N is matrix-free, on column blocks X that
+``probe_block`` gives: X = I while the space has at most PROBE_COLUMNS
+states, which gives the Frobenius residual of the full matrices, and a
+seeded complex Gaussian block of PROBE_COLUMNS columns above, which gives
+an unbiased estimate of its square and detects any failing relation with
+probability 1 (see ``relations``). One operator applier serves each family:
+
+* ``t0_apply`` applies the constant factors R_{a,k}(xi) to [[X, 0], [0, X]]
+  with ``tensor.apply_local`` and reads E X, G X, E^{-1} X and the
+  upper-right block applied to X off one application;
+* ``chain.monodromy_blocks_apply`` gives A(u) X .. D(u) X the same way.
+
+``verify_symmetry_relations`` binds E, G, Einv and A..D to these families
+and evaluates the whole table over one set of operator words
+(``relations.relation_residuals``); ``extract_t0`` reads the zero block
+and the inverse pair on a block, and ``order1_transcription_residual``
+compares the exact 1/u coefficient with its displayed sum on a block of
+aux ⊗ chain. Only the coproducts, at fixed small segment lengths, read
+dense blocks (``_constant_blocks``, the applier on the identity):
 
     E on a split chain:  E_{n1+n2} = E_{n1} ⊗ E_{n2},
     G on a split chain:  G_{n1+n2} = E_{n1} ⊗ G_{n2} + G_{n1} ⊗ E_{n2}^{-1},
@@ -34,23 +49,29 @@ holds is recorded in the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import relations as rel
-from .chain import ChainSpec, _site_product, build_monodromy, monodromy_poly_pair
+from .chain import ChainSpec, _aux_blocks_apply, monodromy_blocks_apply
 from .rmatrix import build_r_xi
-from .tensor import MAX_SITES, permutation_op, rel_residual
+from .tensor import MAX_SITES, apply_local, permutation_op, rel_residual
 from .twist import TwistParams
 
-# columns of the Gaussian probe block; chains with 2^N <= PROBE_COLUMNS are
-# probed with the identity
+# columns of the Gaussian probe block; spaces with at most PROBE_COLUMNS
+# states are probed with the identity
 PROBE_COLUMNS = 8
+
+# the corollary of EA and ED, evaluated with the displayed table
+_ET = rel.Relation("Et", "E*(A(u) + D(u)) = (A(u) + D(u))*E",
+                   note="group-like element commutes with the transfer matrix")
 
 
 @dataclass(frozen=True)
 class AsymptoticData:
-    """Blocks of the constant term T_0 and the residuals of its block form."""
+    """Blocks of the constant term T_0 applied to a column block X, and the
+    residuals of its block form on X."""
 
     e: np.ndarray
     g: np.ndarray
@@ -59,39 +80,47 @@ class AsymptoticData:
     inverse_pair_residual: float
 
 
+def t0_apply(spec: ChainSpec, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """E x, U x, G x and E^{-1} x for a chain vector or block x, where
+    T_0 = prod_k R_{a,k}(xi) = [[E, U], [G, E^{-1}]] (U = 0).
+
+    One application of the constant site factors to [[x, 0], [0, x]]
+    (``chain._aux_blocks_apply``), O(N 2^N) per column; no 2^N-square
+    matrix is formed.
+    """
+    return _aux_blocks_apply(build_r_xi(spec.params.xi), spec.n_sites, x)
+
+
 def _constant_blocks(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E, G and E^{-1}, the blocks of T_0 = prod_k R_{a,k}(xi).
+    """E, G and E^{-1} as matrices: ``t0_apply`` on the identity, bitwise the
+    u^N coefficient of ``monodromy_poly_pair(spec, "high")``. Read only by
+    the coproducts, at fixed small N."""
+    e, _, g, e_inv = t0_apply(spec, np.eye(spec.dim))
+    return e, g, e_inv
 
-    The product is grown site by site from the constant R-matrix alone:
-    bitwise the u^N coefficient of ``monodromy_poly_pair(spec, "high")``,
-    without carrying the 1/u coefficient.
+
+def extract_t0(spec: ChainSpec, x: np.ndarray) -> AsymptoticData:
+    """Constant term of T(u) on the column block `x`, with block and
+    invertibility checks.
+
+    ``zero_block_residual`` is ||U x||_F and ``inverse_pair_residual`` is
+    ||E E^{-1} x - x||_F; with x = I they are the Frobenius norms of U and
+    E E^{-1} - I, with a Gaussian ``probe_block`` unbiased estimates of
+    their squares.
     """
-    d = spec.dim
-    t0 = _site_product([build_r_xi(spec.params.xi)] * spec.n_sites)
-    return t0[:d, :d], t0[d:, :d], t0[d:, d:]
-
-
-def extract_t0(spec: ChainSpec) -> AsymptoticData:
-    """Constant term of T(u), with block and invertibility checks.
-
-    T_0 is the product that ``_constant_blocks`` reads, here with its
-    upper-right block as well.
-    """
-    d = spec.dim
-    t0 = _site_product([build_r_xi(spec.params.xi)] * spec.n_sites)
-    e, e_inv = t0[:d, :d], t0[d:, d:]
+    e, upper, g, e_inv = t0_apply(spec, x)
     return AsymptoticData(
-        e=e, g=t0[d:, :d], e_inv=e_inv,
-        zero_block_residual=float(np.linalg.norm(t0[:d, d:])),
-        inverse_pair_residual=float(np.linalg.norm(e @ e_inv - np.eye(d))),
+        e=e, g=g, e_inv=e_inv,
+        zero_block_residual=float(np.linalg.norm(upper)),
+        inverse_pair_residual=float(np.linalg.norm(t0_apply(spec, e_inv)[0] - x)),
     )
 
 
 def probe_block(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, str]:
-    """Column block the E/G relations are applied to, and its route.
+    """Column block a check is applied to, and its route.
 
-    ``"identity"``: X = I when dim <= PROBE_COLUMNS, so the relation residual
-    is that of the full matrices and nothing is drawn. ``"gaussian"``:
+    ``"identity"``: X = I when dim <= PROBE_COLUMNS, so the residual is that
+    of the full matrices and nothing is drawn. ``"gaussian"``:
     X = (G_re + i G_im) / sqrt(2K) with K = PROBE_COLUMNS columns of
     independent standard normals drawn from `rng`, so E||M X||_F^2 =
     ||M||_F^2 for every M and the floor of 1 in ``tensor.rel_residual``
@@ -104,42 +133,40 @@ def probe_block(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, str]:
     return (re + 1j * im) / np.sqrt(2 * PROBE_COLUMNS), "gaussian"
 
 
+def _family_env(spec: ChainSpec, u: complex) -> dict:
+    """Bindings of the E/G table: E, G and Einv as members of the
+    ``t0_apply`` family, A(u)..D(u) of the ``monodromy_blocks_apply`` one."""
+
+    def monodromy(y):
+        blocks = monodromy_blocks_apply(spec, u, y)
+        return blocks.a, blocks.b, blocks.c, blocks.d
+
+    t0 = partial(t0_apply, spec)
+    return {"E": rel.Member(t0, 0), "G": rel.Member(t0, 2), "Einv": rel.Member(t0, 3),
+            **{f"{name}(u)": rel.Member(monodromy, i) for i, name in enumerate("ABCD")},
+            "xi": spec.params.xi}
+
+
 def verify_symmetry_relations(spec: ChainSpec, u: complex, x: np.ndarray) -> list[dict]:
     """Evaluate every displayed E/G relation on the column block `x`.
 
-    Both sides are applied to `x` right to left (``relations.evaluate``), so
-    no product of two 2^N x 2^N matrices is formed; ``probe_block`` gives
-    `x`. One record per relation with transcription and relative residual
-    ``relations.relation_residual``, plus the corollary [E, t(u)] = 0 on the
-    same block. The suite reports a failing relation as a failure: it flags
-    a suspected misprint only for lines recorded in
+    E, G and Einv are members of the ``t0_apply`` family and A(u)..D(u) of
+    the ``monodromy_blocks_apply`` family (``_family_env``); the table and
+    the corollary [E, t(u)] = 0 are evaluated over one set of operator
+    words (``relations.relation_residuals``), so no 2^N-square matrix is
+    formed; ``probe_block`` gives `x`. One record per relation with transcription
+    and relative residual. The suite reports a failing relation as a
+    failure: it flags a suspected misprint only for lines recorded in
     ``relations.KNOWN_MISPRINTS``, none of which is an E/G relation.
     """
     if u == 0:
         raise ValueError("u = 0 is a pole of the rational monodromy")
-    e, g, e_inv = _constant_blocks(spec)
-    blocks = build_monodromy(spec, u)
-    env = {
-        "E": e, "G": g, "Einv": e_inv,
-        "A(u)": blocks.a, "B(u)": blocks.b, "C(u)": blocks.c, "D(u)": blocks.d,
-        "xi": spec.params.xi,
-    }
-    out = []
-    for relation in rel.SYMMETRY_RELATIONS:
-        out.append({
-            "rel_id": relation.rel_id,
-            "text": relation.text,
-            "residual": rel.relation_residual(relation.text, env, x),
-            "note": relation.note,
-        })
-    t_u = blocks.a + blocks.d
-    out.append({
-        "rel_id": "Et",
-        "text": "E*(A(u) + D(u)) = (A(u) + D(u))*E",
-        "residual": rel_residual(e @ (t_u @ x), t_u @ (e @ x)),
-        "note": "group-like element commutes with the transfer matrix",
-    })
-    return out
+    env = _family_env(spec, u)
+    table = rel.SYMMETRY_RELATIONS + (_ET,)
+    residuals = rel.relation_residuals([relation.text for relation in table], env, x)
+    return [{"rel_id": relation.rel_id, "text": relation.text, "residual": residual,
+             "note": relation.note}
+            for relation, residual in zip(table, residuals)]
 
 
 def verify_coproducts(n1: int, n2: int, xi: complex, eta: complex = 1.0) -> dict:
@@ -172,21 +199,32 @@ def verify_coproducts(n1: int, n2: int, xi: complex, eta: complex = 1.0) -> dict
     }
 
 
-def order1_transcription_residual(spec: ChainSpec) -> float:
-    """Compare the exact 1/u coefficient against its displayed product form.
+def order1_transcription_residual(spec: ChainSpec, x: np.ndarray) -> float:
+    """Compare the exact 1/u coefficient against its displayed product form,
+    both applied to the block `x` on aux ⊗ chain (2^(N+1) rows).
 
     The displayed form is sum_k M^>_k P_{a,k} M^<_k with M^> the product of
     constant R factors above site k and M^< the product below (boundary
     products empty); the index bookkeeping in print is ambiguous, so the
-    exact polynomial expansion is authoritative and this comparison documents
-    the reading that matches it.
+    exact expansion is authoritative and this comparison documents the
+    reading that matches it. The exact side is the two-degree carry of
+    prod_k (R_xi - u eta P)_{a,k} (``chain.monodromy_poly_pair``, end
+    "high") applied to `x`; its constant part M^<_k x also starts each
+    displayed term. With x = I this is the relative Frobenius residual of
+    the full matrices.
     """
     n = spec.n_sites
+    dims = [2] * (n + 1)
     r_c = build_r_xi(spec.params.xi)
     p = permutation_op()
-    total = np.zeros((2 * spec.dim, 2 * spec.dim), dtype=complex)
+    lin = -spec.params.eta * p
+    c0, c1, total = x, None, None
     for k in range(1, n + 1):
-        # M^>_k P_{a,k} M^<_k, grown site by site from site 1
-        total += _site_product([r_c] * (k - 1) + [p] + [r_c] * (n - k))
-    exact = monodromy_poly_pair(spec, "high")[1]
-    return rel_residual(exact, -spec.params.eta * total)
+        term = apply_local(p, c0, dims, [0, k])  # P_{a,k} M^<_k x
+        for j in range(k + 1, n + 1):
+            term = apply_local(r_c, term, dims, [0, j])
+        total = term if total is None else total + term
+        step = apply_local(lin, c0, dims, [0, k])
+        c1 = step if c1 is None else apply_local(r_c, c1, dims, [0, k]) + step
+        c0 = apply_local(r_c, c0, dims, [0, k])
+    return rel_residual(c1, -spec.params.eta * total)

@@ -45,7 +45,8 @@ def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray
         raise ValueError(f"expected {rows} rows, got {a.shape[0]}")
     if cols is not None and a.shape[1] != cols:
         raise ValueError(f"expected {cols} columns, got {a.shape[1]}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    # one pass: a complex entry is finite iff both of its parts are
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 

@@ -259,7 +259,7 @@ def test_criterion_9_symmetry_algebra():
     for n in (1, 2, 3, 4):
         xi = rng.uniform(-1, 1)
         spec = ch.ChainSpec(n, tw.TwistParams(xi, 1.0))
-        data = sy.extract_t0(spec)
+        data = sy.extract_t0(spec, np.eye(spec.dim))
         worst_block = max(worst_block, data.zero_block_residual)
         records = sy.verify_symmetry_relations(spec, _annulus(rng), np.eye(spec.dim))
         for record in records:

@@ -160,14 +160,18 @@ def test_unknown_suite_rejected():
 
 def test_overflowing_symmetry_sweep_fails_with_nan(capsys):
     """At eta = 1e200 the monodromy overflows: every sample of the E/G rows
-    that read A..D is NaN, so they report nan and fail instead of reading 0."""
-    with np.errstate(all="ignore"):
-        code = main(["verify", "symmetry", "--n-sites", "3", "--eta", "1e200"])
-    assert code == 1
-    rows = {r["check_id"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
-    for rid in ("EA", "ED", "EB", "EC_1", "EC_2", "GB", "GA", "GD", "GC", "Et"):
-        assert rows[f"symmetry.{rid}"]["residual"] == "nan"
-        assert not rows[f"symmetry.{rid}"]["pass"]
+    that read A..D is NaN, so they report nan and fail instead of reading 0,
+    on the identity block (N = 3) and on the Gaussian probe (N = 5)."""
+    for n, probe in ((3, "identity"), (5, "gaussian")):
+        with np.errstate(all="ignore"):
+            code = main(["verify", "symmetry", "--n-sites", str(n), "--eta", "1e200"])
+        assert code == 1
+        rows = {r["check_id"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+        assert "symmetry.error" not in rows
+        for rid in ("EA", "ED", "EB", "EC_1", "EC_2", "GB", "GA", "GD", "GC", "Et"):
+            assert rows[f"symmetry.{rid}"]["residual"] == "nan"
+            assert not rows[f"symmetry.{rid}"]["pass"]
+            assert rows[f"symmetry.{rid}"]["params"]["probe"] == probe
 
 
 def test_overflowing_rtt_sweep_fails_at_its_first_nan_draw(capsys):

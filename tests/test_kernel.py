@@ -7,7 +7,9 @@ products on wider auxiliary spaces, RTT and the fused product; products of
 site-embedded Pauli matrices for the Hamiltonian and the open-chain
 deformation terms (bitwise); Kronecker and einsum embeddings for the
 Yang-Baxter check (bitwise). The site-grown products and the scattered
-embedding are also compared bitwise with the kernel applied to the identity.
+embedding are also compared bitwise with the kernel applied to the identity,
+and so are the T_0 applier and the order-1 reading of the symmetry layer,
+on the identity, with the grown full matrices they replaced.
 """
 
 from functools import lru_cache
@@ -38,7 +40,7 @@ from twistchain.fusion import _staggered_product
 from twistchain.reporting import RunConfig
 from twistchain.rmatrix import build_r, build_r_xi, verify_ybe
 from twistchain.suites import run_suite
-from twistchain.symmetry import order1_transcription_residual
+from twistchain.symmetry import _constant_blocks, order1_transcription_residual
 from twistchain.tensor import (
     SM,
     SX,
@@ -317,18 +319,15 @@ def _kernel_poly_coeffs(spec):
     return coeffs
 
 
-def _kernel_order1_residual(spec):
+def _grown_order1_residual(spec):
+    """The order-1 reading on full matrices, each displayed term a product
+    grown site by site and the exact side the grown two-degree carry."""
     n = spec.n_sites
-    dims = [2] * (n + 1)
     r_c, p = build_r_xi(spec.params.xi), permutation_op()
-    eye = np.eye(2 * spec.dim, dtype=complex)
-    total = np.zeros_like(eye)
+    total = np.zeros((2 * spec.dim, 2 * spec.dim), dtype=complex)
     for k in range(1, n + 1):
-        term = eye
-        for j in range(1, n + 1):
-            term = apply_local(p if j == k else r_c, term, dims, [0, j])
-        total += term
-    exact = _kernel_poly_pair(spec, "high")[1]
+        total += _site_product([r_c] * (k - 1) + [p] + [r_c] * (n - k))
+    exact = monodromy_poly_pair(spec, "high")[1]
     return rel_residual(exact, -spec.params.eta * total)
 
 
@@ -343,10 +342,17 @@ def test_grown_products_bitwise_equal_to_kernel_on_identity(n, xi):
     for end in ("low", "high"):
         for got, want in zip(monodromy_poly_pair(spec, end), _kernel_poly_pair(spec, end)):
             assert np.array_equal(got, want), end
-    # the kernel oracles of the order-1 sum and of the full coefficient list
-    # cost O(N^2) full-width applications; smaller N keep the suite quick
+    # the T_0 applier and the order-1 reading on the identity against the
+    # grown full matrices; the grown order-1 oracle and the kernel oracle of
+    # the coefficient list cost O(N^2) full-width products, so smaller N
+    # keep the suite quick
+    t0 = _site_product([build_r_xi(xi)] * n)
+    d = spec.dim
+    for got, want in zip(_constant_blocks(spec), (t0[:d, :d], t0[d:, :d], t0[d:, d:])):
+        assert np.array_equal(got, want)
     if n <= 8:
-        assert order1_transcription_residual(spec) == _kernel_order1_residual(spec)
+        assert (order1_transcription_residual(spec, np.eye(2 * spec.dim))
+                == _grown_order1_residual(spec))
     if n <= 6:
         for got, want in zip(monodromy_poly_coeffs(spec), _kernel_poly_coeffs(spec),
                              strict=True):

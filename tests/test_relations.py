@@ -6,14 +6,21 @@ from twistchain.relations import (
     DB_2_VARIANT,
     KNOWN_MISPRINTS,
     SYMMETRY_RELATIONS,
+    Member,
     evaluate,
     parse,
     relation_residual,
+    relation_residuals,
 )
 from twistchain.chain import ChainSpec, build_monodromy, relation_env
 from twistchain.reporting import RunConfig, unread_tolerances
 from twistchain.suites import run_suite
-from twistchain.symmetry import extract_t0, verify_symmetry_relations
+from twistchain.symmetry import (
+    _ET,
+    _constant_blocks,
+    _family_env,
+    verify_symmetry_relations,
+)
 from twistchain.tensor import rel_residual
 from twistchain.twist import TwistParams
 
@@ -156,15 +163,63 @@ def test_identity_block_reproduces_the_full_matrix_cr_residuals(n):
 def test_identity_block_reproduces_the_full_matrix_symmetry_residuals(n):
     for xi, u, _ in _POINTS:
         spec = ChainSpec(n, TwistParams(xi, 1.0))
-        data = extract_t0(spec)
-        blocks = build_monodromy(spec, u)
-        env = {"E": data.e, "G": data.g, "Einv": data.e_inv, "A(u)": blocks.a,
-               "B(u)": blocks.b, "C(u)": blocks.c, "D(u)": blocks.d, "xi": xi}
+        env = _dense_symmetry_env(spec, u)
         records = verify_symmetry_relations(spec, u, np.eye(spec.dim))
         assert len(records) == len(SYMMETRY_RELATIONS) + 1
         for record in records:
             expected = _full_matrix_residual(record["text"], env)
             assert abs(record["residual"] - expected) <= 1e-15, record["rel_id"]
+
+
+def _dense_symmetry_env(spec, u):
+    e, g, e_inv = _constant_blocks(spec)
+    blocks = build_monodromy(spec, u)
+    return {"E": e, "G": g, "Einv": e_inv, "A(u)": blocks.a, "B(u)": blocks.b,
+            "C(u)": blocks.c, "D(u)": blocks.d, "xi": spec.params.xi}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_word_table_agrees_with_dense_products(n):
+    """Every side of the E/G table and of the corollary, applied by the word
+    table through the T_0 and monodromy appliers, is the side formed from
+    dense A..D, E, G and E^{-1} by matrix products, applied to the block:
+    at X = I and on a Gaussian probe."""
+    rng = np.random.default_rng(50 + n)
+    for xi, u, _ in _POINTS:
+        spec = ChainSpec(n, TwistParams(xi, 0.8 + 0.3j))
+        dense, applied = _dense_symmetry_env(spec, u), _family_env(spec, u)
+        gaussian = rng.standard_normal((spec.dim, 8)) + 1j * rng.standard_normal((spec.dim, 8))
+        for x in (np.eye(spec.dim), gaussian / 4):
+            for relation in SYMMETRY_RELATIONS + (_ET,):
+                for side in relation.text.split("="):
+                    want = _full_matrix_evaluate(parse(side), dense)
+                    want = want @ x if isinstance(want, np.ndarray) else want * x
+                    got = evaluate(parse(side), applied, x)
+                    assert rel_residual(got, want) <= 1e-13, (relation.rel_id, side)
+
+
+def test_each_distinct_word_is_applied_once_per_family_and_level():
+    """A table of two-letter words over one family reaches the family once
+    per level, with every distinct input of the level stacked side by side."""
+    rng = np.random.default_rng(2)
+    mats = [rng.standard_normal((3, 3)) for _ in range(2)]
+    calls = []
+
+    def family(y):
+        calls.append(y.shape[1])
+        return tuple(m @ y for m in mats)
+
+    env = {"P": Member(family, 0), "Q": Member(family, 1), "c": 2.0}
+    x = rng.standard_normal((3, 2))
+    texts = ["P*Q = Q*P", "c*P*Q = P*P + c*Q", "Q*Q = Q"]
+    got = relation_residuals(texts, env, x)
+    p, q = mats
+    want = [rel_residual(p @ q @ x, q @ p @ x),
+            rel_residual(2 * p @ q @ x, p @ p @ x + 2 * q @ x),
+            rel_residual(q @ q @ x, q @ x)]
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+    # level 1 applies the family to x; level 2 to P x and Q x side by side
+    assert calls == [2, 4]
 
 
 def test_block_evaluation_is_the_operator_applied_to_the_block():

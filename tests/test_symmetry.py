@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,75 +16,86 @@ from twistchain.symmetry import (
     verify_coproducts,
     verify_symmetry_relations,
 )
-from twistchain.tensor import SM, embed_at_site
+from twistchain.tensor import MAX_SITES, SM, embed_at_site
 from twistchain.twist import TwistParams
 
 
 def test_t0_trivial_without_deformation():
-    data = extract_t0(ChainSpec(3, TwistParams(0.0, 1.0)))
-    assert np.array_equal(data.e, np.eye(8))
-    assert not data.g.any()
+    e, g, _ = _constant_blocks(ChainSpec(3, TwistParams(0.0, 1.0)))
+    assert np.array_equal(e, np.eye(8))
+    assert not g.any()
 
 
 def test_t0_single_site_blocks():
     """For one site the constant term is the constant R-matrix itself, read in
     auxiliary blocks: E = [[1,0],[-xi,1]], G = [[xi,0],[xi^2,-xi]]."""
     xi = 0.6
-    data = extract_t0(ChainSpec(1, TwistParams(xi, 1.0)))
-    assert np.allclose(data.e, [[1, 0], [-xi, 1]])
-    assert np.allclose(data.e_inv, [[1, 0], [xi, 1]])
-    assert np.allclose(data.g, [[xi, 0], [xi**2, -xi]])
+    e, g, e_inv = _constant_blocks(ChainSpec(1, TwistParams(xi, 1.0)))
+    assert np.allclose(e, [[1, 0], [-xi, 1]])
+    assert np.allclose(e_inv, [[1, 0], [xi, 1]])
+    assert np.allclose(g, [[xi, 0], [xi**2, -xi]])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_t0_block_structure(n):
-    data = extract_t0(ChainSpec(n, TwistParams(0.45, 1.0)))
-    assert data.zero_block_residual == 0.0
-    assert data.inverse_pair_residual < 1e-12
+    """On the identity and on a Gaussian probe block: the upper-right block
+    of T_0 is a structural zero, and the diagonal blocks are inverse."""
+    spec = ChainSpec(n, TwistParams(0.45, 1.0))
+    rng = np.random.default_rng(n)
+    for x in (np.eye(spec.dim), probe_block(spec.dim, rng)[0],
+              (rng.standard_normal((spec.dim, 3)) + 1j) / 3):
+        data = extract_t0(spec, x)
+        assert data.zero_block_residual == 0.0
+        assert data.inverse_pair_residual < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 @pytest.mark.parametrize("xi", [0.45, 0.3 + 0.4j])
 def test_constant_blocks_are_those_of_extract_t0(n, xi):
-    """The blocks that ``_constant_blocks`` and ``extract_t0`` grow from R(xi)
-    alone are bitwise the four blocks of the u^N coefficient of the
-    two-degree carry, which also carries the 1/u coefficient."""
+    """The blocks that ``_constant_blocks`` and ``extract_t0`` read off the
+    T_0 applier on the identity are bitwise the four blocks of the u^N
+    coefficient of the two-degree carry, which also carries the 1/u
+    coefficient; on a block X they are those blocks applied to X."""
     spec = ChainSpec(n, TwistParams(xi, 0.8 + 0.3j))
     d = spec.dim
     t0 = monodromy_poly_pair(spec, "high")[0]
     want = (t0[:d, :d], t0[d:, :d], t0[d:, d:])
-    data = extract_t0(spec)
+    data = extract_t0(spec, np.eye(d))
     for got in (_constant_blocks(spec), (data.e, data.g, data.e_inv)):
         for block, reference in zip(got, want):
             assert np.array_equal(block, reference)
     assert data.zero_block_residual == float(np.linalg.norm(t0[:d, d:]))
+    x = probe_block(d, np.random.default_rng(n))[0]
+    probed = extract_t0(spec, x)
+    for block, reference in zip((probed.e, probed.g, probed.e_inv), want):
+        assert np.allclose(block, reference @ x, rtol=0, atol=1e-13)
 
 
 def test_e_is_grouplike_product():
     """E on N sites is the N-fold tensor power of the single-site E."""
     xi = 0.7
-    e1 = extract_t0(ChainSpec(1, TwistParams(xi, 1.0))).e
-    e2 = extract_t0(ChainSpec(2, TwistParams(xi, 1.0))).e
+    e1 = _constant_blocks(ChainSpec(1, TwistParams(xi, 1.0)))[0]
+    e2 = _constant_blocks(ChainSpec(2, TwistParams(xi, 1.0)))[0]
     assert np.allclose(e2, np.kron(e1, e1), atol=1e-14)
 
 
 def test_e_is_exponential_of_global_lowering():
     """E = exp(-xi sum_n sm_n); exact because the exponent squares to few terms."""
     n, xi = 3, 0.45
-    data = extract_t0(ChainSpec(n, TwistParams(xi, 1.0)))
+    e = _constant_blocks(ChainSpec(n, TwistParams(xi, 1.0)))[0]
     lowering = sum(embed_at_site(SM, k, n) for k in range(1, n + 1))
     expo = np.eye(2**n, dtype=complex)
     term = np.eye(2**n, dtype=complex)
     for k in range(1, n + 1):
         term = term @ (-xi * lowering) / k
         expo = expo + term
-    assert np.allclose(data.e, expo, atol=1e-13)
+    assert np.allclose(e, expo, atol=1e-13)
 
 
 def test_e_unipotent():
     n = 4
-    data = extract_t0(ChainSpec(n, TwistParams(0.8, 1.0)))
-    assert np.linalg.norm(np.linalg.matrix_power(data.e - np.eye(2**n), n + 1)) < 1e-10
+    e = _constant_blocks(ChainSpec(n, TwistParams(0.8, 1.0)))[0]
+    assert np.linalg.norm(np.linalg.matrix_power(e - np.eye(2**n), n + 1)) < 1e-10
 
 
 @pytest.mark.parametrize("n,xi", [(1, 0.6), (2, 0.6), (3, -0.8), (4, 0.35)])
@@ -105,7 +118,7 @@ def test_e_commutes_with_transfer(n):
     rng = np.random.default_rng(n)
     xi = rng.uniform(-1, 1)
     spec = ChainSpec(n, TwistParams(xi, 1.0))
-    e = extract_t0(spec).e
+    e = _constant_blocks(spec)[0]
     u = complex(rng.uniform(1, 4), rng.uniform(-1, 1))
     t_u = transfer_matrix(spec, u)
     assert np.linalg.norm(e @ t_u - t_u @ e) / np.linalg.norm(t_u) < 1e-11
@@ -138,11 +151,14 @@ def test_coproduct_bounds():
         verify_coproducts(7, 6, 0.1)
 
 
-@pytest.mark.parametrize("n,xi", [(1, 0.5), (2, 0.5), (3, -0.7)])
+@pytest.mark.parametrize("n,xi", [(1, 0.5), (2, 0.5), (3, -0.7), (5, 0.3 + 0.4j)])
 def test_order1_coefficient_reading(n, xi):
     """The exact 1/u coefficient equals the ordered product transcription with
-    empty boundary products, which settles the printed index ambiguity."""
-    assert order1_transcription_residual(ChainSpec(n, TwistParams(xi, 1.0))) < 1e-12
+    empty boundary products, which settles the printed index ambiguity: on
+    the identity of aux ⊗ chain and on a Gaussian probe block."""
+    spec = ChainSpec(n, TwistParams(xi, 1.0))
+    for x in (np.eye(2 * spec.dim), probe_block(2 * spec.dim, np.random.default_rng(n))[0]):
+        assert order1_transcription_residual(spec, x) < 1e-12
 
 
 def test_suite_reports_a_wrong_relation_as_a_failure(monkeypatch):
@@ -209,3 +225,25 @@ def test_unipotent_probe_residual_is_exactly_zero():
     leave structural zeros, not rounding."""
     reports = {r.check_id: r for r in run_suite(RunConfig(n_sites=6), "symmetry")}
     assert reports["symmetry.unipotent"].residual == 0.0
+
+
+def test_symmetry_suite_forms_no_chain_square_matrix():
+    """Every check at the requested N runs on column blocks: at N = 9 one
+    2^9-square complex matrix is 4 MiB and one on aux ⊗ chain 16 MiB, and the
+    full-matrix suite peaked at about 100 MiB."""
+    run_suite(RunConfig(n_sites=2), "symmetry")  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        reports = run_suite(RunConfig(n_sites=9), "symmetry")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 16 * 2**20, peak
+
+
+def test_symmetry_suite_runs_at_the_cap():
+    reports = run_suite(RunConfig(n_sites=MAX_SITES), "symmetry")
+    assert len(reports) == 18
+    assert not [r.check_id for r in reports if not r.passed]
+    assert all(r.check_id != "symmetry.error" for r in reports)

@@ -143,6 +143,11 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    # a complex entry is rejected when either part is non-finite
+    for bad in (complex(np.nan, 1.0), complex(1.0, np.inf), complex(0.0, -np.inf)):
+        with pytest.raises(ValueError):
+            as_matrix(np.array([[1.0, 0.0], [bad, 1.0]], dtype=complex))
+    as_matrix(np.array([[1e308 + 1e308j, 0.0], [0.0, 1.0]]))
 
 
 def test_match_spectra_permutation():
@@ -274,15 +279,26 @@ def test_kron_all_empty_rejected():
         kron_all([])
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    """Importing the package loads no scipy.optimize: the assignment that
-    match_spectra falls back to is the package's own."""
+def _run_python(code):
+    """Run `code` in a fresh interpreter that imports the twistchain under
+    test, also when pytest found it through its own `pythonpath` setting."""
+    import os
     import subprocess
     import sys
 
-    code = "import sys, twistchain; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+    import twistchain
+
+    src = os.path.dirname(os.path.dirname(twistchain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """Importing the package loads no scipy.optimize: the assignment that
+    match_spectra falls back to is the package's own."""
+    out = _run_python("import sys, twistchain; print('scipy.optimize' in sys.modules)")
     assert out.stdout.strip() == "False"
 
 
@@ -290,9 +306,6 @@ def test_suites_reaching_the_assignment_load_no_scipy():
     """`verify bethe` at N = 5 with real eta (conjugation closure) and
     `verify spectrum` at N = 7 (hamiltonian_dense) pair spectra through
     the assignment, and no scipy module is loaded on the way."""
-    import subprocess
-    import sys
-
     code = (
         "import sys\n"
         "from twistchain import RunConfig, tensor\n"
@@ -305,8 +318,7 @@ def test_suites_reaching_the_assignment_load_no_scipy():
         "print(sorted(set(sizes)))\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+    out = _run_python(code)
     sizes, loaded = out.stdout.strip().splitlines()
     assert sizes == "[2, 128]"
     assert loaded == "[]"
