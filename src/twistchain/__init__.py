@@ -14,7 +14,6 @@ from .chain import (
     HamiltonianPair,
     MonodromyBlocks,
     build_hamiltonian,
-    build_monodromy,
     extract_hamiltonian,
     transfer_matrix,
     verify_rtt,
@@ -41,7 +40,6 @@ __all__ = [
     "VerificationReport",
     "build_f12",
     "build_hamiltonian",
-    "build_monodromy",
     "build_r",
     "build_r_xi",
     "eigenvalues",

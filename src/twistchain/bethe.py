@@ -66,20 +66,13 @@ def log_defects(roots, n_sites: int, eta: complex) -> list[float]:
     """
     roots = [complex(v) for v in roots]
     eta = complex(eta)
-    out = []
     for j, vj in enumerate(roots):
         if vj == 0 or vj == eta:
             raise ValueError(f"root {vj} sits on a pole of the equations")
-        w = n_sites * np.log((vj - eta) / vj)
         for k, vk in enumerate(roots):
-            if k == j:
-                continue
-            if vk - vj == eta or vk - vj == -eta:
+            if k != j and (vk - vj == eta or vk - vj == -eta):
                 raise ValueError("root pair at distance eta (pole configuration)")
-            w -= np.log((vk - vj + eta) / (vk - vj - eta))
-        branch = np.round(w.imag / (2 * np.pi))
-        out.append(float(abs(w - 2j * np.pi * branch)))
-    return out
+    return np.abs(_defect_vector(roots, n_sites, eta)).tolist()
 
 
 def one_magnon_roots(n_sites: int, eta: complex) -> list[complex]:
@@ -101,6 +94,8 @@ def two_magnon_seeds(n_sites: int, eta: complex) -> list[list[complex]]:
 
 
 def _defect_vector(v: np.ndarray, n_sites: int, eta: complex) -> np.ndarray:
+    """The logarithmic Bethe equations at the roots v, each on the branch
+    nearest to 0 (``log_defects`` without its pole checks)."""
     v = np.asarray(v, dtype=complex)
     eta = complex(eta)
     m = len(v)

@@ -29,18 +29,21 @@ factor embedded with ``tensor.lift`` (``_monodromy_product``, for RTT and
 fusion). The transfer matrix is traced at the last site: t(u), and t(0),
 t'(0) of the polynomial form for the log-derivative, are grown over sites
 1..N-1, and site N forms only the two auxiliary-diagonal blocks
-(``_trace_last_site``). Only the full monodromy (``monodromy_matrix``,
-``build_monodromy``) forms all four blocks A..D, for the checks that read
-them. The Hamiltonian, a sum of local terms, is scattered into its matrix
-term by term with ``tensor.add_local``. Where only vectors are needed
-(``monodromy_apply``, ``transfer_apply``) the kernel ``tensor.apply_local``
-applies T(u) factor by factor, O(N 4^N) per column block.
+(``_trace_last_site``). The Hamiltonian, a sum of local terms, is
+scattered into its matrix term by term with ``tensor.add_local``. Every
+reader of A..D goes through ``monodromy_blocks_apply``: the kernel
+``tensor.apply_local`` applies T(u) factor by factor to [[X, 0], [0, X]],
+O(N 4^N) per column block, and all four blocks come out of that one
+application (on X = I for the displayed table, bound by
+``monodromy_members``, and for ``rtt_components``); ``monodromy_matrix``
+stays as the dense reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,16 +99,15 @@ class ChainSpec:
         return 2 ** self.n_sites
 
 
-@dataclass(frozen=True)
-class MonodromyBlocks:
-    """Auxiliary-space blocks A, B, C, D of T(u), each 2^N x 2^N, or their
-    action on a chain vector or block (``monodromy_blocks_apply``)."""
+class MonodromyBlocks(NamedTuple):
+    """Auxiliary-space blocks A, B, C, D of T(u) applied to a chain vector
+    or block (``monodromy_blocks_apply``); on the identity, the 2^N x 2^N
+    blocks themselves."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    u: complex
 
 
 @dataclass(frozen=True)
@@ -147,11 +149,10 @@ def _local_l(spec: ChainSpec, u: complex, form: str) -> np.ndarray:
     raise ValueError(f"unknown form {form!r}")
 
 
-def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray,
-                    form: str = "rational") -> np.ndarray:
+def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
     """T(u) x = L_N(u)...L_1(u) x for a vector or column block x on
     aux ⊗ chain, matrix-free."""
-    return _factors_apply(_local_l(spec, u, form), spec.n_sites, x)
+    return _factors_apply(build_r(u, spec.params), spec.n_sites, x)
 
 
 def _factors_apply(op: np.ndarray, n_sites: int, x: np.ndarray) -> np.ndarray:
@@ -228,12 +229,6 @@ def monodromy_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.
     return _site_product([_local_l(spec, u, form)] * spec.n_sites)
 
 
-def build_monodromy(spec: ChainSpec, u: complex, form: str = "rational") -> MonodromyBlocks:
-    t = monodromy_matrix(spec, u, form)
-    d = spec.dim
-    return MonodromyBlocks(a=t[:d, :d], b=t[:d, d:], c=t[d:, :d], d=t[d:, d:], u=u)
-
-
 def _trace_last_site(op: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two auxiliary-diagonal blocks of op_{a,N} (t ⊗ 1_N), for a = 0
     and a = 1: the two terms of its trace over the auxiliary space.
@@ -267,8 +262,15 @@ def transfer_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.n
 def monodromy_blocks_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> MonodromyBlocks:
     """A(u) x, B(u) x, C(u) x and D(u) x for a chain vector or block x:
     one application of T(u) to [[x, 0], [0, x]] (``_aux_blocks_apply``)."""
-    a, b, c, d = _aux_blocks_apply(build_r(u, spec.params), spec.n_sites, x)
-    return MonodromyBlocks(a=a, b=b, c=c, d=d, u=u)
+    return MonodromyBlocks(*_aux_blocks_apply(build_r(u, spec.params), spec.n_sites, x))
+
+
+def monodromy_members(spec: ChainSpec, u: complex, point: str = "u") -> dict:
+    """Bindings of A(point)..D(point) in the relation grammar: the blocks of
+    T(u) as members of one ``monodromy_blocks_apply`` family
+    (``relations.Member``), so a table reads all four off one application."""
+    blocks = partial(monodromy_blocks_apply, spec, u)
+    return {f"{name}({point})": rel.Member(blocks, i) for i, name in enumerate("ABCD")}
 
 
 def transfer_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
@@ -357,20 +359,21 @@ def rtt_components(spec: ChainSpec, u: complex, v: complex) -> list[tuple[str, f
     complement the displayed-table check in verify_commutation_relations.
     """
     r = build_r(u - v, spec.params).reshape(2, 2, 2, 2)
-    tu = monodromy_matrix(spec, u).reshape(2, spec.dim, 2, spec.dim)
-    tv = monodromy_matrix(spec, v).reshape(2, spec.dim, 2, spec.dim)
+    # T(w)_{km}, the auxiliary block (k, m), is entry 2k + m of (A, B, C, D)
+    # read off the applier on X = I
+    tu, tv = (monodromy_blocks_apply(spec, w, np.eye(spec.dim)) for w in (u, v))
     out = []
     for i in range(2):
         for j in range(2):
             for m in range(2):
                 for n in range(2):
                     lhs = sum(
-                        r[i, j, k, l] * (tu[k, :, m, :] @ tv[l, :, n, :])
+                        r[i, j, k, l] * (tu[2 * k + m] @ tv[2 * l + n])
                         for k in range(2)
                         for l in range(2)
                     )
                     rhs = sum(
-                        (tv[j, :, l, :] @ tu[i, :, k, :]) * r[k, l, m, n]
+                        (tv[2 * j + l] @ tu[2 * i + k]) * r[k, l, m, n]
                         for k in range(2)
                         for l in range(2)
                     )
@@ -379,10 +382,10 @@ def rtt_components(spec: ChainSpec, u: complex, v: complex) -> list[tuple[str, f
 
 
 def relation_env(spec: ChainSpec, u: complex, v: complex) -> dict:
-    """Symbol bindings for the exchange-relation grammar at points u, v."""
+    """Symbol bindings for the exchange-relation grammar at points u, v:
+    A..D at each point as members of its monodromy family
+    (``monodromy_members``), alpha, beta and xi as numbers."""
     eta = spec.params.eta
-    bu = build_monodromy(spec, u)
-    bv = build_monodromy(spec, v)
 
     def alpha(x, y):
         return 1 - eta / (x - y)
@@ -391,8 +394,7 @@ def relation_env(spec: ChainSpec, u: complex, v: complex) -> dict:
         return -eta / (x - y)
 
     return {
-        "A(u)": bu.a, "B(u)": bu.b, "C(u)": bu.c, "D(u)": bu.d,
-        "A(v)": bv.a, "B(v)": bv.b, "C(v)": bv.c, "D(v)": bv.d,
+        **monodromy_members(spec, u, "u"), **monodromy_members(spec, v, "v"),
         "alpha(u,v)": alpha(u, v), "alpha(v,u)": alpha(v, u),
         "beta(u,v)": beta(u, v), "beta(v,u)": beta(v, u),
         "xi": spec.params.xi,
@@ -403,8 +405,9 @@ def verify_commutation_relations(spec: ChainSpec, u: complex, v: complex) -> lis
     """Evaluate every displayed exchange relation at one parameter point.
 
     Returns one record per relation with its transcription, the relative
-    residual of the full matrices (both sides applied to the identity; the
-    table runs at N <= 3), and the note attached to lines known to fail everywhere
+    residual of the full matrices (A..D read off ``monodromy_blocks_apply``
+    and both sides applied to the identity; the table runs at N <= 3), and
+    the note attached to lines known to fail everywhere
     (suspected misprints). Degenerate points with alpha(u,v) = 0 are skipped
     with a notice since several lines carry alpha as an overall coefficient.
     """

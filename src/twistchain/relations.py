@@ -7,19 +7,20 @@ Each relation is stored verbatim as a string ``lhs = rhs`` over the grammar
     factor := ['-'] atom ('^' integer)?
     atom   := number | name | name '(' u_or_v (',' u_or_v)? ')' | '(' expr ')'
 
-with operator-valued names A, B, C, D, E, G, Einv (bound to dense
-matrices or to ``Member`` families, products kept in the written order)
-and scalar names alpha, beta, xi.
+with operator-valued names A, B, C, D, E, G, Einv (bound to ``Member``s
+of operator families, products kept in the written order) and scalar names
+alpha, beta, xi (bound to numbers).
 Storing the relations as data keeps the transcription auditable line by
 line; nothing about them is hand-coded into the evaluator.
 
 ``evaluate`` never forms a product of two operators. It expands a side
 into a linear combination of operator words (scalars commute into the
 coefficients) and applies each distinct word to a column block X, right to
-left. An operator name is bound either to a dense matrix or to a ``Member``
-of a family whose members are all read off one application, such as the
-four blocks A..D of T(u) applied to [[X, 0], [0, X]]; on each level of the
-words the inputs of one family are stacked into a single call.
+left. An operator name is bound to a ``Member`` of a family whose members
+are all read off one application, such as the four blocks A..D of T(u)
+applied to [[X, 0], [0, X]] (``chain.monodromy_members``); on each level of
+the words the inputs of one family are stacked into a single call. A
+binding that is neither a ``Member`` nor a number is refused.
 ``relation_residuals`` evaluates a whole table over one set of words, so a
 word that several relations share is applied once, and compares the two
 sides of each relation on X,
@@ -27,7 +28,7 @@ sides of each relation on X,
     ||(L - R) X||_F / max(||L X||_F, ||R X||_F, 1).
 
 With X = I this is the relative Frobenius residual of the full matrices
-(the displayed CR table runs this way, on dense A..D at N <= 3). With X a
+(the displayed CR table runs this way, at N <= 3). With X a
 complex Gaussian block scaled so that E||M X||_F^2 = ||M||_F^2, it is an
 unbiased randomized estimate of ||L - R||_F^2 (Halko, Martinsson and Tropp,
 arXiv:0909.4061, section 4), and L X = R X happens for L != R with
@@ -48,6 +49,7 @@ failing relation is reported as a failure.
 
 from __future__ import annotations
 
+import numbers
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -158,10 +160,6 @@ class Member:
     index: int
 
 
-# bindings of these types are operators, any other binding is a scalar
-_OPERATORS = (np.ndarray, Member)
-
-
 def _lookup(env: dict, name: str):
     try:
         return env[name]
@@ -199,19 +197,23 @@ def _expand(node) -> tuple[tuple[complex, tuple[str, ...]], ...]:
 
 
 def _word_table(monomials, env: dict) -> dict[tuple[str, ...], complex]:
-    """Coefficient of each operator word of a side: the scalar names of a
-    monomial are read from `env` into its coefficient (scalars commute),
-    the operator names left in order form its word, and the coefficients
-    of equal words are summed."""
+    """Coefficient of each operator word of a side: the names bound to
+    numbers are read from `env` into the monomial's coefficient (scalars
+    commute), the names bound to ``Member``s left in order form its word,
+    and the coefficients of equal words are summed. Any other binding
+    raises TypeError."""
     table: dict[tuple[str, ...], complex] = {}
     for coef, names in monomials:
         word = ()
         for name in names:
             value = _lookup(env, name)
-            if isinstance(value, _OPERATORS):
+            if isinstance(value, Member):
                 word += (name,)
-            else:
+            elif isinstance(value, numbers.Number):
                 coef = coef * value
+            else:
+                raise TypeError(f"symbol {name!r} is bound to a {type(value).__name__}, "
+                                "neither a Member nor a number")
         table[word] = table.get(word, 0) + coef
     return table
 
@@ -222,9 +224,9 @@ def _apply_words(words, env: dict, x: np.ndarray) -> dict[tuple[str, ...], np.nd
 
     A word is applied right to left, so level l applies the l-th name from
     the right to a suffix of level l - 1. On each level the inputs of one
-    family (the members of one ``Member.apply``, or one dense matrix) are
-    stacked side by side and go through one call. Words are visited in the
-    order given, so the same words give the same stacking, bit for bit.
+    family (the members of one ``Member.apply``) are stacked side by side
+    and go through one call. Words are visited in the order given, so the
+    same words give the same stacking, bit for bit.
     """
     blocks = {(): x}
     width = x.shape[1]
@@ -235,20 +237,15 @@ def _apply_words(words, env: dict, x: np.ndarray) -> dict[tuple[str, ...], np.nd
             suffix = word[len(word) - level:]
             if len(word) < level or suffix in blocks:
                 continue
-            value = _lookup(env, suffix[0])
-            if isinstance(value, Member):
-                key, apply, index = id(value.apply), value.apply, value.index
-            else:
-                key, apply, index = id(value), value.__matmul__, None
-            _, parents, wanted = batches.setdefault(key, (apply, {}, {}))
-            wanted[suffix] = (parents.setdefault(suffix[1:], len(parents)), index)
+            member = _lookup(env, suffix[0])
+            _, parents, wanted = batches.setdefault(id(member.apply), (member.apply, {}, {}))
+            wanted[suffix] = (parents.setdefault(suffix[1:], len(parents)), member.index)
         for apply, parents, wanted in batches.values():
             stacked = (blocks[next(iter(parents))] if len(parents) == 1
                        else np.hstack([blocks[p] for p in parents]))
             out = apply(stacked)
             for suffix, (pos, index) in wanted.items():
-                part = out if index is None else out[index]
-                blocks[suffix] = part[:, pos * width:(pos + 1) * width]
+                blocks[suffix] = out[index][:, pos * width:(pos + 1) * width]
     return blocks
 
 
@@ -266,8 +263,8 @@ def evaluate(node, env: dict, x: np.ndarray) -> np.ndarray:
     The AST is expanded into a linear combination of operator words; each
     distinct word is applied to `x` once, right to left (``_apply_words``),
     and the applied words are summed with their coefficients. Names bound to
-    dense matrices or to ``Member`` families are operators, any other
-    binding is a scalar; no two operators are ever multiplied together.
+    ``Member``s are operators and names bound to numbers scalars; no two
+    operators are ever multiplied together.
     """
     table = _word_table(_expand(node), env)
     return _combine(table, _apply_words(list(table), env, x))

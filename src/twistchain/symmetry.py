@@ -54,7 +54,7 @@ from functools import partial
 import numpy as np
 
 from . import relations as rel
-from .chain import ChainSpec, _aux_blocks_apply, monodromy_blocks_apply
+from .chain import ChainSpec, _aux_blocks_apply, monodromy_members
 from .rmatrix import build_r_xi
 from .tensor import MAX_SITES, apply_local, permutation_op, rel_residual
 from .twist import TwistParams
@@ -135,16 +135,11 @@ def probe_block(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, str]:
 
 def _family_env(spec: ChainSpec, u: complex) -> dict:
     """Bindings of the E/G table: E, G and Einv as members of the
-    ``t0_apply`` family, A(u)..D(u) of the ``monodromy_blocks_apply`` one."""
-
-    def monodromy(y):
-        blocks = monodromy_blocks_apply(spec, u, y)
-        return blocks.a, blocks.b, blocks.c, blocks.d
-
+    ``t0_apply`` family, A(u)..D(u) of the ``monodromy_blocks_apply`` one
+    (``chain.monodromy_members``)."""
     t0 = partial(t0_apply, spec)
     return {"E": rel.Member(t0, 0), "G": rel.Member(t0, 2), "Einv": rel.Member(t0, 3),
-            **{f"{name}(u)": rel.Member(monodromy, i) for i, name in enumerate("ABCD")},
-            "xi": spec.params.xi}
+            **monodromy_members(spec, u), "xi": spec.params.xi}
 
 
 def verify_symmetry_relations(spec: ChainSpec, u: complex, x: np.ndarray) -> list[dict]:
@@ -179,15 +174,15 @@ def verify_coproducts(n1: int, n2: int, xi: complex, eta: complex = 1.0) -> dict
     if n1 < 1 or n2 < 1 or n1 + n2 > MAX_SITES:
         raise ValueError(f"segment lengths must be >= 1 with n1 + n2 <= {MAX_SITES}")
     params = TwistParams(xi, eta)
-    e1, g1, _ = _constant_blocks(ChainSpec(n1, params))
-    e2, g2, _ = _constant_blocks(ChainSpec(n2, params))
+    e1, g1, e1_inv = _constant_blocks(ChainSpec(n1, params))
+    e2, g2, e2_inv = _constant_blocks(ChainSpec(n2, params))
     en, gn, _ = _constant_blocks(ChainSpec(n1 + n2, params))
 
     e_res = rel_residual(en, np.kron(e1, e2))
     # abstract left factor = first segment
-    g_first = np.kron(g1, e2) + np.kron(np.linalg.inv(e1), g2)
+    g_first = np.kron(g1, e2) + np.kron(e1_inv, g2)
     # abstract left factor = second segment
-    g_second = np.kron(e1, g2) + np.kron(g1, np.linalg.inv(e2))
+    g_second = np.kron(e1, g2) + np.kron(g1, e2_inv)
     res_first = rel_residual(gn, g_first)
     res_second = rel_residual(gn, g_second)
     return {

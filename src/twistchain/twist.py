@@ -73,31 +73,29 @@ def make_spin_rep(s: float) -> SpinRep:
     return SpinRep(spin=s_val, dim=dim, h=h, e=e, f=f)
 
 
-def _nilpotent_exp(x: np.ndarray) -> np.ndarray:
-    """exp of a nilpotent matrix via the terminating power series (exact)."""
-    x = as_matrix(x)
-    dim = x.shape[0]
-    out = np.eye(dim, dtype=complex)
+def _nilpotent_series(y: np.ndarray, exponential: bool) -> np.ndarray:
+    """exp(y) = sum_{k >= 0} y^k / k! (term_k = term_{k-1} y / k) or
+    -log(1 - y) = sum_{k >= 1} y^k / k (term_k = y^k, added over k) for
+    nilpotent y, up to the first vanishing term (exact)."""
+    dim = y.shape[0]
+    out = np.eye(dim, dtype=complex) if exponential else np.zeros((dim, dim), dtype=complex)
     term = np.eye(dim, dtype=complex)
     for k in range(1, dim + 1):
-        term = term @ x / k
+        term = term @ y / k if exponential else term @ y
         if not term.any():
             break
-        out = out + term
+        out = out + (term if exponential else term / k)
     return out
+
+
+def _nilpotent_exp(x: np.ndarray) -> np.ndarray:
+    """exp of a nilpotent matrix via the terminating power series (exact)."""
+    return _nilpotent_series(as_matrix(x), exponential=True)
 
 
 def _neg_log_one_minus(y: np.ndarray) -> np.ndarray:
     """-log(1 - y) = sum_k y^k / k for nilpotent y (the series terminates)."""
-    dim = y.shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, dim + 1):
-        term = term @ y
-        if not term.any():
-            break
-        out = out + term / k
-    return out
+    return _nilpotent_series(y, exponential=False)
 
 
 def nilpotent_log(m: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """The benchmark's traced run wraps the functions named in BENCHMARK.json,
 its layer scan calls three of them directly, and a probe reads the route
 that `chain.spectrum_of` returns. A rename, a move or a changed return type
-would otherwise surface only there, as missing metrics.
+would otherwise surface only there, as missing metrics. The package exports
+nothing that neither its own code nor the benchmark reads.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+import twistchain
 from twistchain.chain import (
     ChainSpec,
     build_hamiltonian,
@@ -20,7 +23,8 @@ from twistchain.chain import (
 )
 from twistchain.twist import TwistParams
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 # per-layer names of the form <module>.<function>.<metric>; `suites.<suite>.s`
 # times a suite, not a function
 FUNCTION_LAYERS = ("tensor", "chain", "bethe", "symmetry", "fusion", "rmatrix", "twist",
@@ -67,3 +71,22 @@ def test_spectrum_of_keeps_returning_eigenvalues_and_route():
         assert isinstance(res, tuple) and len(res) == 2
         assert isinstance(res[0], np.ndarray) and res[0].shape == (2 ** n,)
         assert res[1] == route
+
+
+def test_every_exported_name_is_read_in_src_or_pinned_by_the_benchmark():
+    """Each name of ``twistchain.__all__`` is referenced in the package's code
+    (a name or an attribute, parsed with ``ast``; imports and the ``__all__``
+    strings do not count), or its function is pinned in BENCHMARK.json
+    ``per_layer``."""
+    referenced = set()
+    for path in (ROOT / "src" / "twistchain").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    pinned = set(_traced_functions())
+    unread = [name for name in twistchain.__all__ if name not in referenced
+              and (getattr(twistchain, name).__module__.removeprefix("twistchain."), name)
+              not in pinned]
+    assert unread == []

@@ -20,11 +20,12 @@ import pytest
 from twistchain.bethe import magnon_product_state, verify_one_magnon_action
 from twistchain.chain import (
     ChainSpec,
+    MonodromyBlocks,
+    _factors_apply,
     _poly_factors,
     _site_product,
     bond_pairs,
     build_hamiltonian,
-    build_monodromy,
     monodromy_apply,
     monodromy_blocks_apply,
     monodromy_matrix,
@@ -38,7 +39,7 @@ from twistchain.chain import (
 )
 from twistchain.fusion import _staggered_product
 from twistchain.reporting import RunConfig
-from twistchain.rmatrix import build_r, build_r_xi, verify_ybe
+from twistchain.rmatrix import build_r, build_r_xi, polynomial_l, verify_ybe
 from twistchain.suites import run_suite
 from twistchain.symmetry import _constant_blocks, order1_transcription_residual
 from twistchain.tensor import (
@@ -75,6 +76,12 @@ def _dense_monodromy(spec, u):
     for k in range(spec.n_sites, 0, -1):
         out = out @ lift(build_r(u, spec.params), dims, [0, k])
     return out
+
+
+def _dense_blocks(spec, u):
+    """A(u)..D(u) sliced from the full monodromy."""
+    t, d = monodromy_matrix(spec, u), spec.dim
+    return MonodromyBlocks(a=t[:d, :d], b=t[:d, d:], c=t[d:, :d], d=t[d:, d:])
 
 
 def _dense_poly_coeffs(spec):
@@ -176,7 +183,7 @@ def test_poly_pair_rejects_unknown_end():
 @pytest.mark.parametrize("spec", list(_specs(6)), ids=str)
 def test_matrix_free_bethe_vectors_match_dense_blocks(spec):
     u, v, w = 1.9 + 0.2j, -0.6 + 1.1j, 2.4 - 0.9j
-    bv, bw = build_monodromy(spec, v), build_monodromy(spec, w)
+    bv, bw = _dense_blocks(spec, v), _dense_blocks(spec, w)
     omega = vacuum_state(spec.n_sites)
     dense_state = bv.c @ (bw.c @ omega)
     state = magnon_product_state(spec, [v, w])
@@ -185,7 +192,7 @@ def test_matrix_free_bethe_vectors_match_dense_blocks(spec):
     assert _rel(transfer_apply(spec, u, state), t_u @ state) < 1e-14
     block = np.stack([state, omega, bv.c @ omega], axis=1)
     assert _rel(transfer_apply(spec, u, block), t_u @ block) < 1e-14
-    bu, on_block = build_monodromy(spec, u), monodromy_blocks_apply(spec, u, block)
+    bu, on_block = _dense_blocks(spec, u), monodromy_blocks_apply(spec, u, block)
     for name in "abcd":
         want = getattr(bu, name) @ block
         assert np.linalg.norm(getattr(on_block, name) - want) <= 1e-14 * max(
@@ -195,7 +202,7 @@ def test_matrix_free_bethe_vectors_match_dense_blocks(spec):
 def test_one_magnon_action_matches_dense_blocks():
     spec = ChainSpec(4, TwistParams(0.3 + 0.4j, 0.8 + 0.3j))
     u, v = 1.7 + 0.3j, -0.9 + 0.5j
-    bu, bv = build_monodromy(spec, u), build_monodromy(spec, v)
+    bu, bv = _dense_blocks(spec, u), _dense_blocks(spec, v)
     omega = vacuum_state(4)
     eta = spec.params.eta
     du, dv = (1 - eta / u) ** 4, (1 - eta / v) ** 4
@@ -336,9 +343,10 @@ def _grown_order1_residual(spec):
 def test_grown_products_bitwise_equal_to_kernel_on_identity(n, xi):
     spec = ChainSpec(n, TwistParams(xi, 0.8 + 0.3j))
     eye = np.eye(2 * spec.dim, dtype=complex)
-    for form in ("rational", "polynomial"):
-        assert np.array_equal(monodromy_matrix(spec, 1.3 - 0.7j, form),
-                              monodromy_apply(spec, 1.3 - 0.7j, eye, form)), form
+    u = 1.3 - 0.7j
+    assert np.array_equal(monodromy_matrix(spec, u), monodromy_apply(spec, u, eye))
+    assert np.array_equal(monodromy_matrix(spec, u, "polynomial"),
+                          _factors_apply(polynomial_l(u, spec.params), n, eye))
     for end in ("low", "high"):
         for got, want in zip(monodromy_poly_pair(spec, end), _kernel_poly_pair(spec, end)):
             assert np.array_equal(got, want), end

@@ -12,7 +12,12 @@ from twistchain.relations import (
     relation_residual,
     relation_residuals,
 )
-from twistchain.chain import ChainSpec, build_monodromy, relation_env
+from twistchain.chain import (
+    ChainSpec,
+    monodromy_matrix,
+    relation_env,
+    verify_commutation_relations,
+)
 from twistchain.reporting import RunConfig, unread_tolerances
 from twistchain.suites import run_suite
 from twistchain.symmetry import (
@@ -33,41 +38,52 @@ def _env():
     return mats
 
 
+def _members(env):
+    """`env` with its dense matrices bound as the members of one test family."""
+    names = [name for name, value in env.items() if isinstance(value, np.ndarray)]
+
+    def family(y):
+        return tuple(env[name] @ y for name in names)
+
+    return {name: Member(family, names.index(name)) if name in names else value
+            for name, value in env.items()}
+
+
 def test_product_order_preserved():
     env = _env()
-    got = evaluate(parse("A(u)*B(u)"), env, np.eye(3))
+    got = evaluate(parse("A(u)*B(u)"), _members(env), np.eye(3))
     assert np.allclose(got, env["A(u)"] @ env["B(u)"])
     assert not np.allclose(got, env["B(u)"] @ env["A(u)"])
 
 
 def test_scalar_and_power():
     env = _env()
-    got = evaluate(parse("xi^2*A(u)"), env, np.eye(3))
+    got = evaluate(parse("xi^2*A(u)"), _members(env), np.eye(3))
     assert np.allclose(got, env["xi"] ** 2 * env["A(u)"])
 
 
 def test_parenthesized_combination():
     env = _env()
-    got = evaluate(parse("(alpha(u,v)*A(v) - xi*B(u))*A(u)"), env, np.eye(3))
+    got = evaluate(parse("(alpha(u,v)*A(v) - xi*B(u))*A(u)"), _members(env), np.eye(3))
     expected = (2.0 * env["A(v)"] - env["xi"] * env["B(u)"]) @ env["A(u)"]
     assert np.allclose(got, expected)
 
 
 def test_scalar_promotes_to_identity_in_sums():
     env = _env()
-    got = evaluate(parse("xi*(1 - E^2)"), env, np.eye(3))
+    got = evaluate(parse("xi*(1 - E^2)"), _members(env), np.eye(3))
     expected = env["xi"] * (np.eye(3) - env["E"] @ env["E"])
     assert np.allclose(got, expected)
 
 
 def test_unary_minus():
     env = _env()
-    assert np.allclose(evaluate(parse("-A(u)"), env, np.eye(3)), -env["A(u)"])
+    assert np.allclose(evaluate(parse("-A(u)"), _members(env), np.eye(3)), -env["A(u)"])
 
 
 def test_residual_zero_for_identity():
     env = _env()
-    assert relation_residual("A(u)*B(u) = A(u)*B(u)", env, np.eye(3)) == 0.0
+    assert relation_residual("A(u)*B(u) = A(u)*B(u)", _members(env), np.eye(3)) == 0.0
 
 
 def test_bad_token_rejected():
@@ -77,7 +93,7 @@ def test_bad_token_rejected():
 
 def test_unbound_symbol_reported():
     with pytest.raises(KeyError, match="C\\(u\\)"):
-        evaluate(parse("C(u)"), _env(), np.eye(3))
+        evaluate(parse("C(u)"), _members(_env()), np.eye(3))
 
 
 def test_all_tables_parse():
@@ -147,16 +163,30 @@ def _full_matrix_residual(text, env):
 _POINTS = ((0.6, 1.9 - 0.4j, -0.7 + 2.2j), (-0.35 + 0.2j, 2.6 + 1.1j, 0.8 - 1.5j))
 
 
+def _dense_blocks(spec, u, point):
+    """A(point)..D(point) sliced from the full monodromy."""
+    t, d = monodromy_matrix(spec, u), spec.dim
+    blocks = (t[:d, :d], t[:d, d:], t[d:, :d], t[d:, d:])
+    return {f"{name}({point})": block for name, block in zip("ABCD", blocks)}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_identity_block_reproduces_the_full_matrix_cr_residuals(n):
-    """At X = I the block residual is the full-matrix one, up to the order in
-    which scalar factors are applied; every CR row and the DB_2 variant."""
+    """At X = I the residual of each CR record, with A..D read off the
+    monodromy applier, is the full-matrix one of the blocks sliced from
+    ``monodromy_matrix``, up to rounding; every CR row and the DB_2 variant."""
     for xi, u, v in _POINTS:
-        env = relation_env(ChainSpec(n, TwistParams(xi, 1.0)), u, v)
-        eye = np.eye(2 ** n)
-        for text in [r.text for r in CR_RELATIONS] + [DB_2_VARIANT]:
-            got = relation_residual(text, env, eye)
-            assert abs(got - _full_matrix_residual(text, env)) <= 1e-15, text
+        spec = ChainSpec(n, TwistParams(xi, 1.0))
+        env = {**relation_env(spec, u, v), **_dense_blocks(spec, u, "u"),
+               **_dense_blocks(spec, v, "v")}
+        records = verify_commutation_relations(spec, u, v)
+        assert [r["rel_id"] for r in records] == [r.rel_id for r in CR_RELATIONS]
+        for record in records:
+            expected = _full_matrix_residual(record["text"], env)
+            assert abs(record["residual"] - expected) <= 1e-15, record["rel_id"]
+            if "variant_residual" in record:
+                expected = _full_matrix_residual(DB_2_VARIANT, env)
+                assert abs(record["variant_residual"] - expected) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -173,9 +203,7 @@ def test_identity_block_reproduces_the_full_matrix_symmetry_residuals(n):
 
 def _dense_symmetry_env(spec, u):
     e, g, e_inv = _constant_blocks(spec)
-    blocks = build_monodromy(spec, u)
-    return {"E": e, "G": g, "Einv": e_inv, "A(u)": blocks.a, "B(u)": blocks.b,
-            "C(u)": blocks.c, "D(u)": blocks.d, "xi": spec.params.xi}
+    return {"E": e, "G": g, "Einv": e_inv, **_dense_blocks(spec, u, "u"), "xi": spec.params.xi}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -227,4 +255,15 @@ def test_block_evaluation_is_the_operator_applied_to_the_block():
     x = np.random.default_rng(1).standard_normal((3, 2))
     text = "xi*(1 - E^2)*A(u) + alpha(u,v)*A(u)*B(u)"
     full = _full_matrix_evaluate(parse(text), env)
-    assert np.allclose(evaluate(parse(text), env, x), full @ x, rtol=0, atol=1e-13)
+    assert np.allclose(evaluate(parse(text), _members(env), x), full @ x, rtol=0, atol=1e-13)
+
+
+def test_a_binding_that_is_neither_member_nor_number_is_refused():
+    """An operator bound as a bare matrix is named in the error instead of
+    being taken for a scalar coefficient."""
+    env = _members(_env())
+    env["B(u)"] = _env()["B(u)"]
+    with pytest.raises(TypeError, match=r"B\(u\)"):
+        relation_residual("A(u)*B(u) = B(u)*A(u)", env, np.eye(3))
+    with pytest.raises(TypeError, match="xi"):
+        evaluate(parse("xi*A(u)"), {**env, "xi": "0.5"}, np.eye(3))
