@@ -256,7 +256,8 @@ def transfer_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.n
     for _ in range(spec.n_sites - 1):
         t = _grow_site(l4, t)
     a, d = _trace_last_site(l4, t)
-    return a + d
+    a += d
+    return a
 
 
 def monodromy_blocks_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> MonodromyBlocks:
@@ -301,7 +302,7 @@ def monodromy_poly_coeffs(spec: ChainSpec) -> list[np.ndarray]:
     return coeffs
 
 
-def monodromy_poly_pair(spec: ChainSpec, end: str) -> tuple[np.ndarray, np.ndarray]:
+def _monodromy_poly_pair(spec: ChainSpec, end: str) -> tuple[np.ndarray, np.ndarray]:
     """Two adjacent coefficients of Tbar(u) from a truncated expansion.
 
     end="low" gives the coefficients of u^0 and u^1; end="high" those of
@@ -325,8 +326,9 @@ def _poly_carry(const: np.ndarray, lin: np.ndarray,
     c1 = None
     for _ in range(n_sites):
         step = _grow_site(lin, c0)
-        c1 = step if c1 is None else _grow_site(const, c1) + step
-        c0 = _grow_site(const, c0)
+        if c1 is not None:
+            step += _grow_site(const, c1)
+        c1, c0 = step, _grow_site(const, c0)
     return c0, c1
 
 
@@ -481,13 +483,23 @@ def build_hamiltonian(spec: ChainSpec, deformation_doubled: bool = False) -> np.
 
 
 def _affine_fit(target: np.ndarray, base: np.ndarray) -> tuple[complex, complex, float]:
-    """Least-squares fit target ~ a*base + b*I; returns (a, b, relative residual)."""
+    """Least-squares fit target ~ a*base + b*I; returns (a, b, relative residual).
+
+    The normal equations are the 2 x 2 Gram system of the Frobenius inner
+    products <x, y> = vdot(x, y), with <I, y> = tr y and <I, I> = dim, solved
+    in closed form; the residual target - a*base - b*I is formed in place.
+    """
     dim = base.shape[0]
-    design = np.stack([base.flatten(), np.eye(dim, dtype=complex).flatten()], axis=1)
-    coef, *_ = np.linalg.lstsq(design, target.flatten(), rcond=None)
-    a, b = complex(coef[0]), complex(coef[1])
-    res = np.linalg.norm(target - a * base - b * np.eye(dim)) / np.linalg.norm(target)
-    return a, b, float(res)
+    bb = np.vdot(base, base).real
+    bt = np.vdot(base, target)
+    tr_b, tr_t = np.trace(base), np.trace(target)
+    det = dim * bb - abs(tr_b) ** 2
+    a = complex((dim * bt - tr_b.conjugate() * tr_t) / det)
+    b = complex((bb * tr_t - tr_b * bt) / det)
+    res = base * -a
+    res += target
+    res.flat[::dim + 1] -= b
+    return a, b, float(np.linalg.norm(res) / np.linalg.norm(target))
 
 
 def _scaled_permutation(m: np.ndarray) -> tuple[complex, np.ndarray] | None:
@@ -519,8 +531,9 @@ def _solve_t0(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
     if scaled is None:
         raise ExtractionError("t(0) is not a scaled permutation (singular or unexpected)")
     c, cols = scaled
-    x = np.empty(t1.shape, dtype=np.result_type(t1, c))
-    x[cols] = t1 / c
+    # x[cols[i]] = t1[i] / c: gather the rows by the inverse permutation
+    x = np.asarray(t1, dtype=np.result_type(t1, c))[np.argsort(cols)]
+    x /= c
     return x
 
 
@@ -541,27 +554,35 @@ def log_derivative(spec: ChainSpec, derivative: str = "poly") -> np.ndarray:
         # tr const_{a,N} c0 and t'(0) is tr [const_{a,N} c1 + lin_{a,N} c0]
         const, lin = _poly_factors(spec)
         c0, c1 = _poly_carry(const, lin, spec.n_sites - 1)
-        t0 = np.add(*_trace_last_site(const, c0))
-        a1, d1 = _trace_last_site(const, c1)
+        t0, d0 = _trace_last_site(const, c0)
+        t0 += d0
+        del d0
+        # t'(0) = (a1 + a2) + (d1 + d2), summed in place
+        t1, d1 = _trace_last_site(const, c1)
+        del c1
         a2, d2 = _trace_last_site(lin, c0)
-        t1 = (a1 + a2) + (d1 + d2)
+        t1 += a2
+        d1 += d2
+        t1 += d1
     elif derivative == "fd":
         step = 1e-5
+        t1 = transfer_matrix(spec, step, form="polynomial")
+        t1 -= transfer_matrix(spec, -step, form="polynomial")
+        t1 /= 2 * step
         t0 = transfer_matrix(spec, 0.0, form="polynomial")
-        t1 = (transfer_matrix(spec, step, form="polynomial")
-              - transfer_matrix(spec, -step, form="polynomial")) / (2 * step)
     else:
         raise ValueError(f"unknown derivative method {derivative!r}")
     return _solve_t0(t0, t1)
 
 
-def extract_hamiltonian(spec: ChainSpec) -> HamiltonianPair:
+def extract_hamiltonian(spec: ChainSpec, h_formula: np.ndarray | None = None) -> HamiltonianPair:
     """The exact log-derivative Hamiltonian (``log_derivative``), affinely
     fitted to the displayed local formula and to its doubled-coefficient
-    variant; both fits are reported.
+    variant; both fits are reported. `h_formula` passes the displayed H(xi)
+    when the caller has built it already; it is built here otherwise.
     """
     h_ext = log_derivative(spec)
-    h_form = build_hamiltonian(spec)
+    h_form = build_hamiltonian(spec) if h_formula is None else h_formula
     a, b, res = _affine_fit(h_ext, h_form)
     h_doubled = build_hamiltonian(spec, deformation_doubled=True)
     a2, b2, res2 = _affine_fit(h_ext, h_doubled)

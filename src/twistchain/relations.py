@@ -13,7 +13,7 @@ alpha, beta, xi (bound to numbers).
 Storing the relations as data keeps the transcription auditable line by
 line; nothing about them is hand-coded into the evaluator.
 
-``evaluate`` never forms a product of two operators. It expands a side
+``_evaluate`` never forms a product of two operators. It expands a side
 into a linear combination of operator words (scalars commute into the
 coefficients) and applies each distinct word to a column block X, right to
 left. An operator name is bound to a ``Member`` of a family whose members
@@ -257,7 +257,7 @@ def _combine(table: dict, blocks: dict) -> np.ndarray:
     return total
 
 
-def evaluate(node, env: dict, x: np.ndarray) -> np.ndarray:
+def _evaluate(node, env: dict, x: np.ndarray) -> np.ndarray:
     """Apply the operator an AST denotes to the column block `x`.
 
     The AST is expanded into a linear combination of operator words; each

@@ -310,18 +310,17 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
         spec_o = ch.ChainSpec(n, tw.TwistParams(config.xi, eta), "open")
         spec_0 = ch.ChainSpec(n, tw.TwistParams(0.0, eta), "open")
         diff = ch.build_hamiltonian(spec_o) - ch.build_hamiltonian(spec_0)
+        lowering = ch.strictly_lowering_residual(diff, n)
+        # the expected terms are subtracted from diff in place: no two bond or
+        # boundary terms share an entry, so each entry receives one term
         dims = [2] * n
-        quad = np.zeros_like(diff)
         for k in range(n - 1):
-            add_local(quad, np.kron(SM, SM), dims, [k, k + 1])
-        boundary = np.zeros_like(diff)
-        add_local(boundary, SM, dims, [0])
-        add_local(boundary, -SM, dims, [n - 1])
-        residual = float(np.linalg.norm(
-            diff - config.xi**2 * quad - config.xi * boundary))
+            add_local(diff, -config.xi**2 * np.kron(SM, SM), dims, [k, k + 1])
+        add_local(diff, -config.xi * SM, dims, [0])
+        add_local(diff, config.xi * SM, dims, [n - 1])
         reports.append(_Check(config, "spectrum.open_boundary_terms", 1e-13).report(
             {"n_sites": n, "xi": config.xi},
-            _worst([residual, ch.strictly_lowering_residual(diff, n)]),
+            _worst([float(np.linalg.norm(diff)), lowering]),
             notes="open chain: the linear terms telescope to the boundary pair "
                   "sm_1 - sm_N and the deformation strictly lowers total sz",
         ))
@@ -356,10 +355,12 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
             notes="H(xi) - H(0) strictly lowers total sz in the graded basis",
         ))
         dense_check = _Check(config, "spectrum.hamiltonian_dense", 1e-5)
-        # H(0) is the exactly Hermitian XXX Hamiltonian (a test pins this);
-        # the deformed side keeps the general solver
+        # H(0) is the exactly real symmetric XXX Hamiltonian (a test pins
+        # this), solved in real arithmetic; the deformed side keeps the
+        # general solver. H(0) is read for the last time here.
         dense = match_spectra(eigenvalues(h_xi), hermitian_eigenvalues(h_0),
                               dense_check.tolerance)
+        del hamiltonians, h_0
         reports.append(dense_check.report(
             {"n_sites": spec.n_sites, "xi": config.xi}, dense.max_pair_distance,
             notes="end-to-end dense cross-check; accuracy limited by eigensolver "
@@ -374,7 +375,7 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
                 notes="real spectrum despite non-Hermiticity",
             ))
 
-        pair = ch.extract_hamiltonian(spec)
+        pair = ch.extract_hamiltonian(spec, h_xi)
         fit_notes = (
             "affine fit of the log-derivative Hamiltonian to the displayed local "
             f"formula; the variant with doubled deformation coefficients fits with "
@@ -389,9 +390,16 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
             notes="same fit against the doubled-coefficient variant (2 xi^2, 2 xi)",
         ))
         u = _sample_u(rng)
-        t_u = ch.transfer_matrix(spec, u)
+        # ||(H t - t H) X|| / ||H t X|| on a probe block from a child stream:
+        # spawning does not advance rng, so the sampled u stay as without it
+        x, route = sy.probe_block(spec.dim, rng.spawn(1)[0])
+        h_ext = pair.h_extracted
+        htx = h_ext @ ch.transfer_apply(spec, u, x)
+        commutes = np.linalg.norm(htx - ch.transfer_apply(spec, u, h_ext @ x))
         reports.append(_Check(config, "spectrum.extraction_commutes", 1e-10).report(
-            {"n_sites": spec.n_sites, "u": u}, _commutator(pair.h_extracted, t_u),
+            {"n_sites": spec.n_sites, "u": u},
+            float(commutes / max(np.linalg.norm(htx), 1e-300)),
+            notes=f"log-derivative Hamiltonian commutes with t(u); {_probe_note(route)}",
         ))
         reports.append(_Check(config, "spectrum.extraction_fd_agrees", 1e-6).report(
             {"n_sites": spec.n_sites},

@@ -93,7 +93,7 @@ def t0_apply(spec: ChainSpec, x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _constant_blocks(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E, G and E^{-1} as matrices: ``t0_apply`` on the identity, bitwise the
-    u^N coefficient of ``monodromy_poly_pair(spec, "high")``. Read only by
+    u^N coefficient of ``_monodromy_poly_pair(spec, "high")``. Read only by
     the coproducts, at fixed small N."""
     e, _, g, e_inv = t0_apply(spec, np.eye(spec.dim))
     return e, g, e_inv
@@ -203,7 +203,7 @@ def order1_transcription_residual(spec: ChainSpec, x: np.ndarray) -> float:
     products empty); the index bookkeeping in print is ambiguous, so the
     exact expansion is authoritative and this comparison documents the
     reading that matches it. The exact side is the two-degree carry of
-    prod_k (R_xi - u eta P)_{a,k} (``chain.monodromy_poly_pair``, end
+    prod_k (R_xi - u eta P)_{a,k} (``chain._monodromy_poly_pair``, end
     "high") applied to `x`; its constant part M^<_k x also starts each
     displayed term. With x = I this is the relative Frobenius residual of
     the full matrices.

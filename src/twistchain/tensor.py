@@ -172,12 +172,16 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
 
     ``numpy.linalg.eigvalsh`` reads one triangle of `m` only, so the caller
     vouches that `m` is Hermitian; the spectrum is then real to rounding
-    and costs a fraction of the general solve in ``eigenvalues``. Ascending
-    real values are already in that function's (Re, Im) order.
+    and costs a fraction of the general solve in ``eigenvalues``. Input with
+    an exactly zero imaginary part, a real symmetric matrix, is solved in
+    real arithmetic. Ascending real values are already in that function's
+    (Re, Im) order.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got {m.shape}")
+    if not m.imag.any():
+        m = m.real
     return np.linalg.eigvalsh(m).astype(complex)
 
 

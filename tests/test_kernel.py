@@ -22,6 +22,7 @@ from twistchain.chain import (
     ChainSpec,
     MonodromyBlocks,
     _factors_apply,
+    _monodromy_poly_pair,
     _poly_factors,
     _site_product,
     bond_pairs,
@@ -30,7 +31,6 @@ from twistchain.chain import (
     monodromy_blocks_apply,
     monodromy_matrix,
     monodromy_poly_coeffs,
-    monodromy_poly_pair,
     strictly_lowering_residual,
     transfer_apply,
     transfer_matrix,
@@ -167,8 +167,8 @@ def test_poly_coeffs_match_dense_and_truncated_pairs(n, xi):
     dense = _dense_poly_coeffs(spec)
     for got, want in zip(coeffs, dense):
         assert np.allclose(got, want, rtol=0, atol=1e-13 * np.linalg.norm(want))
-    low0, low1 = monodromy_poly_pair(spec, "low")
-    high_n, high_n1 = monodromy_poly_pair(spec, "high")
+    low0, low1 = _monodromy_poly_pair(spec, "low")
+    high_n, high_n1 = _monodromy_poly_pair(spec, "high")
     scale = max(np.linalg.norm(c) for c in coeffs)
     for got, want in ((low0, coeffs[0]), (low1, coeffs[1]),
                       (high_n, coeffs[n]), (high_n1, coeffs[n - 1])):
@@ -177,7 +177,7 @@ def test_poly_coeffs_match_dense_and_truncated_pairs(n, xi):
 
 def test_poly_pair_rejects_unknown_end():
     with pytest.raises(ValueError):
-        monodromy_poly_pair(ChainSpec(2, TwistParams(0.5, 1.0)), "middle")
+        _monodromy_poly_pair(ChainSpec(2, TwistParams(0.5, 1.0)), "middle")
 
 
 @pytest.mark.parametrize("spec", list(_specs(6)), ids=str)
@@ -262,6 +262,28 @@ def test_open_boundary_terms_bitwise_equal_to_embedded_products(n, xi):
     assert report.residual == max(residual, strictly_lowering_residual(diff, n))
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("xi", XIS)
+def test_open_boundary_terms_in_place_bitwise_equal_to_zero_matrix_sum(n, xi):
+    """Subtracted from H(xi) - H(0) in place, the expected terms give the
+    residual of the expression that first built them into two zero
+    matrices, bitwise: no two terms share an entry."""
+    config = RunConfig(n_sites=n, xi=xi, boundary="open")
+    (report,) = run_suite(config, "spectrum")
+    h = [build_hamiltonian(ChainSpec(n, TwistParams(x, config.eta), "open"))
+         for x in (config.xi, 0.0)]
+    diff = h[0] - h[1]
+    dims = [2] * n
+    quad = np.zeros_like(diff)
+    for k in range(n - 1):
+        add_local(quad, np.kron(SM, SM), dims, [k, k + 1])
+    boundary = np.zeros_like(diff)
+    add_local(boundary, SM, dims, [0])
+    add_local(boundary, -SM, dims, [n - 1])
+    residual = float(np.linalg.norm(diff - config.xi**2 * quad - config.xi * boundary))
+    assert report.residual == max(residual, strictly_lowering_residual(diff, n))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rtt_matches_dense_lift_products(n):
     spec = ChainSpec(n, TwistParams(0.3 + 0.4j, 1.0))
@@ -334,7 +356,7 @@ def _grown_order1_residual(spec):
     total = np.zeros((2 * spec.dim, 2 * spec.dim), dtype=complex)
     for k in range(1, n + 1):
         total += _site_product([r_c] * (k - 1) + [p] + [r_c] * (n - k))
-    exact = monodromy_poly_pair(spec, "high")[1]
+    exact = _monodromy_poly_pair(spec, "high")[1]
     return rel_residual(exact, -spec.params.eta * total)
 
 
@@ -348,7 +370,7 @@ def test_grown_products_bitwise_equal_to_kernel_on_identity(n, xi):
     assert np.array_equal(monodromy_matrix(spec, u, "polynomial"),
                           _factors_apply(polynomial_l(u, spec.params), n, eye))
     for end in ("low", "high"):
-        for got, want in zip(monodromy_poly_pair(spec, end), _kernel_poly_pair(spec, end)):
+        for got, want in zip(_monodromy_poly_pair(spec, end), _kernel_poly_pair(spec, end)):
             assert np.array_equal(got, want), end
     # the T_0 applier and the order-1 reading on the identity against the
     # grown full matrices; the grown order-1 oracle and the kernel oracle of

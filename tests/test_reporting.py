@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from twistchain.reporting import (
     report_from_residual,
 )
 from twistchain.suites import SUITES, _relation_reports, _worst, _worst_sample, run_suite
-from twistchain.tensor import match_spectra
+from twistchain.tensor import SM, embed_at_site, match_spectra
+from twistchain.twist import TwistParams
 
 
 @pytest.mark.parametrize("text,value", [
@@ -214,6 +217,74 @@ def test_spectrum_suite_pairs_spectra_under_its_check_tolerances(monkeypatch):
         "spectrum.hamiltonian": 3e-9, "spectrum.transfer": 4e-8})
     run_suite(config, "spectrum")
     assert seen == [3e-9, 4e-8, 4e-8]
+
+
+def _extraction_commutes(config):
+    (report,) = [r for r in run_suite(config, "spectrum")
+                 if r.check_id == "spectrum.extraction_commutes"]
+    return report
+
+
+def _perturb_extraction(monkeypatch, eps):
+    """Let the suite read H_ext + eps SM_1 as the log-derivative Hamiltonian;
+    returns the perturbed extraction."""
+    extract = ch.extract_hamiltonian
+
+    def perturbed(spec, h_formula=None):
+        pair = extract(spec, h_formula)
+        return replace(pair, h_extracted=pair.h_extracted
+                       + eps * embed_at_site(SM, 1, spec.n_sites))
+
+    monkeypatch.setattr(ch, "extract_hamiltonian", perturbed)
+    return perturbed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_extraction_commutes_is_the_full_residual_on_the_identity_probe(n, monkeypatch):
+    """While dim <= PROBE_COLUMNS the probe is the identity, and the probe
+    residual is the full-matrix commutator residual of H_ext and t(u), also
+    with H_ext perturbed off the commutant."""
+    config = RunConfig(n_sites=n)
+    spec = ch.ChainSpec(n, TwistParams(config.xi, config.eta))
+    for eps in (0.0, 1e-3):
+        with monkeypatch.context() as patch:
+            h = _perturb_extraction(patch, eps)(spec).h_extracted
+            report = _extraction_commutes(config)
+        t_u = ch.transfer_matrix(spec, report.params["u"])
+        full = np.linalg.norm(h @ t_u - t_u @ h) / np.linalg.norm(h @ t_u)
+        assert report.notes.endswith("probe: identity, the full-matrix residual")
+        assert abs(report.residual - full) <= 1e-15
+
+
+def test_extraction_commutes_probe_sees_a_perturbed_hamiltonian(monkeypatch):
+    """At N = 6 the Gaussian probe reads a 1e-3 SM_1 perturbation of H_ext
+    far above the 1e-10 tolerance; unperturbed it passes."""
+    config = RunConfig(n_sites=6)
+    clean = _extraction_commutes(config)
+    assert clean.passed and "probe: gaussian" in clean.notes
+    _perturb_extraction(monkeypatch, 1e-3)
+    report = _extraction_commutes(config)
+    assert report.params == clean.params
+    assert report.residual > 1e-6 and not report.passed
+
+
+def test_spectrum_suite_stays_in_budget_at_n9():
+    """At N = 9 one 2^N-square complex matrix is 4 MiB. The suite holds
+    H(xi) beside the log-derivative (28 MiB) and peaks at 34 MiB or less
+    (measured 32.9 MiB; with the full t(u) of the commutator, lstsq fits
+    and a second H(xi) it read 48.8 MiB). Only the designed red
+    extraction_fit and the eigensolver-limited hamiltonian_dense fail."""
+    run_suite(RunConfig(n_sites=2), "spectrum")  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        reports = run_suite(RunConfig(n_sites=9), "spectrum")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 13
+    assert {r.check_id for r in reports if not r.passed} == {
+        "spectrum.extraction_fit", "spectrum.hamiltonian_dense"}
+    assert peak < 34 * 2**20, peak
 
 
 NAN = float("nan")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistchain import relations
-from twistchain.chain import ChainSpec, monodromy_poly_pair, transfer_matrix
+from twistchain.chain import ChainSpec, _monodromy_poly_pair, transfer_matrix
 from twistchain.reporting import RunConfig, render_json
 from twistchain.suites import run_suite
 from twistchain.symmetry import (
@@ -58,7 +58,7 @@ def test_constant_blocks_are_those_of_extract_t0(n, xi):
     coefficient; on a block X they are those blocks applied to X."""
     spec = ChainSpec(n, TwistParams(xi, 0.8 + 0.3j))
     d = spec.dim
-    t0 = monodromy_poly_pair(spec, "high")[0]
+    t0 = _monodromy_poly_pair(spec, "high")[0]
     want = (t0[:d, :d], t0[d:, :d], t0[d:, d:])
     data = extract_t0(spec, np.eye(d))
     for got in (_constant_blocks(spec), (data.e, data.g, data.e_inv)):

@@ -125,6 +125,38 @@ def test_eigenvalues_heisenberg_bond():
         assert np.allclose(ev, [-3, 1, 1, 1], atol=1e-12)
 
 
+def test_hermitian_eigenvalues_solves_real_input_in_real_arithmetic(monkeypatch):
+    """Exactly real symmetric input (H(0) of the XXX chain, a random one)
+    goes to the real eigvalsh and agrees with the complex solve within
+    1e-12 max|lambda|; complex Hermitian input keeps the complex solve."""
+    from twistchain.chain import ChainSpec, build_hamiltonian
+    from twistchain.twist import TwistParams
+
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((40, 40))
+    real_inputs = [build_hamiltonian(ChainSpec(7, TwistParams(0.0, 1.0))),
+                   (g + g.T).astype(complex)]
+    c = g + 1j * rng.standard_normal((40, 40))
+    complex_input = c + c.conj().T
+    solve = np.linalg.eigvalsh
+    seen = []
+
+    def recording(m):
+        seen.append(m.dtype)
+        return solve(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    for m in real_inputs:
+        assert not m.imag.any()
+        want = solve(m)
+        got = hermitian_eigenvalues(m)
+        assert seen.pop() == np.float64
+        assert got.dtype == complex
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    hermitian_eigenvalues(complex_input)
+    assert seen == [np.complex128]
+
+
 def test_eigenvalues_nilpotent():
     m = np.zeros((3, 3))
     m[1, 0] = 2.0
