@@ -28,9 +28,10 @@ spaces, T_{a1}(u) T_{a2}(v) = prod_k L_{a1,k}(u) L_{a2,k}(v), from one site
 factor embedded with ``tensor.lift`` (``_monodromy_product``, for RTT and
 fusion). The transfer matrix is traced at the last site: t(u), and t(0),
 t'(0) of the polynomial form for the log-derivative, are grown over sites
-1..N-1, and site N forms only the two auxiliary-diagonal blocks
-(``_trace_last_site``). The Hamiltonian, a sum of local terms, is
-scattered into its matrix term by term with ``tensor.add_local``. Every
+1..N-1, and site N is traced straight into one 2^N-square output, filled
+in row chunks with the auxiliary-diagonal block a = 0 written and a = 1
+added in place (``_trace_last_site``). The Hamiltonian, a sum of local
+terms, is scattered into its matrix term by term with ``tensor.add_local``. Every
 reader of A..D goes through ``monodromy_blocks_apply``: the kernel
 ``tensor.apply_local`` applies T(u) factor by factor to [[X, 0], [0, X]],
 O(N 4^N) per column block, and all four blocks come out of that one
@@ -68,6 +69,10 @@ from .tensor import (
 from .twist import TwistParams
 
 _P = permutation_op()
+
+# Site N is traced into t(u) in row chunks of about this many bytes of
+# output (``_trace_last_site``).
+_TRACE_CHUNK_BYTES = 2**20
 
 # A sector block is split into momentum blocks only when the mass its
 # momentum basis leaves outside them is at most MOMENTUM_TOL times the
@@ -229,35 +234,53 @@ def monodromy_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.
     return _site_product([_local_l(spec, u, form)] * spec.n_sites)
 
 
-def _trace_last_site(op: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two auxiliary-diagonal blocks of op_{a,N} (t ⊗ 1_N), for a = 0
-    and a = 1: the two terms of its trace over the auxiliary space.
+def _trace_last_site(op: np.ndarray, t: np.ndarray,
+                     *more: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """tr_aux op_{a,N} (t ⊗ 1_N): the trace over the auxiliary space of the
+    last site's factor on a product t on aux ⊗ sites 1..N-1, as one
+    2^N-square array.
 
-    `op` is a 4 x 4 factor on aux ⊗ site N and `t` a product on aux ⊗ sites
-    1..N-1. Block a reads only the columns of t with auxiliary index a: one
-    matmul of op's rows with a'' = a, reshaped to (s'' s, a'), against those
-    columns read as (a', rows cols), and one transpose to (rows, s'', cols,
-    s). The 2^(N+1)-square op_{a,N} (t ⊗ 1_N) is never formed.
+    `op` is a 4 x 4 factor on aux ⊗ site N. The auxiliary-diagonal block a
+    reads only the columns of t with auxiliary index a: one matmul of op's
+    rows with a'' = a, reshaped to (s'' s, a'), against those columns read
+    as (a', rows cols). The output is allocated once in its final (rows,
+    s'', cols, s) layout and filled one chunk of rows at a time (about
+    _TRACE_CHUNK_BYTES of output each): block a = 0 is written, block a = 1
+    added in place, bitwise A + D. Further (op, t) pairs in `more` are
+    terms of a sum, added into each block in order before the two blocks
+    are summed. Neither op_{a,N} (t ⊗ 1_N) nor either block is formed whole.
     """
     rows, cols = t.shape[0] // 2, t.shape[1] // 2
-    op_t = op.reshape(2, 2, 2, 2).transpose(0, 1, 3, 2).reshape(2, 4, 2)
-    t_cols = t.reshape(2, rows, 2, cols)
-    return tuple((op_t[a] @ t_cols[:, :, a, :].reshape(2, -1))
-                 .reshape(2, 2, rows, cols).transpose(2, 0, 3, 1).reshape(2 * rows, 2 * cols)
-                 for a in range(2))
+    terms = [(f.reshape(2, 2, 2, 2).transpose(0, 1, 3, 2).reshape(2, 4, 2),
+              p.reshape(2, rows, 2, cols)) for f, p in [(op, t), *more]]
+    out = np.empty((rows, 2, cols, 2), dtype=complex)
+    step = max(1, _TRACE_CHUNK_BYTES // out[0].nbytes)
+
+    def block(a: int, r: int) -> np.ndarray:
+        # block a on rows r:r+step, summed over the terms in order, viewed in
+        # the output layout; its temporaries die with the call
+        products = (op_t[a] @ t_cols[:, r:r + step, a, :].reshape(2, -1)
+                    for op_t, t_cols in terms)
+        total = next(products)
+        for prod in products:
+            total += prod
+        return total.reshape(2, 2, -1, cols).transpose(2, 0, 3, 1)
+
+    for r in range(0, rows, step):
+        out[r:r + step] = block(0, r)
+        out[r:r + step] += block(1, r)
+    return out.reshape(2 * rows, 2 * cols)
 
 
 def transfer_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.ndarray:
     """t(u) = tr_aux T(u) = A(u) + D(u), traced at the last site: T(u) is
-    grown over sites 1..N-1 and L_{a,N}(u) forms only A and D
+    grown over sites 1..N-1 and L_{a,N}(u) is traced straight into t(u)
     (``_trace_last_site``)."""
     l4 = _local_l(spec, u, form)
     t = np.eye(2, dtype=complex)
     for _ in range(spec.n_sites - 1):
         t = _grow_site(l4, t)
-    a, d = _trace_last_site(l4, t)
-    a += d
-    return a
+    return _trace_last_site(l4, t)
 
 
 def monodromy_blocks_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> MonodromyBlocks:
@@ -550,20 +573,15 @@ def log_derivative(spec: ChainSpec, derivative: str = "poly") -> np.ndarray:
     if spec.n_sites < 2:
         raise ValueError("need at least 2 sites")
     if derivative == "poly":
-        # carry (c0, c1) over sites 1..N-1, then trace site N: t(0) is
-        # tr const_{a,N} c0 and t'(0) is tr [const_{a,N} c1 + lin_{a,N} c0]
+        # carry (c0, c1) over sites 1..N-1, then trace site N: t'(0) is
+        # tr [const_{a,N} c1 + lin_{a,N} c0], each block summed over the two
+        # terms before the blocks are added, and t(0) is tr const_{a,N} c0
         const, lin = _poly_factors(spec)
         c0, c1 = _poly_carry(const, lin, spec.n_sites - 1)
-        t0, d0 = _trace_last_site(const, c0)
-        t0 += d0
-        del d0
-        # t'(0) = (a1 + a2) + (d1 + d2), summed in place
-        t1, d1 = _trace_last_site(const, c1)
+        t1 = _trace_last_site(const, c1, (lin, c0))
         del c1
-        a2, d2 = _trace_last_site(lin, c0)
-        t1 += a2
-        d1 += d2
-        t1 += d1
+        t0 = _trace_last_site(const, c0)
+        del c0
     elif derivative == "fd":
         step = 1e-5
         t1 = transfer_matrix(spec, step, form="polynomial")
@@ -593,20 +611,50 @@ def extract_hamiltonian(spec: ChainSpec, h_formula: np.ndarray | None = None) ->
     )
 
 
+@lru_cache(maxsize=None)
+def _in_or_above_blocks(n_sites: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Index pairs of the entries in or above the total-sz diagonal blocks,
+    one per sector p: the states with p down spins (rows, as a column) and
+    those with p or more (columns).
+
+    The grading permutes rows and columns alike, so the entries in or above
+    the diagonal blocks are those whose row has no more down spins than
+    their column, in any basis order.
+    """
+    popcount = np.bitwise_count(np.arange(2 ** n_sites))
+    pairs = tuple((np.flatnonzero(popcount == p)[:, None], np.flatnonzero(popcount >= p))
+                  for p in range(n_sites + 1))
+    # the cache hands these arrays to every caller
+    for rows, cols in pairs:
+        rows.flags.writeable = cols.flags.writeable = False
+    return pairs
+
+
+def _lowering_certificate(m: np.ndarray, n_sites: int, m_0: np.ndarray | None = None) -> float:
+    """Largest |entry| of m, or of m - m_0, in or above the total-sz diagonal
+    blocks, NaN when any of those entries is NaN. The entries are gathered
+    sector by sector (``_in_or_above_blocks``), so neither the full
+    difference nor a full mask is formed."""
+    sector_max = []
+    for rows, cols in _in_or_above_blocks(n_sites):
+        upper = np.asarray(m[rows, cols], dtype=complex)
+        if m_0 is not None:
+            upper -= m_0[rows, cols]
+        # hypot is the scalar complex abs to the bit; np.abs on complex
+        # arrays takes a vectorised route that can differ in the last place
+        sector_max.append(np.hypot(upper.real, upper.imag).max())
+    # np.max keeps a NaN wherever it stands; max() drops one that comes second
+    return float(np.max(sector_max))
+
+
 def strictly_lowering_residual(m: np.ndarray, n_sites: int) -> float:
-    """Largest |entry| of m in or above the total-sz diagonal blocks.
+    """Largest |entry| of m in or above the total-sz diagonal blocks, NaN
+    when any of them is NaN.
 
     Zero means m strictly lowers total sz (block sub-triangular in the
     graded basis ordering).
     """
-    popcount = np.bitwise_count(np.arange(2 ** n_sites))
-    # the grading permutes rows and columns alike, so the entries in or above
-    # the diagonal blocks are those whose row has no more down spins than
-    # their column, in any basis order
-    upper = np.asarray(m, dtype=complex)[popcount[:, None] <= popcount[None, :]]
-    # hypot is the scalar complex abs to the bit; np.abs on complex arrays
-    # takes a vectorised route that can differ in the last place
-    return float(np.max(np.hypot(upper.real, upper.imag), initial=0.0))
+    return _lowering_certificate(np.asarray(m), n_sites)
 
 
 @lru_cache(maxsize=None)
@@ -718,12 +766,13 @@ def spectrum_pair(m_xi: np.ndarray, m_0: np.ndarray,
     block of m_xi is bitwise that of m_0, and so is every entry above them:
     m_xi's spectrum is m_0's, returned as the same array without a second
     solve. Otherwise m_xi is solved on its own (``spectrum_of``), so a
-    deformation that touches a sector block still shows. The certificate is
-    returned either way, so a caller that reports it forms the difference
-    only here.
+    deformation that touches a sector block still shows; so is a NaN
+    certificate. The certificate is returned either way, so a caller that
+    reports it computes it only here. The difference is gathered sector by
+    sector on the entries in or above the blocks, never formed whole.
     """
     ev_0, route_0 = spectrum_of(m_0, n_sites)
-    lowering = strictly_lowering_residual(m_xi - m_0, n_sites)
+    lowering = _lowering_certificate(m_xi, n_sites, m_0)
     if route_0 == "graded" and lowering == 0.0:
         return ev_0, ev_0, lowering
     return spectrum_of(m_xi, n_sites)[0], ev_0, lowering

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from twistchain import chain
 from twistchain.chain import (
     MOMENTUM_TOL,
     ChainSpec,
@@ -127,6 +128,34 @@ def test_transfer_matrix_is_bitwise_a_plus_d(n):
                 assert np.array_equal(transfer_matrix(spec, u, form), t[:d, :d] + t[d:, d:])
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_uneven_row_chunks_are_bitwise_one_chunk(n, monkeypatch):
+    """Traced in chunks of 3 rows of t, which split its 2^(N-1) rows
+    unevenly from N = 3 on, t(u) for both forms (with the finite-difference
+    points) and both log-derivative routes are bitwise the one-chunk
+    result."""
+    points = {"rational": [1.7, -1.3 + 0.8j],
+              "polynomial": [2.9 + 0.4j, 0.0, 1e-5, -1e-5]}
+
+    def results():
+        out = []
+        for params in _TRACE_PARAMS:
+            spec = ChainSpec(n, params)
+            out += [transfer_matrix(spec, u, form) for form, us in points.items() for u in us]
+            if n >= 2:
+                out += [log_derivative(spec), log_derivative(spec, derivative="fd")]
+        return out
+
+    monkeypatch.setattr(chain, "_TRACE_CHUNK_BYTES", 2**62)
+    whole = results()
+    # a row of t spans two rows of the 2^N-square output, complex entries
+    monkeypatch.setattr(chain, "_TRACE_CHUNK_BYTES", 3 * 2 * 2**n * 16)
+    chunked = results()
+    assert len(chunked) == len(whole)
+    for got, want in zip(chunked, whole):
+        assert np.array_equal(got, want)
+
+
 def _peak_mib(f):
     """Peak traced allocation of one call of f, in MiB, after a warm call."""
     f()
@@ -140,16 +169,19 @@ def _peak_mib(f):
 
 def test_traced_transfer_and_log_derivative_stay_in_budget():
     """At N = 9 one 2^(N+1)-square matrix is 16 MiB and one 2^N-square
-    matrix 4 MiB. Traced at the last site, t(u) peaks at 18 MiB or less.
-    With its traces, differences and scalings summed in place the
-    log-derivative peaks at 29 MiB or less by the exact route and 21 MiB or
-    less by central differences (measured 28.0 and 20.0 MiB; with
-    out-of-place sums they read 40 and 24 MiB, with the full monodromy the
-    exact route read 68 MiB)."""
+    matrix 4 MiB. Traced straight into one output at the last site, t(u)
+    peaks at 10 MiB or less, the log-derivative at 15 MiB or less by the
+    exact route and 14 MiB or less by central differences (measured 9.5,
+    14.5 and 13.5 MiB; with the two auxiliary-diagonal blocks formed whole
+    they read 16, 28 and 20 MiB). At N = 10 t(u) peaks at 36.5 MiB or less
+    (measured 36 MiB, set by the last ``_grow_site``; 64 MiB with whole
+    blocks)."""
     spec = ChainSpec(9, TwistParams(0.5, 1.0))
-    assert _peak_mib(lambda: transfer_matrix(spec, 1.7)) <= 18.0
-    assert _peak_mib(lambda: log_derivative(spec)) <= 29.0
-    assert _peak_mib(lambda: log_derivative(spec, derivative="fd")) <= 21.0
+    assert _peak_mib(lambda: transfer_matrix(spec, 1.7)) <= 10.0
+    assert _peak_mib(lambda: log_derivative(spec)) <= 15.0
+    assert _peak_mib(lambda: log_derivative(spec, derivative="fd")) <= 14.0
+    spec = ChainSpec(10, TwistParams(0.5, 1.0))
+    assert _peak_mib(lambda: transfer_matrix(spec, 1.7)) <= 36.5
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -654,6 +686,81 @@ def test_spectrum_pair_solves_a_raising_deformation_densely():
     ev_xi, _, lowering = spectrum_pair(t_xi, t_0, 4)
     assert lowering == pytest.approx(0.1)
     assert np.array_equal(ev_xi, eigenvalues(t_xi))
+
+
+def _full_difference_certificate(m_xi, m_0, n):
+    """The certificate over the whole difference and one boolean mask."""
+    popcount = np.bitwise_count(np.arange(2**n))
+    upper = np.asarray(m_xi - m_0, dtype=complex)[popcount[:, None] <= popcount[None, :]]
+    return float(np.max(np.hypot(upper.real, upper.imag), initial=0.0))
+
+
+def _certificate_cases(n):
+    """(m_xi, m_0) pairs at N = n: random, an exactly strictly lowering
+    difference, and that difference with one entry planted in or above
+    the blocks of each sector."""
+    rng = np.random.default_rng(70 + n)
+    dim = 2**n
+    popcount = np.bitwise_count(np.arange(dim))
+
+    def gaussian():
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    m_0 = gaussian()
+    lowering = np.where(popcount[:, None] > popcount[None, :], gaussian(), 0)
+    cases = [(gaussian(), m_0), (m_0 + lowering, m_0)]
+    for p in range(n + 1):
+        row = np.flatnonzero(popcount == p)[-1]
+        for col in (row, np.flatnonzero(popcount >= p)[0]):
+            planted = m_0 + lowering
+            planted[row, col] += 1e-3 * (3 - 4j) * (1 + p)
+            cases.append((planted, m_0))
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sector_wise_certificate_is_the_full_difference_value(n, monkeypatch):
+    """Gathered sector by sector, the certificate of ``spectrum_pair`` and
+    ``strictly_lowering_residual`` are bitwise the value over the whole
+    difference: on random, exactly strictly lowering and planted input."""
+    monkeypatch.setattr(chain, "spectrum_of", lambda m, n_sites: (np.zeros(len(m)), "graded"))
+    for i, (m_xi, m_0) in enumerate(_certificate_cases(n)):
+        want = _full_difference_certificate(m_xi, m_0, n)
+        assert (want == 0.0) == (i == 1)
+        assert spectrum_pair(m_xi, m_0, n)[2] == want
+        assert strictly_lowering_residual(m_xi - m_0, n) == want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_certificate_keeps_a_nan_in_every_sector(n, monkeypatch):
+    """A NaN in or above the blocks of any sector makes the certificate NaN,
+    whichever sector holds the largest entry, and ``spectrum_pair`` then
+    solves both sides; a NaN strictly below the blocks is not read."""
+    solved = []
+
+    def spectrum_of(m, n_sites):
+        solved.append(m)
+        return np.zeros(len(m)), "graded"
+
+    monkeypatch.setattr(chain, "spectrum_of", spectrum_of)
+    dim = 2**n
+    popcount = np.bitwise_count(np.arange(dim))
+    m_xi, m_0 = _certificate_cases(n)[0]
+    for p in range(n + 1):
+        for row in np.flatnonzero(popcount == p)[[0, -1]]:
+            for col in np.flatnonzero(popcount >= p)[[0, -1]]:
+                nan_xi = m_xi.copy()
+                nan_xi[row, col] = np.nan
+                solved.clear()
+                ev_xi, ev_0, lowering = spectrum_pair(nan_xi, m_0, n)
+                assert np.isnan(lowering)
+                assert np.isnan(strictly_lowering_residual(nan_xi - m_0, n))
+                assert [id(m) for m in solved] == [id(m_0), id(nan_xi)]
+                assert ev_xi is not ev_0
+    below = m_0.copy()
+    below[dim - 1, 0] = np.nan  # all-down row, all-up column: strictly lowers
+    assert spectrum_pair(below, m_0, n)[2] == 0.0
+    assert strictly_lowering_residual(below - m_0, n) == 0.0
 
 
 @pytest.mark.parametrize("n,xi", [(6, 0.9), (4, 10.0)])

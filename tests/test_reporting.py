@@ -270,10 +270,11 @@ def test_extraction_commutes_probe_sees_a_perturbed_hamiltonian(monkeypatch):
 
 def test_spectrum_suite_stays_in_budget_at_n9():
     """At N = 9 one 2^N-square complex matrix is 4 MiB. The suite holds
-    H(xi) beside the log-derivative (28 MiB) and peaks at 34 MiB or less
-    (measured 32.9 MiB; with the full t(u) of the commutator, lstsq fits
-    and a second H(xi) it read 48.8 MiB). Only the designed red
-    extraction_fit and the eigensolver-limited hamiltonian_dense fail."""
+    H(xi) beside the log-derivative (14.5 MiB) and peaks at 23 MiB or less
+    (measured 22.5 MiB; with the two auxiliary-diagonal blocks of every
+    trace formed whole it read 32.9 MiB, and with the full t(u) of the
+    commutator, lstsq fits and a second H(xi) 48.8 MiB). Only the designed
+    red extraction_fit and the eigensolver-limited hamiltonian_dense fail."""
     run_suite(RunConfig(n_sites=2), "spectrum")  # imports and caches outside the trace
     tracemalloc.start()
     try:
@@ -284,7 +285,7 @@ def test_spectrum_suite_stays_in_budget_at_n9():
     assert len(reports) == 13
     assert {r.check_id for r in reports if not r.passed} == {
         "spectrum.extraction_fit", "spectrum.hamiltonian_dense"}
-    assert peak < 34 * 2**20, peak
+    assert peak < 23 * 2**20, peak
 
 
 NAN = float("nan")
