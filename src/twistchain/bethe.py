@@ -30,6 +30,9 @@ import numpy as np
 from .chain import ChainSpec, monodromy_apply, transfer_apply, vacuum_d, vacuum_state
 
 MAX_ROOT_MAGNITUDE = 1e8  # beyond this a root is treated as escaped to infinity
+NEWTON_MAX_ITER = 200  # Newton steps per attempt of solve_bethe
+NEWTON_TOL = 1e-12  # largest |defect| at which solve_bethe accepts a root set
+POLE_PROBE_RADIUS = 1e-4  # circle radius of lambda_pole_residue
 
 
 class BetheSolverError(RuntimeError):
@@ -122,8 +125,7 @@ def _jacobian(v: np.ndarray, n_sites: int, eta: complex) -> np.ndarray:
     return jac
 
 
-def solve_bethe(n_sites: int, magnons: int, eta: complex, seeds,
-                max_iter: int = 200, tol: float = 1e-12) -> BetheState:
+def solve_bethe(n_sites: int, magnons: int, eta: complex, seeds) -> BetheState:
     """Damped Newton iteration on the logarithmic equations from given seeds.
 
     Steps are halved (up to 8 times) until the defect norm decreases. Root
@@ -139,7 +141,7 @@ def solve_bethe(n_sites: int, magnons: int, eta: complex, seeds,
 
     def attempt(v0):
         v = v0.copy()
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             bad = (
                 np.any(np.abs(v) < 1e-13)
                 or np.any(np.abs(v - eta) < 1e-13)
@@ -154,7 +156,7 @@ def solve_bethe(n_sites: int, magnons: int, eta: complex, seeds,
             if bad:
                 return None, v
             defect = _defect_vector(v, n_sites, eta)
-            if np.max(np.abs(defect)) < tol:
+            if np.max(np.abs(defect)) < NEWTON_TOL:
                 return v, v
             try:
                 step = np.linalg.solve(_jacobian(v, n_sites, eta), -defect)
@@ -297,7 +299,7 @@ def verify_multi_magnon_spectrum(spec: ChainSpec, states: list[BetheState],
     return out
 
 
-def lambda_pole_residue(state: BetheState, j: int, radius: float = 1e-4) -> float:
+def lambda_pole_residue(state: BetheState, j: int) -> float:
     """Estimate of the residue of Lambda(u) at u = v_j by a contour probe.
 
     The two terms of Lambda have simple poles at u = v_j that cancel exactly
@@ -306,8 +308,8 @@ def lambda_pole_residue(state: BetheState, j: int, radius: float = 1e-4) -> floa
     """
     vj = state.roots[j]
     samples = [
-        eval_lambda(vj + radius * np.exp(2j * np.pi * k / 8), state) * radius
-        * np.exp(2j * np.pi * k / 8)
+        eval_lambda(vj + POLE_PROBE_RADIUS * np.exp(2j * np.pi * k / 8), state)
+        * POLE_PROBE_RADIUS * np.exp(2j * np.pi * k / 8)
         for k in range(8)
     ]
     return float(abs(np.mean(samples)))

@@ -732,17 +732,15 @@ def graded_eigenvalues(m: np.ndarray, n_sites: int) -> np.ndarray | None:
     when the structure is not exact, so callers can fall back to a dense
     computation.
     """
-    popcount = np.bitwise_count(np.arange(2 ** n_sites))
-    # as in strictly_lowering_residual, the entries above the diagonal blocks
-    # are those whose row has fewer down spins than their column
-    if np.any((m != 0) & (popcount[:, None] < popcount[None, :])):
+    blocks = _in_or_above_blocks(n_sites)
+    # the entries strictly above sector p's block: its rows, sector p + 1's columns
+    if any(m[rows, above].any() for (rows, _), (_, above) in zip(blocks, blocks[1:])):
         return None
     evs = []
-    for p in range(n_sites + 1):
+    for p, (rows, _) in enumerate(blocks):
         # the sector's states in ascending binary order, the row order of
         # _momentum_basis, gathered from m directly: m is never copied whole
-        rows = np.flatnonzero(popcount == p)
-        evs.extend(_sector_eigenvalues(m[np.ix_(rows, rows)], n_sites, p))
+        evs.extend(_sector_eigenvalues(m[rows, rows.T], n_sites, p))
     ev = np.concatenate(evs)
     return ev[np.lexsort((ev.imag, ev.real))]
 

@@ -10,11 +10,12 @@ Suites: ybe rtt cr spectrum bethe symmetry fusion twist all.
 Precedence: command-line flags override the config file, which overrides
 built-in defaults. The environment variable TWISTCHAIN_SEED supplies the
 default seed. The exit status is 1 when a check that is not an
-expected-failure check fails, and 2, with no report written, when a
-tolerance override names a key that no check of the run reads. A suite
-that raises ends in a failing ``<suite>.error`` report before its later
-checks read their keys, so then the report is written, the unread keys
-are named as a warning and the exit status is 1.
+expected-failure check fails, and 2, with no report written, when
+RunConfig refuses a value (flag or config file) or a tolerance override
+names a key that no check of the run reads. A suite that raises ends in
+a failing ``<suite>.error`` report before its later checks read their
+keys, so then the report is written, the unread keys are named as a
+warning and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -97,8 +98,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = resolve_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = resolve_config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     reports = run_suite(config, args.suite)
     unread = unread_tolerances(config, reports)
     errors = [r.check_id for r in reports if r.check_id.endswith(".error")]

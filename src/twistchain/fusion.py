@@ -16,7 +16,8 @@ is the trace of the restriction,
 with Pi_l = W S_l W^{-1} the twist conjugate of the symmetrizer (exact
 construction; any idempotent with image V_l gives the same trace once
 invariance holds, which is checked). Levels 0 and 1 (Pi_l = 1) take the
-same route.
+same route. W is the paper's twist on l slots: F12 lifted onto the slot
+pairs (``tensor.lift`` for every embedding); each Pi_l is built once.
 
 In this normalization the hierarchy satisfies, exactly,
 
@@ -33,56 +34,51 @@ determinant; it equals d(u - eta) and is exposed for testing.
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+from itertools import permutations
+
 import numpy as np
 
 from .chain import ChainSpec, _monodromy_product, transfer_matrix, vacuum_d
-from .rmatrix import spectral_projectors
-from .tensor import rel_residual
+from .rmatrix import build_f12, spectral_projectors
+from .tensor import lift, rel_residual
 
 MAX_LEVEL = 3
+
+
+def _slot_twist(xi: complex, j: int) -> np.ndarray:
+    """F_j = prod_{k<j} F12_{kj}(xi) on j slots (1-based pairs), exactly
+    1 + xi (sum_{k<j} h_k) ⊗ e_j since e_j^2 = 0; F_j(-xi) is its inverse."""
+    f12 = build_f12(xi)
+    return reduce(np.matmul, (lift(f12, [2] * j, [k, j - 1]) for k in range(j - 1)))
 
 
 def multi_twist(xi: complex, level: int) -> tuple[np.ndarray, np.ndarray]:
     """The level-fold twist W on (C^2)^{⊗level} and its inverse, both exact.
 
-    Built factor by factor as W_j = (W_{j-1} ⊗ 1) (1 + xi (sum_{k<j} h_k) ⊗ e):
-    every factor is 1 + nilpotent-of-square-zero, so products and inverses
-    terminate without any approximation. W_2 is the fundamental twist matrix;
-    W_0 is the 1 x 1 identity of the 0-fold product and W_1 the 2 x 2 one.
+    W_j = (W_{j-1} ⊗ 1) F_j and W_j^{-1} = F_j(-xi) (W_{j-1}^{-1} ⊗ 1), each
+    ⊗ 1 a ``lift`` (F_j: ``_slot_twist``). W_2 is F12; W_0 and W_1 are the
+    identities of the 0-fold (1 x 1) and 1-fold (2 x 2) products.
     """
     w = np.eye(2 ** min(level, 1), dtype=complex)
     w_inv = w.copy()
-    h_sum = np.diag([1.0, -1.0]).astype(complex)  # h at the first slot
-    e2 = np.array([[0, 0], [1, 0]], dtype=complex)
     for j in range(2, level + 1):
-        dim_prev = 2 ** (j - 1)
-        factor = np.eye(2 * dim_prev, dtype=complex) + xi * np.kron(h_sum, e2)
-        factor_inv = np.eye(2 * dim_prev, dtype=complex) - xi * np.kron(h_sum, e2)
-        w = np.kron(w, np.eye(2, dtype=complex)) @ factor
-        w_inv = factor_inv @ np.kron(w_inv, np.eye(2, dtype=complex))
-        h_sum = np.kron(h_sum, np.eye(2, dtype=complex)) \
-            + np.kron(np.eye(dim_prev, dtype=complex), np.diag([1.0, -1.0]))
+        dims, earlier = [2] * j, list(range(j - 1))
+        w = lift(w, dims, earlier) @ _slot_twist(xi, j)
+        w_inv = _slot_twist(-xi, j) @ lift(w_inv, dims, earlier)
     return w, w_inv
 
 
 def symmetrizer(level: int) -> np.ndarray:
-    """Orthogonal projector onto the fully symmetric subspace of (C^2)^{⊗level}."""
-    from itertools import permutations
-
+    """Orthogonal projector onto the fully symmetric subspace of (C^2)^{⊗level}:
+    the mean of the slot permutations, read off the identity's tensor axes."""
     dim = 2 ** level
-    s = np.zeros((dim, dim), dtype=complex)
-    count = 0
-    for perm in permutations(range(level)):
-        p = np.zeros((dim, dim), dtype=complex)
-        for idx in range(dim):
-            bits = [(idx >> (level - 1 - k)) & 1 for k in range(level)]
-            target = sum(bits[perm[k]] << (level - 1 - k) for k in range(level))
-            p[target, idx] = 1.0
-        s += p
-        count += 1
-    return s / count
+    eye = np.eye(dim, dtype=complex).reshape([2] * level + [dim])
+    return np.mean([eye.transpose(perm + (level,)).reshape(dim, dim)
+                    for perm in permutations(range(level))], axis=0)
 
 
+@lru_cache(maxsize=1024)
 def fused_projector(xi: complex, level: int) -> np.ndarray:
     """Idempotent W S W^{-1} projecting onto the fused auxiliary space.
 
@@ -91,19 +87,19 @@ def fused_projector(xi: complex, level: int) -> np.ndarray:
     built from exactly terminating series, so the construction introduces
     no rounding beyond the symmetrizer weights. At level 2 it equals the
     P+(xi) returned by the R-matrix module; at levels 0 and 1 it is the
-    identity.
+    identity. Built once per (xi, level) and returned read-only.
     """
     w, w_inv = multi_twist(xi, level)
-    return w @ symmetrizer(level) @ w_inv
+    projector = w @ symmetrizer(level) @ w_inv
+    projector.flags.writeable = False  # the cache hands it to every caller
+    return projector
 
 
 def _staggered_product(spec: ChainSpec, level: int, u: complex) -> np.ndarray:
     """T_{a_1}(u) ... T_{a_level}(u - (level-1) eta) on aux^level ⊗ chain."""
-    eta = spec.params.eta
-    points = [u - i * eta for i in range(level)]
-    for i, point in enumerate(points):
-        if point == 0:
-            raise ValueError(f"fusion point u - {i} eta = 0 hits the rational pole")
+    points = [u - i * spec.params.eta for i in range(level)]
+    if 0 in points:
+        raise ValueError(f"fusion point u - {points.index(0)} eta = 0 hits the rational pole")
     return _monodromy_product(spec, points)
 
 

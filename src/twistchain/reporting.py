@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 
 from .tensor import MAX_SITES
+from .twist import TwistParams
 
 VERSION = "0.1.0"
 
@@ -133,8 +134,7 @@ class RunConfig:
             raise ValueError(f"n_sites must be in 1..{MAX_SITES}")
         if self.boundary not in ("periodic", "open"):
             raise ValueError("boundary must be periodic or open")
-        if complex(self.eta) == 0:
-            raise ValueError("eta must be nonzero")
+        TwistParams(self.xi, self.eta)  # refuses a non-finite xi or eta and eta = 0
 
     def tolerance(self, check_id: str, default: float) -> float:
         return float(self.tolerances.get(check_id, default))

@@ -634,13 +634,13 @@ def suite_fusion(config: RunConfig) -> list[VerificationReport]:
     reports = []
 
     u = _sample_u(rng, avoid=(0.0, eta, 2 * eta, 3 * eta), min_gap=0.2)
+    t_u = [fu.fused_transfer(spec, level, u) for level in range(fu.MAX_LEVEL + 1)]
     reports.append(_Check(config, "fusion.level1_identity", 1e-13).report(
-        {"n_sites": n, "u": u},
-        rel_residual(fu.fused_transfer(spec, 1, u), ch.transfer_matrix(spec, u)),
+        {"n_sites": n, "u": u}, rel_residual(t_u[1], ch.transfer_matrix(spec, u)),
         notes="level 1 equals the fundamental transfer matrix",
     ))
     reports.append(_Check(config, "fusion.level0_scalar", 1e-14).report(
-        {"n_sites": n}, rel_residual(fu.fused_transfer(spec, 0, u), np.eye(spec.dim)),
+        {"n_sites": n}, rel_residual(t_u[0], np.eye(spec.dim)),
         notes="trivial auxiliary representation; recorded scalar 1",
     ))
 
@@ -668,17 +668,16 @@ def suite_fusion(config: RunConfig) -> list[VerificationReport]:
     ))
 
     v = _sample_u(rng, avoid=(0.0, eta, 2 * eta, u), min_gap=0.2)
+    t_v = {level: fu.fused_transfer(spec, level, v) for level in (1, 2)}
     reports.append(_Check(config, "fusion.commuting_family", 1e-9).report(
         {"n_sites": n, "u": u, "v": v},
-        _worst(_commutator(fu.fused_transfer(spec, la, u), fu.fused_transfer(spec, lb, v))
-               for la in (1, 2, 3) for lb in (1, 2)),
+        _worst(_commutator(t_u[la], t_v[lb]) for la in (1, 2, 3) for lb in (1, 2)),
         notes="all levels and spectral parameters commute",
     ))
 
     spectra = _Check(config, "fusion.spectra", 1e-7)
     spec0 = ch.ChainSpec(n, tw.TwistParams(0.0, eta))
-    ev_xi, ev_0, _ = ch.spectrum_pair(fu.fused_transfer(spec, 2, u),
-                                      fu.fused_transfer(spec0, 2, u), n)
+    ev_xi, ev_0, _ = ch.spectrum_pair(t_u[2], fu.fused_transfer(spec0, 2, u), n)
     rep = match_spectra(ev_xi, ev_0, spectra.tolerance)
     reports.append(spectra.report(
         {"n_sites": n, "xi": config.xi, "u": u}, rep.max_pair_distance,

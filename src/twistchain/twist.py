@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_matrix, rel_residual
+from .tensor import as_matrix, lift, rel_residual
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class TwistParams:
 
     def __post_init__(self):
         if not np.isfinite(complex(self.xi)) or not np.isfinite(complex(self.eta)):
-            raise ValueError("parameters must be finite")
+            raise ValueError("xi and eta must be finite")
         if self.eta == 0:
             raise ValueError("eta must be nonzero")
 
@@ -139,9 +139,8 @@ def twist_series(rep1: SpinRep, rep2: SpinRep, xi: complex) -> np.ndarray:
 
 def coproduct(rep1: SpinRep, rep2: SpinRep, generator: str) -> np.ndarray:
     """Undeformed coproduct x -> x⊗1 + 1⊗x represented on rep1 ⊗ rep2."""
-    x1 = getattr(rep1, generator)
-    x2 = getattr(rep2, generator)
-    return np.kron(x1, np.eye(rep2.dim)) + np.kron(np.eye(rep1.dim), x2)
+    dims = [rep1.dim, rep2.dim]
+    return lift(getattr(rep1, generator), dims, [0]) + lift(getattr(rep2, generator), dims, [1])
 
 
 def twisted_coproduct(rep1: SpinRep, rep2: SpinRep, generator: str, xi: complex) -> np.ndarray:
@@ -159,9 +158,9 @@ def verify_cocycle(rep1: SpinRep, rep2: SpinRep, rep3: SpinRep, xi: complex) -> 
     (Delta⊗id)F = exp(Delta(h) ⊗ sigma_3 / 2) and (id⊗Delta)F uses
     sigma(Delta(e)) = -log(1 - 2 xi (e⊗1 + 1⊗e)) on rep2 ⊗ rep3.
     """
-    d1, d3 = rep1.dim, rep3.dim
-    f12 = np.kron(universal_twist(rep1, rep2, xi), np.eye(d3))
-    f23 = np.kron(np.eye(d1), universal_twist(rep2, rep3, xi))
+    dims = [rep1.dim, rep2.dim, rep3.dim]
+    f12 = lift(universal_twist(rep1, rep2, xi), dims, [0, 1])
+    f23 = lift(universal_twist(rep2, rep3, xi), dims, [1, 2])
 
     dh = coproduct(rep1, rep2, "h")
     lhs = f12 @ _nilpotent_exp(np.kron(dh, sigma_element(rep3, xi)) / 2)

@@ -184,3 +184,27 @@ def test_overflowing_rtt_sweep_fails_at_its_first_nan_draw(capsys):
     for r in rows:
         assert r["residual"] == "nan" and not r["pass"]
         assert {"xi", "u", "v"} <= set(r["params"])
+
+
+@pytest.mark.parametrize("flags, config_line", [
+    (["--n-sites", "13"], "n_sites = 13"),
+    (["--eta", "0"], "eta = 0"),
+    (["--samples", "0"], "samples = 0"),
+    (["--eta", "1e400"], "eta = 1e400"),
+    (["--xi", "1e400"], "xi = 1e400"),
+])
+def test_refused_config_value_exits_2(tmp_path, capsys, flags, config_line):
+    """A refused value, from a flag or from the config file, ends in one
+    error line and exit status 2, with no report; 1e400 parses to inf."""
+    out = tmp_path / "report.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line + "\n")
+    for args in (flags, ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "twist", "--out", str(out), *args])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith("twistchain: error: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistchain.tensor import SM, SZ
+from twistchain.tensor import SM, SZ, rel_residual
 from twistchain.twist import (
     TwistParams,
     coproduct,
@@ -12,6 +12,7 @@ from twistchain.twist import (
     twisted_coproduct,
     universal_twist,
     verify_cocycle,
+    _neg_log_one_minus,
     _nilpotent_exp,
 )
 
@@ -165,3 +166,34 @@ def test_params_validation():
         TwistParams(0.1, 0.0)
     with pytest.raises(ValueError):
         TwistParams(np.nan, 1.0)
+
+
+SPINS = (0.5, 1.0, 1.5)
+
+
+def _kron_coproduct(rep1, rep2, generator):
+    x1, x2 = getattr(rep1, generator), getattr(rep2, generator)
+    return np.kron(x1, np.eye(rep2.dim)) + np.kron(np.eye(rep1.dim), x2)
+
+
+@pytest.mark.parametrize("s1", SPINS)
+@pytest.mark.parametrize("s2", SPINS)
+def test_coproduct_matches_kronecker_reference(s1, s2):
+    r1, r2 = make_spin_rep(s1), make_spin_rep(s2)
+    for gen in ("h", "e", "f"):
+        assert np.array_equal(coproduct(r1, r2, gen), _kron_coproduct(r1, r2, gen))
+
+
+@pytest.mark.parametrize("spins", [(0.5, 0.5, 0.5), (0.5, 0.5, 1.0), (1.0, 0.5, 1.5)])
+def test_cocycle_matches_kronecker_reference(spins):
+    """The residual is bitwise that of F12 ⊗ 1 and 1 ⊗ F23 padded by np.kron."""
+    r1, r2, r3 = (make_spin_rep(s) for s in spins)
+    rng = np.random.default_rng(8)
+    for xi in [0.0, 0.5, 0.3 + 0.4j, *rng.uniform(-1, 1, 5)]:
+        f12 = np.kron(universal_twist(r1, r2, xi), np.eye(r3.dim))
+        f23 = np.kron(np.eye(r1.dim), universal_twist(r2, r3, xi))
+        dh = _kron_coproduct(r1, r2, "h")
+        lhs = f12 @ _nilpotent_exp(np.kron(dh, sigma_element(r3, xi)) / 2)
+        sig_de = _neg_log_one_minus(2 * xi * _kron_coproduct(r2, r3, "e"))
+        rhs = f23 @ _nilpotent_exp(np.kron(r1.h, sig_de) / 2)
+        assert verify_cocycle(r1, r2, r3, xi) == rel_residual(lhs, rhs)
