@@ -20,28 +20,28 @@ which is the starting point of the algebraic Bethe ansatz layer in
 extraction) the polynomial form Lbar(u) = u R_xi - eta P is used; it differs
 from the rational form by the overall scalar u^N in t(u).
 
-Full matrices are built from their local structure. An ordered product
-such as T(u) is grown one site at a time, T_k = L_{a,k} (T_{k-1} ⊗ 1) from
-the auxiliary identity, as a matrix product operator is contracted
-(``_grow_site``); so is a product of monodromies on several auxiliary
-spaces, T_{a1}(u) T_{a2}(v) = prod_k L_{a1,k}(u) L_{a2,k}(v), from one site
-factor embedded with ``tensor.lift`` (``_monodromy_product``, for RTT and
-fusion). The transfer matrix is traced at the last site: t(u), and t(0),
-t'(0) of the polynomial form for the log-derivative, are grown over sites
-1..N-1, and site N is traced straight into one 2^N-square output, filled
-in row chunks with the auxiliary-diagonal block a = 0 written and a = 1
-added in place (``_trace_last_site``). The Hamiltonian, a sum of local
-terms, is scattered into its matrix term by term with ``tensor.add_local``. Every
-reader of A..D goes through ``monodromy_blocks_apply``: the kernel
-``tensor.apply_local`` applies T(u) factor by factor to [[X, 0], [0, X]],
-O(N 4^N) per column block, and all four blocks come out of that one
-application (on X = I for the displayed table, bound by
-``monodromy_members``, and for ``rtt_components``); ``monodromy_matrix``
-stays as the dense reference.
+Every chain object is one product of a local site factor over the sites,
+and every evaluator takes that factor: R(u), Lbar(u), R_xi, or the lifted
+factor on aux^m ⊗ site of ``_monodromy_product`` (RTT and fusion). One
+route serves each job. ``_site_product`` grows the dense product one site
+at a time, T_k = L_{a,k} (T_{k-1} ⊗ 1) from the auxiliary identity, as a
+matrix product operator is contracted (``_grow_site``). ``_transfer``
+grows sites 1..N-1 and traces site N straight into one 2^N-square output,
+row chunk by row chunk (``_trace_last_site``). ``_poly_carry`` carries the
+coefficients of prod_k (const + u lin)_{a,k}, densely or on a column
+block. ``_factors_apply`` applies the product to a column block with
+``tensor.apply_local``, O(N 4^N) per block; every reader of A..D goes
+through ``monodromy_blocks_apply``, whose one application to
+[[X, 0], [0, X]] gives all four blocks (on X = I for the displayed table,
+bound by ``monodromy_members``, and for ``rtt_components``), and
+``monodromy_matrix`` stays as the dense reference. The Hamiltonian, a sum
+of local terms, is scattered into its matrix term by term with
+``tensor.add_local``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from typing import NamedTuple
@@ -146,14 +146,6 @@ def vacuum_d(u: complex, spec: ChainSpec) -> complex:
     return (1 - spec.params.eta / u) ** spec.n_sites
 
 
-def _local_l(spec: ChainSpec, u: complex, form: str) -> np.ndarray:
-    if form == "rational":
-        return build_r(u, spec.params)
-    if form == "polynomial":
-        return polynomial_l(u, spec.params)
-    raise ValueError(f"unknown form {form!r}")
-
-
 def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
     """T(u) x = L_N(u)...L_1(u) x for a vector or column block x on
     aux ⊗ chain, matrix-free."""
@@ -202,12 +194,13 @@ def _grow_site(op: np.ndarray, t: np.ndarray) -> np.ndarray:
     return grown.transpose(0, 3, 1, 4, 2).reshape(2 * t.shape[0], 2 * t.shape[1])
 
 
-def _site_product(factors: list[np.ndarray]) -> np.ndarray:
-    """F_N ... F_1 on aux ⊗ chain, F_k acting on aux ⊗ site k, grown site by
-    site from the identity of the auxiliary space (read from F_1's shape)."""
-    t = np.eye(factors[0].shape[0] // 2, dtype=complex)
-    for op in factors:
-        t = _grow_site(op, t)
+def _site_product(factor: np.ndarray, n_sites: int) -> np.ndarray:
+    """factor_{a,n_sites} ... factor_{a,1} on aux ⊗ sites 1..n_sites, grown
+    site by site from the identity of the auxiliary space (its dimension
+    read from the factor's shape); the identity itself at n_sites = 0."""
+    t = np.eye(factor.shape[0] // 2, dtype=complex)
+    for _ in range(n_sites):
+        t = _grow_site(factor, t)
     return t
 
 
@@ -226,12 +219,12 @@ def _monodromy_product(spec: ChainSpec, points: list[complex],
     factor = reduce(np.matmul, (lift(build_r(p, spec.params), dims, [s, m])
                                 for p, s in zip(points, slots)),
                     np.eye(2 ** (m + 1), dtype=complex))
-    return _site_product([factor] * spec.n_sites)
+    return _site_product(factor, spec.n_sites)
 
 
-def monodromy_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.ndarray:
+def monodromy_matrix(spec: ChainSpec, u: complex) -> np.ndarray:
     """T(u) = L_N(u)...L_1(u) as a matrix on aux ⊗ chain."""
-    return _site_product([_local_l(spec, u, form)] * spec.n_sites)
+    return _site_product(build_r(u, spec.params), spec.n_sites)
 
 
 def _trace_last_site(op: np.ndarray, t: np.ndarray,
@@ -272,15 +265,17 @@ def _trace_last_site(op: np.ndarray, t: np.ndarray,
     return out.reshape(2 * rows, 2 * cols)
 
 
-def transfer_matrix(spec: ChainSpec, u: complex, form: str = "rational") -> np.ndarray:
-    """t(u) = tr_aux T(u) = A(u) + D(u), traced at the last site: T(u) is
-    grown over sites 1..N-1 and L_{a,N}(u) is traced straight into t(u)
-    (``_trace_last_site``)."""
-    l4 = _local_l(spec, u, form)
-    t = np.eye(2, dtype=complex)
-    for _ in range(spec.n_sites - 1):
-        t = _grow_site(l4, t)
-    return _trace_last_site(l4, t)
+def _transfer(l4: np.ndarray, n_sites: int) -> np.ndarray:
+    """tr_aux l4_{a,N} ... l4_{a,1} for a 4 x 4 site factor l4: the product
+    is grown over sites 1..N-1 and site N is traced straight into one
+    2^N-square output (``_trace_last_site``)."""
+    return _trace_last_site(l4, _site_product(l4, n_sites - 1))
+
+
+def transfer_matrix(spec: ChainSpec, u: complex) -> np.ndarray:
+    """t(u) = tr_aux T(u) = A(u) + D(u), traced at the last site
+    (``_transfer``)."""
+    return _transfer(build_r(u, spec.params), spec.n_sites)
 
 
 def monodromy_blocks_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> MonodromyBlocks:
@@ -315,44 +310,38 @@ def monodromy_poly_coeffs(spec: ChainSpec) -> list[np.ndarray]:
     coefficient of u^j on aux ⊗ chain. Exact bookkeeping, no limits taken.
     """
     const, lin = _poly_factors(spec)
-    coeffs = [np.eye(2, dtype=complex)]
-    for _ in range(spec.n_sites):
-        new = [_grow_site(const, c) for c in coeffs]
-        new.append(np.zeros_like(new[0]))
-        for deg, c in enumerate(coeffs):
-            new[deg + 1] += _grow_site(lin, c)
-        coeffs = new
-    return coeffs
+    return _poly_carry(const, lin, np.eye(2, dtype=complex), spec.n_sites, _grow_at,
+                       top=spec.n_sites)
 
 
-def _monodromy_poly_pair(spec: ChainSpec, end: str) -> tuple[np.ndarray, np.ndarray]:
-    """Two adjacent coefficients of Tbar(u) from a truncated expansion.
+def _grow_at(op: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """op_{a,k} (t ⊗ 1_k) for ``_poly_carry``: t spans sites 1..k-1."""
+    return _grow_site(op, t)
 
-    end="low" gives the coefficients of u^0 and u^1; end="high" those of
-    u^N and u^{N-1}, the two lowest degrees of the reversed product
-    u^N Tbar(1/u) = prod_k (R_xi - u eta P)_{a,k}. Only two matrices are
-    carried through the N factors, instead of all N + 1 coefficients.
+
+def _poly_carry(const: np.ndarray, lin: np.ndarray, c0: np.ndarray, n_sites: int,
+                at: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
+                top: int = 1) -> list[np.ndarray]:
+    """Coefficients of u^0..u^top of prod_{k <= n_sites} (const + u lin)_{a,k}
+    applied to c0, carried site by site; ``at(op, c, k)`` applies op_{a,k}
+    to c (``_grow_at``, or ``tensor.apply_local`` at slots [0, k]).
+
+    Site k runs top degree down, so each old c_d is read before it is
+    replaced: c_d becomes lin c_{d-1}, with const c_d added in place. With
+    `const` and `lin` swapped it carries u^N Tbar(1/u), whose lowest
+    coefficients are the highest of Tbar(u).
     """
-    const, lin = _poly_factors(spec)
-    if end == "high":
-        const, lin = lin, const
-    elif end != "low":
-        raise ValueError(f"unknown end {end!r}")
-    return _poly_carry(const, lin, spec.n_sites)
-
-
-def _poly_carry(const: np.ndarray, lin: np.ndarray,
-                n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of u^0 and u^1 of prod_{k <= n_sites} (const + u lin)_{a,k},
-    grown site by site (n_sites >= 1)."""
-    c0 = np.eye(2, dtype=complex)
-    c1 = None
-    for _ in range(n_sites):
-        step = _grow_site(lin, c0)
-        if c1 is not None:
-            step += _grow_site(const, c1)
-        c1, c0 = step, _grow_site(const, c0)
-    return c0, c1
+    coeffs = [c0]
+    for k in range(1, n_sites + 1):
+        for d in range(min(k, top), 0, -1):
+            step = at(lin, coeffs[d - 1], k)
+            if d < len(coeffs):
+                step += at(const, coeffs[d], k)
+                coeffs[d] = step
+            else:
+                coeffs.append(step)
+        coeffs[0] = at(const, coeffs[0], k)
+    return coeffs
 
 
 def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
@@ -577,35 +566,34 @@ def log_derivative(spec: ChainSpec, derivative: str = "poly") -> np.ndarray:
         # tr [const_{a,N} c1 + lin_{a,N} c0], each block summed over the two
         # terms before the blocks are added, and t(0) is tr const_{a,N} c0
         const, lin = _poly_factors(spec)
-        c0, c1 = _poly_carry(const, lin, spec.n_sites - 1)
+        c0, c1 = _poly_carry(const, lin, np.eye(2, dtype=complex), spec.n_sites - 1, _grow_at)
         t1 = _trace_last_site(const, c1, (lin, c0))
         del c1
         t0 = _trace_last_site(const, c0)
         del c0
     elif derivative == "fd":
-        step = 1e-5
-        t1 = transfer_matrix(spec, step, form="polynomial")
-        t1 -= transfer_matrix(spec, -step, form="polynomial")
+        step, n = 1e-5, spec.n_sites
+        t1 = _transfer(polynomial_l(step, spec.params), n)
+        t1 -= _transfer(polynomial_l(-step, spec.params), n)
         t1 /= 2 * step
-        t0 = transfer_matrix(spec, 0.0, form="polynomial")
+        t0 = _transfer(polynomial_l(0.0, spec.params), n)
     else:
         raise ValueError(f"unknown derivative method {derivative!r}")
     return _solve_t0(t0, t1)
 
 
-def extract_hamiltonian(spec: ChainSpec, h_formula: np.ndarray | None = None) -> HamiltonianPair:
+def extract_hamiltonian(spec: ChainSpec, h_formula: np.ndarray) -> HamiltonianPair:
     """The exact log-derivative Hamiltonian (``log_derivative``), affinely
-    fitted to the displayed local formula and to its doubled-coefficient
-    variant; both fits are reported. `h_formula` passes the displayed H(xi)
-    when the caller has built it already; it is built here otherwise.
+    fitted to the displayed local formula `h_formula` (H(xi) of
+    ``build_hamiltonian``, built by the caller) and to its doubled-coefficient
+    variant; both fits are reported.
     """
     h_ext = log_derivative(spec)
-    h_form = build_hamiltonian(spec) if h_formula is None else h_formula
-    a, b, res = _affine_fit(h_ext, h_form)
+    a, b, res = _affine_fit(h_ext, h_formula)
     h_doubled = build_hamiltonian(spec, deformation_doubled=True)
     a2, b2, res2 = _affine_fit(h_ext, h_doubled)
     return HamiltonianPair(
-        h_formula=h_form, h_extracted=h_ext,
+        h_formula=h_formula, h_extracted=h_ext,
         scale=a, shift=b, fit_residual=res,
         scale_doubled=a2, shift_doubled=b2, fit_residual_doubled=res2,
     )
@@ -778,10 +766,10 @@ def spectrum_pair(m_xi: np.ndarray, m_0: np.ndarray,
 
 def verify_spectrum_coincidence(
     spec: ChainSpec,
-    u_samples: list[complex] | None = None,
-    tol_h: float = 1e-8,
-    tol_t: float = 1e-7,
-    hamiltonians: tuple[np.ndarray, np.ndarray] | None = None,
+    u_samples: list[complex],
+    tol_h: float,
+    tol_t: float,
+    hamiltonians: tuple[np.ndarray, np.ndarray] | None,
 ) -> tuple[SpectrumReport | None, float | None, list[tuple[complex, SpectrumReport]]]:
     """Match the spectra of the deformed and undeformed chain.
 
@@ -794,8 +782,9 @@ def verify_spectrum_coincidence(
     (exact, see graded_eigenvalues) and certified for the deformed matrix
     (``spectrum_pair``), making the coincidence exact rather than
     perturbative; a pair that fails the certificate is solved on both sides.
-    `hamiltonians` passes (H(xi), H(0)) when the caller has built them
-    already; they are built here otherwise.
+    `hamiltonians` is (H(xi), H(0)) from ``build_hamiltonian``, None at
+    N = 1; the spectra of H and of t(u) are matched within `tol_h` and
+    `tol_t`.
     """
     if spec.boundary != "periodic":
         raise ValueError("spectrum coincidence is a periodic-chain statement")
@@ -803,12 +792,8 @@ def verify_spectrum_coincidence(
     n = spec.n_sites
     h_report = h_lowering = None
     if n >= 2:
-        if hamiltonians is None:
-            hamiltonians = build_hamiltonian(spec), build_hamiltonian(spec0)
         ev_xi, ev_0, h_lowering = spectrum_pair(*hamiltonians, n)
         h_report = match_spectra(ev_xi, ev_0, tol_h)
-    if u_samples is None:
-        u_samples = [1.7, 2.9 + 0.4j, -1.3 + 0.8j]
     t_reports = []
     for u in u_samples:
         ev_xi, ev_0, _ = spectrum_pair(transfer_matrix(spec, u), transfer_matrix(spec0, u), n)

@@ -11,8 +11,11 @@ Precedence: command-line flags override the config file, which overrides
 built-in defaults. The environment variable TWISTCHAIN_SEED supplies the
 default seed. The exit status is 1 when a check that is not an
 expected-failure check fails, and 2, with no report written, when
-RunConfig refuses a value (flag or config file) or a tolerance override
-names a key that no check of the run reads. A suite that raises ends in
+RunConfig refuses a value (flag or config file), the config file cannot
+be read, a ``--tol`` item is not CHECK=VALUE, or a tolerance override
+names a key that no check of the run reads. Bad input is reported under
+the ``verify`` usage line with one ``twistchain verify: error:`` line,
+before any suite runs. A suite that raises ends in
 a failing ``<suite>.error`` report before its later checks read their
 keys, so then the report is written, the unread keys are named as a
 warning and the exit status is 1.
@@ -62,6 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--config", default=None, help="flat key = value config file")
     verify.add_argument("--format", choices=("json", "csv"), default="json")
     verify.add_argument("--out", default=None, help="write the report here (default stdout)")
+    # outside input refused after parsing is reported under the verify usage
+    verify.set_defaults(refuse=verify.error)
     return parser
 
 
@@ -89,7 +94,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     tolerances = dict(values.pop("tolerances", {}))
     for item in args.tol:
         if "=" not in item:
-            raise SystemExit(f"--tol expects CHECK=VALUE, got {item!r}")
+            raise ValueError(f"--tol expects CHECK=VALUE, got {item!r}")
         check, _, value = item.partition("=")
         tolerances[check.strip()] = float(value)
     if tolerances:
@@ -102,8 +107,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)
-    except ValueError as exc:
-        parser.error(str(exc))
+    except (ValueError, OSError) as exc:
+        args.refuse(str(exc))
     reports = run_suite(config, args.suite)
     unread = unread_tolerances(config, reports)
     errors = [r.check_id for r in reports if r.check_id.endswith(".error")]

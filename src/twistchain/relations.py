@@ -13,7 +13,7 @@ alpha, beta, xi (bound to numbers).
 Storing the relations as data keeps the transcription auditable line by
 line; nothing about them is hand-coded into the evaluator.
 
-``_evaluate`` never forms a product of two operators. It expands a side
+The evaluator never forms a product of two operators. It expands a side
 into a linear combination of operator words (scalars commute into the
 coefficients) and applies each distinct word to a column block X, right to
 left. An operator name is bound to a ``Member`` of a family whose members
@@ -255,19 +255,6 @@ def _combine(table: dict, blocks: dict) -> np.ndarray:
         term = coef * blocks[word]
         total = term if total is None else total + term
     return total
-
-
-def _evaluate(node, env: dict, x: np.ndarray) -> np.ndarray:
-    """Apply the operator an AST denotes to the column block `x`.
-
-    The AST is expanded into a linear combination of operator words; each
-    distinct word is applied to `x` once, right to left (``_apply_words``),
-    and the applied words are summed with their coefficients. Names bound to
-    ``Member``s are operators and names bound to numbers scalars; no two
-    operators are ever multiplied together.
-    """
-    table = _word_table(_expand(node), env)
-    return _combine(table, _apply_words(list(table), env, x))
 
 
 @lru_cache(maxsize=256)

@@ -54,7 +54,7 @@ from functools import partial
 import numpy as np
 
 from . import relations as rel
-from .chain import ChainSpec, _aux_blocks_apply, monodromy_members
+from .chain import ChainSpec, _aux_blocks_apply, _poly_carry, monodromy_members
 from .rmatrix import build_r_xi
 from .tensor import MAX_SITES, apply_local, permutation_op, rel_residual
 from .twist import TwistParams
@@ -93,8 +93,9 @@ def t0_apply(spec: ChainSpec, x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _constant_blocks(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E, G and E^{-1} as matrices: ``t0_apply`` on the identity, bitwise the
-    u^N coefficient of ``_monodromy_poly_pair(spec, "high")``. Read only by
-    the coproducts, at fixed small N."""
+    blocks of the grown constant product ``chain._site_product(R_xi, N)``,
+    the u^N coefficient of the polynomial monodromy. Read only by the
+    coproducts, at fixed small N."""
     e, _, g, e_inv = t0_apply(spec, np.eye(spec.dim))
     return e, g, e_inv
 
@@ -164,12 +165,13 @@ def verify_symmetry_relations(spec: ChainSpec, u: complex, x: np.ndarray) -> lis
             for relation, residual in zip(table, residuals)]
 
 
-def verify_coproducts(n1: int, n2: int, xi: complex, eta: complex = 1.0) -> dict:
+def verify_coproducts(n1: int, n2: int, xi: complex, eta: complex) -> dict:
     """Split-chain coproduct check for E and G.
 
-    Builds E, G on chains of length n1, n2 and n1+n2 (sites 1..n1 form the
-    first segment) and evaluates the displayed formulas in both tensor-factor
-    orders. Returns the residuals plus which order satisfies them.
+    Builds E, G at (xi, eta) on chains of length n1, n2 and n1+n2 (sites
+    1..n1 form the first segment) and evaluates the displayed formulas in
+    both tensor-factor orders. Returns the residuals plus which order
+    satisfies them.
     """
     if n1 < 1 or n2 < 1 or n1 + n2 > MAX_SITES:
         raise ValueError(f"segment lengths must be >= 1 with n1 + n2 <= {MAX_SITES}")
@@ -202,24 +204,27 @@ def order1_transcription_residual(spec: ChainSpec, x: np.ndarray) -> float:
     constant R factors above site k and M^< the product below (boundary
     products empty); the index bookkeeping in print is ambiguous, so the
     exact expansion is authoritative and this comparison documents the
-    reading that matches it. The exact side is the two-degree carry of
-    prod_k (R_xi - u eta P)_{a,k} (``chain._monodromy_poly_pair``, end
-    "high") applied to `x`; its constant part M^<_k x also starts each
-    displayed term. With x = I this is the relative Frobenius residual of
-    the full matrices.
+    reading that matches it. The exact side is the coefficient of u in
+    prod_k (R_xi - u eta P)_{a,k} (that of u^{N-1} in Tbar(u)) applied to
+    `x`, carried through ``apply_local`` by ``chain._poly_carry``. The
+    displayed sum is formed in its own loop, term by term from M^<_k x.
+    With x = I this is the relative Frobenius residual of the full
+    matrices.
     """
     n = spec.n_sites
     dims = [2] * (n + 1)
     r_c = build_r_xi(spec.params.xi)
     p = permutation_op()
-    lin = -spec.params.eta * p
-    c0, c1, total = x, None, None
+
+    def at(op, c, k):
+        return apply_local(op, c, dims, [0, k])
+
+    exact = _poly_carry(r_c, -spec.params.eta * p, x, n, at)[1]
+    below, total = x, None
     for k in range(1, n + 1):
-        term = apply_local(p, c0, dims, [0, k])  # P_{a,k} M^<_k x
+        term = at(p, below, k)  # P_{a,k} M^<_k x
         for j in range(k + 1, n + 1):
-            term = apply_local(r_c, term, dims, [0, j])
+            term = at(r_c, term, j)
         total = term if total is None else total + term
-        step = apply_local(lin, c0, dims, [0, k])
-        c1 = step if c1 is None else apply_local(r_c, c1, dims, [0, k]) + step
-        c0 = apply_local(r_c, c0, dims, [0, k])
-    return rel_residual(c1, -spec.params.eta * total)
+        below = at(r_c, below, k)
+    return rel_residual(exact, -spec.params.eta * total)

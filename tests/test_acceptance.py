@@ -110,8 +110,10 @@ def test_criterion_5_spectrum_coincidence():
         for xi in (0.3, 0.9, 10.0):
             spec = ch.ChainSpec(n, tw.TwistParams(xi, 1.0))
             u_samples = [_annulus(rng) for _ in range(5)]
+            hamiltonians = (ch.build_hamiltonian(spec),
+                            ch.build_hamiltonian(ch.ChainSpec(n, tw.TwistParams(0.0, 1.0))))
             h_rep, _, t_reps = ch.verify_spectrum_coincidence(
-                spec, u_samples, tol_h=1e-8, tol_t=1e-7)
+                spec, u_samples, tol_h=1e-8, tol_t=1e-7, hamiltonians=hamiltonians)
             assert h_rep.matched, (n, xi)
             worst_h = max(worst_h, h_rep.max_pair_distance)
             for _, rep in t_reps:
@@ -129,7 +131,8 @@ def test_criterion_6a_extraction_affine_fit():
     details = []
     for n in (3, 4, 5):
         for xi in (0.0, 0.5):
-            pair = ch.extract_hamiltonian(ch.ChainSpec(n, tw.TwistParams(xi, 1.0)))
+            spec = ch.ChainSpec(n, tw.TwistParams(xi, 1.0))
+            pair = ch.extract_hamiltonian(spec, ch.build_hamiltonian(spec))
             worst = max(worst, pair.fit_residual)
             details.append(
                 f"N={n} xi={xi}: displayed {pair.fit_residual:.2e}"
@@ -152,7 +155,7 @@ def test_criterion_6b_extraction_commutes():
     for n in (3, 4, 5):
         for xi in (0.0, 0.5):
             spec = ch.ChainSpec(n, tw.TwistParams(xi, 1.0))
-            pair = ch.extract_hamiltonian(spec)
+            pair = ch.extract_hamiltonian(spec, ch.build_hamiltonian(spec))
             t_u = ch.transfer_matrix(spec, _annulus(rng))
             worst = max(worst, float(
                 np.linalg.norm(pair.h_extracted @ t_u - t_u @ pair.h_extracted)
@@ -272,7 +275,7 @@ def test_criterion_9_symmetry_algebra():
         else:
             worst_rel = max(worst_rel, max(residuals))
     for split in ((1, 1), (2, 1), (2, 2)):
-        res = sy.verify_coproducts(*split, xi=0.6)
+        res = sy.verify_coproducts(*split, xi=0.6, eta=1.0)
         worst_cop = max(worst_cop, res["e_residual"], res["g_residual"])
     elapsed = time.time() - start
     # flagging, not silent failure, is the pass condition for a relation that

@@ -73,14 +73,22 @@ def test_spectrum_of_keeps_returning_eigenvalues_and_route():
         assert res[1] == route
 
 
+def _module_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "twistchain").glob("*.py"))}
+
+
 def test_every_exported_name_is_read_in_src_or_pinned_by_the_benchmark():
-    """Each name of ``twistchain.__all__`` is referenced in the package's code
-    (a name or an attribute, parsed with ``ast``; imports and the ``__all__``
-    strings do not count), or its function is pinned in BENCHMARK.json
-    ``per_layer``."""
+    """Each name of ``twistchain.__all__``, and each module-level function
+    and class of the package, is referenced in the package's code (a name
+    or an attribute, parsed with ``ast``; imports, definitions and the
+    ``__all__`` strings do not count), or its function is pinned in
+    BENCHMARK.json ``per_layer``: nothing in ``src`` is kept only for the
+    tests."""
+    trees = _module_trees()
     referenced = set()
-    for path in (ROOT / "src" / "twistchain").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in trees.values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -89,4 +97,8 @@ def test_every_exported_name_is_read_in_src_or_pinned_by_the_benchmark():
     unread = [name for name in twistchain.__all__ if name not in referenced
               and (getattr(twistchain, name).__module__.removeprefix("twistchain."), name)
               not in pinned]
+    assert unread == []
+    unread = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in referenced and (module, node.name) not in pinned]
     assert unread == []

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import fields
 from math import comb
 
 import numpy as np
@@ -10,13 +9,13 @@ from twistchain.chain import (
     MOMENTUM_TOL,
     ChainSpec,
     ExtractionError,
-    HamiltonianPair,
     _affine_fit,
     _momentum_basis,
-    _monodromy_poly_pair,
     _scaled_permutation,
     _sector_eigenvalues,
+    _site_product,
     _solve_t0,
+    _transfer,
     build_hamiltonian,
     extract_hamiltonian,
     graded_eigenvalues,
@@ -34,9 +33,11 @@ from twistchain.chain import (
     verify_rtt,
     verify_spectrum_coincidence,
 )
-from twistchain.rmatrix import build_r
+from twistchain.rmatrix import build_r, polynomial_l
 from twistchain.tensor import SM, SX, SY, SZ, eigenvalues, match_spectra, rel_residual
 from twistchain.twist import TwistParams
+
+from test_kernel import _kernel_poly_pair
 
 
 def brute_monodromy(n, u, xi, eta):
@@ -113,19 +114,27 @@ def test_transfer_undeformed_matches_brute():
 _TRACE_PARAMS = [TwistParams(0.5, 1.0), TwistParams(0.3 + 0.4j, 0.8 + 0.3j)]
 
 
+# site factors of the rational and polynomial forms and their points, with
+# the finite-difference points of the polynomial form
+_FORMS = ((build_r, [1.7, -1.3 + 0.8j]), (polynomial_l, [2.9 + 0.4j, 0.0, 1e-5, -1e-5]))
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_transfer_matrix_is_bitwise_a_plus_d(n):
     """Traced at the last site, t(u) is bitwise A + D of the full monodromy,
-    for both forms, including the finite-difference points of the polynomial
-    form."""
-    points = {"rational": [1.7, -1.3 + 0.8j],
-              "polynomial": [2.9 + 0.4j, 0.0, 1e-5, -1e-5]}
+    for the site factors of both forms, including the finite-difference
+    points of the polynomial form; for the rational form through the public
+    ``transfer_matrix`` and ``monodromy_matrix`` as well."""
     for params in _TRACE_PARAMS:
-        spec = ChainSpec(n, params)
-        for form, us in points.items():
+        spec, d = ChainSpec(n, params), 2 ** n
+        for local, us in _FORMS:
             for u in us:
-                t, d = monodromy_matrix(spec, u, form), spec.dim
-                assert np.array_equal(transfer_matrix(spec, u, form), t[:d, :d] + t[d:, d:])
+                l4 = local(u, params)
+                t = _site_product(l4, n)
+                assert np.array_equal(_transfer(l4, n), t[:d, :d] + t[d:, d:])
+        for u in _FORMS[0][1]:
+            t = monodromy_matrix(spec, u)
+            assert np.array_equal(transfer_matrix(spec, u), t[:d, :d] + t[d:, d:])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -134,14 +143,12 @@ def test_uneven_row_chunks_are_bitwise_one_chunk(n, monkeypatch):
     unevenly from N = 3 on, t(u) for both forms (with the finite-difference
     points) and both log-derivative routes are bitwise the one-chunk
     result."""
-    points = {"rational": [1.7, -1.3 + 0.8j],
-              "polynomial": [2.9 + 0.4j, 0.0, 1e-5, -1e-5]}
 
     def results():
         out = []
         for params in _TRACE_PARAMS:
             spec = ChainSpec(n, params)
-            out += [transfer_matrix(spec, u, form) for form, us in points.items() for u in us]
+            out += [_transfer(local(u, params), n) for local, us in _FORMS for u in us]
             if n >= 2:
                 out += [log_derivative(spec), log_derivative(spec, derivative="fd")]
         return out
@@ -356,9 +363,25 @@ def test_open_one_site_hamiltonian_is_zero():
     assert np.array_equal(h, np.zeros((2, 2)))
 
 
+def _coincidence(spec):
+    """``verify_spectrum_coincidence`` at three fixed points, under the
+    spectrum suite's default tolerances, with the Hamiltonians built here as
+    the suite builds them."""
+    hamiltonians = None
+    if spec.n_sites >= 2:
+        spec0 = ChainSpec(spec.n_sites, TwistParams(0.0, spec.params.eta))
+        hamiltonians = build_hamiltonian(spec), build_hamiltonian(spec0)
+    return verify_spectrum_coincidence(spec, [1.7, 2.9 + 0.4j, -1.3 + 0.8j], 1e-8, 1e-7,
+                                       hamiltonians)
+
+
+def _extract(spec):
+    """``extract_hamiltonian`` against the displayed H(xi), built here."""
+    return extract_hamiltonian(spec, build_hamiltonian(spec))
+
+
 def test_one_site_spectrum_coincidence_has_no_hamiltonian():
-    h_report, h_lowering, t_reports = verify_spectrum_coincidence(
-        ChainSpec(1, TwistParams(0.4, 1.0)))
+    h_report, h_lowering, t_reports = _coincidence(ChainSpec(1, TwistParams(0.4, 1.0)))
     assert h_report is None and h_lowering is None
     assert all(rep.matched for _, rep in t_reports)
 
@@ -366,7 +389,7 @@ def test_one_site_spectrum_coincidence_has_no_hamiltonian():
 def test_extraction_undeformed_standard():
     """Log-derivative at xi = 0 lands on the isotropic chain: a = -1/(2 eta),
     b = -N/(2 eta) for this convention (least-squares fit oracle)."""
-    pair = extract_hamiltonian(ChainSpec(3, TwistParams(0.0, 1.0)))
+    pair = _extract(ChainSpec(3, TwistParams(0.0, 1.0)))
     assert pair.fit_residual < 1e-12
     assert pair.scale == pytest.approx(-0.5, abs=1e-10)
     assert pair.shift == pytest.approx(-1.5, abs=1e-10)
@@ -377,7 +400,7 @@ def test_extraction_deformed_mismatch_is_flagged():
     density (the fit residual is percent-level and tolerance-independent);
     doubling both deformation terms fits to machine precision. Kept visible,
     not corrected."""
-    pair = extract_hamiltonian(ChainSpec(4, TwistParams(0.5, 1.0)))
+    pair = _extract(ChainSpec(4, TwistParams(0.5, 1.0)))
     assert pair.fit_residual > 1e-3
     assert pair.fit_residual_doubled < 1e-9
     assert pair.scale_doubled == pytest.approx(-0.5, abs=1e-9)
@@ -385,7 +408,7 @@ def test_extraction_deformed_mismatch_is_flagged():
 
 def test_extraction_commutes_with_transfer():
     spec = ChainSpec(3, TwistParams(0.85, 1.0))
-    pair = extract_hamiltonian(spec)
+    pair = _extract(spec)
     for u in (1.9, -2.3 + 0.7j):
         t_u = transfer_matrix(spec, u)
         res = np.linalg.norm(pair.h_extracted @ t_u - t_u @ pair.h_extracted)
@@ -394,14 +417,14 @@ def test_extraction_commutes_with_transfer():
 
 def test_extraction_finite_difference_route_agrees():
     spec = ChainSpec(3, TwistParams(0.5, 1.0))
-    a = extract_hamiltonian(spec).h_extracted
+    a = _extract(spec).h_extracted
     b = log_derivative(spec, derivative="fd")
     assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-6
 
 
 def test_extraction_requires_periodic():
     with pytest.raises(ValueError):
-        extract_hamiltonian(ChainSpec(3, TwistParams(0.5, 1.0), "open"))
+        _extract(ChainSpec(3, TwistParams(0.5, 1.0), "open"))
 
 
 def _transfer_poly_coeffs(spec):
@@ -572,8 +595,10 @@ def test_open_hamiltonian_fails_the_momentum_certificate():
 
 
 def _poly_t0_t1(spec):
+    """tbar(0) and tbar'(0), traced from the two lowest coefficients of the
+    monodromy that the kernel expands on the identity."""
     d = spec.dim
-    return [c[:d, :d] + c[d:, d:] for c in _monodromy_poly_pair(spec, "low")]
+    return [c[:d, :d] + c[d:, d:] for c in _kernel_poly_pair(spec, "low")]
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -593,13 +618,14 @@ def test_log_derivative_inverts_the_shift_exactly(n):
             assert np.array_equal(got, expected)
         else:
             assert rel_residual(got, expected) <= 1e-14
-        assert _scaled_permutation(transfer_matrix(spec, 0.0, form="polynomial")) is not None
+        assert _scaled_permutation(_transfer(polynomial_l(0.0, params), n)) is not None
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_log_derivative_equals_the_untraced_trace(n):
     """Traced at the last site, the log-derivative is bitwise that of the
-    trace of the full coefficients of ``_monodromy_poly_pair``."""
+    trace of the full coefficients that the kernel expands on the
+    identity."""
     for params in _TRACE_PARAMS:
         spec = ChainSpec(n, params)
         assert np.array_equal(log_derivative(spec), _solve_t0(*_poly_t0_t1(spec)))
@@ -625,13 +651,19 @@ def test_affine_fit_matches_lstsq(n):
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_extract_hamiltonian_reuses_a_given_formula_bitwise(n):
+    """The given H(xi) is the pair's formula, and the two fits are bitwise
+    the closed-form fits of the log-derivative to it and to the doubled
+    variant."""
     for params in _TRACE_PARAMS:
         spec = ChainSpec(n, params)
         h = build_hamiltonian(spec)
-        given, built = extract_hamiltonian(spec, h), extract_hamiltonian(spec)
-        assert given.h_formula is h
-        for field in fields(HamiltonianPair):
-            assert np.array_equal(getattr(given, field.name), getattr(built, field.name))
+        pair = extract_hamiltonian(spec, h)
+        h_ext = log_derivative(spec)
+        assert pair.h_formula is h and np.array_equal(pair.h_extracted, h_ext)
+        assert (pair.scale, pair.shift, pair.fit_residual) == _affine_fit(h_ext, h)
+        doubled = build_hamiltonian(spec, deformation_doubled=True)
+        assert ((pair.scale_doubled, pair.shift_doubled, pair.fit_residual_doubled)
+                == _affine_fit(h_ext, doubled))
 
 
 def test_perturbed_t0_raises_extraction_error():
@@ -767,7 +799,7 @@ def test_certificate_keeps_a_nan_in_every_sector(n, monkeypatch):
 def test_spectrum_coincidence(n, xi):
     """Deformed spectra equal the undeformed ones, even far from perturbative."""
     spec = ChainSpec(n, TwistParams(xi, 1.0))
-    h_report, h_lowering, t_reports = verify_spectrum_coincidence(spec)
+    h_report, h_lowering, t_reports = _coincidence(spec)
     assert h_lowering == 0.0
     assert h_report.matched and h_report.max_pair_distance < 1e-8
     for _, rep in t_reports:
@@ -775,7 +807,7 @@ def test_spectrum_coincidence(n, xi):
 
 
 def test_spectrum_trivial_at_zero():
-    h_report, _, _ = verify_spectrum_coincidence(ChainSpec(3, TwistParams(0.0, 1.0)))
+    h_report, _, _ = _coincidence(ChainSpec(3, TwistParams(0.0, 1.0)))
     assert h_report.matched and h_report.max_pair_distance == 0.0
 
 

@@ -108,7 +108,7 @@ def test_suite_error_report_wins_over_unread_override(tmp_path, capsys, monkeypa
     error report is written and fails the run, and the unread key is named."""
     import twistchain.chain as ch
 
-    def broken(spec):
+    def broken(spec, h_formula):
         raise RuntimeError("extraction broke")
 
     monkeypatch.setattr(ch, "extract_hamiltonian", broken)
@@ -148,9 +148,32 @@ def test_open_boundary_spectrum(capsys):
     assert [r["check_id"] for r in doc["reports"]] == ["spectrum.open_boundary_terms"]
 
 
-def test_bad_tol_flag():
-    with pytest.raises(SystemExit):
-        main(["verify", "ybe", "--tol", "nonsense"])
+def _assert_refused(capsys, out, args):
+    """`twistchain verify twist --out <out> <args>` exits 2 under the verify
+    usage line with one error line, no traceback and no report."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "twist", "--out", str(out), *args])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: twistchain verify ")
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("twistchain verify: error: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+    return errors[0]
+
+
+def test_bad_tol_flag(tmp_path, capsys):
+    error = _assert_refused(capsys, tmp_path / "report.json", ["--tol", "nonsense"])
+    assert "--tol expects CHECK=VALUE" in error
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
+    """A config file that cannot be read is refused like a bad value."""
+    path = tmp_path / "absent.cfg" if kind == "missing" else tmp_path
+    error = _assert_refused(capsys, tmp_path / "report.json", ["--config", str(path)])
+    assert str(path) in error
 
 
 def test_unknown_suite_rejected():
@@ -194,17 +217,10 @@ def test_overflowing_rtt_sweep_fails_at_its_first_nan_draw(capsys):
     (["--xi", "1e400"], "xi = 1e400"),
 ])
 def test_refused_config_value_exits_2(tmp_path, capsys, flags, config_line):
-    """A refused value, from a flag or from the config file, ends in one
-    error line and exit status 2, with no report; 1e400 parses to inf."""
-    out = tmp_path / "report.json"
+    """A refused value, from a flag or from the config file, ends in the
+    verify usage line, one error line and exit status 2, with no report;
+    1e400 parses to inf."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config_line + "\n")
     for args in (flags, ["--config", str(cfg)]):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["verify", "twist", "--out", str(out), *args])
-        assert exit_info.value.code == 2
-        captured = capsys.readouterr()
-        errors = [line for line in captured.err.splitlines() if "error" in line]
-        assert len(errors) == 1 and errors[0].startswith("twistchain: error: ")
-        assert "Traceback" not in captured.err and captured.out == ""
-        assert not out.exists()
+        _assert_refused(capsys, tmp_path / "report.json", args)

@@ -22,7 +22,9 @@ from twistchain.chain import (
     ChainSpec,
     MonodromyBlocks,
     _factors_apply,
-    _monodromy_poly_pair,
+    _grow_at,
+    _grow_site,
+    _poly_carry,
     _poly_factors,
     _site_product,
     bond_pairs,
@@ -167,17 +169,12 @@ def test_poly_coeffs_match_dense_and_truncated_pairs(n, xi):
     dense = _dense_poly_coeffs(spec)
     for got, want in zip(coeffs, dense):
         assert np.allclose(got, want, rtol=0, atol=1e-13 * np.linalg.norm(want))
-    low0, low1 = _monodromy_poly_pair(spec, "low")
-    high_n, high_n1 = _monodromy_poly_pair(spec, "high")
+    low0, low1 = _kernel_poly_pair(spec, "low")
+    high_n, high_n1 = _kernel_poly_pair(spec, "high")
     scale = max(np.linalg.norm(c) for c in coeffs)
     for got, want in ((low0, coeffs[0]), (low1, coeffs[1]),
                       (high_n, coeffs[n]), (high_n1, coeffs[n - 1])):
         assert np.linalg.norm(got - want) <= 1e-14 * scale
-
-
-def test_poly_pair_rejects_unknown_end():
-    with pytest.raises(ValueError):
-        _monodromy_poly_pair(ChainSpec(2, TwistParams(0.5, 1.0)), "middle")
 
 
 @pytest.mark.parametrize("spec", list(_specs(6)), ids=str)
@@ -218,13 +215,12 @@ def test_one_magnon_action_matches_dense_blocks():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_site_product_on_wide_aux_matches_dense_lift_products(aux, n):
     rng = np.random.default_rng(10 * aux + n)
-    factors = [rng.standard_normal((2 * aux, 2 * aux))
-               + 1j * rng.standard_normal((2 * aux, 2 * aux)) for _ in range(n)]
+    factor = rng.standard_normal((2 * aux, 2 * aux)) + 1j * rng.standard_normal((2 * aux, 2 * aux))
     dims = [aux] + [2] * n
     dense = np.eye(aux * 2 ** n, dtype=complex)
-    for k, op in enumerate(factors, start=1):
-        dense = lift(op, dims, [0, k]) @ dense
-    assert _rel(_site_product(factors), dense) < 1e-14
+    for k in range(1, n + 1):
+        dense = lift(factor, dims, [0, k]) @ dense
+    assert _rel(_site_product(factor, n), dense) < 1e-14
 
 
 def _kron_ybe(u, v, params):
@@ -349,14 +345,20 @@ def _kernel_poly_coeffs(spec):
 
 
 def _grown_order1_residual(spec):
-    """The order-1 reading on full matrices, each displayed term a product
-    grown site by site and the exact side the grown two-degree carry."""
+    """The order-1 reading on full matrices: each displayed term the product
+    of the site factors R_xi, with P at site k, grown site by site with
+    ``_grow_site``, and the exact side the kernel's two-degree expansion on
+    the identity. (A product of full ``lift`` matrices sums in another
+    order and moves the residual in its last bits from N = 7 on.)"""
     n = spec.n_sites
     r_c, p = build_r_xi(spec.params.xi), permutation_op()
     total = np.zeros((2 * spec.dim, 2 * spec.dim), dtype=complex)
     for k in range(1, n + 1):
-        total += _site_product([r_c] * (k - 1) + [p] + [r_c] * (n - k))
-    exact = _monodromy_poly_pair(spec, "high")[1]
+        term = np.eye(2, dtype=complex)
+        for j in range(1, n + 1):
+            term = _grow_site(p if j == k else r_c, term)
+        total += term
+    exact = _kernel_poly_pair(spec, "high")[1]
     return rel_residual(exact, -spec.params.eta * total)
 
 
@@ -367,16 +369,18 @@ def test_grown_products_bitwise_equal_to_kernel_on_identity(n, xi):
     eye = np.eye(2 * spec.dim, dtype=complex)
     u = 1.3 - 0.7j
     assert np.array_equal(monodromy_matrix(spec, u), monodromy_apply(spec, u, eye))
-    assert np.array_equal(monodromy_matrix(spec, u, "polynomial"),
+    assert np.array_equal(_site_product(polynomial_l(u, spec.params), n),
                           _factors_apply(polynomial_l(u, spec.params), n, eye))
-    for end in ("low", "high"):
-        for got, want in zip(_monodromy_poly_pair(spec, end), _kernel_poly_pair(spec, end)):
+    const, lin = _poly_factors(spec)
+    for end, pair in (("low", (const, lin)), ("high", (lin, const))):
+        grown = _poly_carry(*pair, np.eye(2, dtype=complex), n, _grow_at)
+        for got, want in zip(grown, _kernel_poly_pair(spec, end), strict=True):
             assert np.array_equal(got, want), end
     # the T_0 applier and the order-1 reading on the identity against the
     # grown full matrices; the grown order-1 oracle and the kernel oracle of
     # the coefficient list cost O(N^2) full-width products, so smaller N
     # keep the suite quick
-    t0 = _site_product([build_r_xi(xi)] * n)
+    t0 = _site_product(build_r_xi(xi), n)
     d = spec.dim
     for got, want in zip(_constant_blocks(spec), (t0[:d, :d], t0[d:, :d], t0[d:, d:])):
         assert np.array_equal(got, want)
@@ -387,6 +391,30 @@ def test_grown_products_bitwise_equal_to_kernel_on_identity(n, xi):
         for got, want in zip(monodromy_poly_coeffs(spec), _kernel_poly_coeffs(spec),
                              strict=True):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("xi", XIS)
+def test_poly_carry_through_the_kernel_on_identity_is_the_grown_carry(n, xi):
+    """One carry, two ways to apply a site factor: through ``apply_local``
+    on X = I it is ``tobytes``-equal to the carry grown from the auxiliary
+    identity, for (const, lin) and for the swapped pair, at top degree 1
+    and N."""
+    spec = ChainSpec(n, TwistParams(xi, 0.8 + 0.3j))
+    dims = [2] * (n + 1)
+
+    def kernel_at(op, c, k):
+        return apply_local(op, c, dims, [0, k])
+
+    const, lin = _poly_factors(spec)
+    for pair in ((const, lin), (lin, const)):
+        for top in (1, n):
+            on_identity = _poly_carry(*pair, np.eye(2 * spec.dim, dtype=complex), n,
+                                      kernel_at, top)
+            grown = _poly_carry(*pair, np.eye(2, dtype=complex), n, _grow_at, top)
+            assert len(grown) == top + 1
+            for got, want in zip(on_identity, grown, strict=True):
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dims, slots", [

@@ -7,7 +7,6 @@ from twistchain.relations import (
     KNOWN_MISPRINTS,
     SYMMETRY_RELATIONS,
     Member,
-    _evaluate,
     parse,
     relation_residual,
     relation_residuals,
@@ -49,36 +48,43 @@ def _members(env):
             for name, value in env.items()}
 
 
+def _residual_to(side, env, want, x):
+    """``relation_residual`` of 'side = Want' on the block x, with the
+    expected matrix `want` bound as the one member of a test family (a
+    number stays a scalar)."""
+    binding = Member(lambda y: (want @ y,), 0) if isinstance(want, np.ndarray) else want
+    return relation_residual(f"{side} = Want", {**env, "Want": binding}, x)
+
+
 def test_product_order_preserved():
     env = _env()
-    got = _evaluate(parse("A(u)*B(u)"), _members(env), np.eye(3))
-    assert np.allclose(got, env["A(u)"] @ env["B(u)"])
-    assert not np.allclose(got, env["B(u)"] @ env["A(u)"])
+    a, b = env["A(u)"], env["B(u)"]
+    assert _residual_to("A(u)*B(u)", _members(env), a @ b, np.eye(3)) <= 1e-15
+    assert _residual_to("A(u)*B(u)", _members(env), b @ a, np.eye(3)) > 1e-2
 
 
 def test_scalar_and_power():
     env = _env()
-    got = _evaluate(parse("xi^2*A(u)"), _members(env), np.eye(3))
-    assert np.allclose(got, env["xi"] ** 2 * env["A(u)"])
+    want = env["xi"] ** 2 * env["A(u)"]
+    assert _residual_to("xi^2*A(u)", _members(env), want, np.eye(3)) <= 1e-15
 
 
 def test_parenthesized_combination():
     env = _env()
-    got = _evaluate(parse("(alpha(u,v)*A(v) - xi*B(u))*A(u)"), _members(env), np.eye(3))
     expected = (2.0 * env["A(v)"] - env["xi"] * env["B(u)"]) @ env["A(u)"]
-    assert np.allclose(got, expected)
+    got = _residual_to("(alpha(u,v)*A(v) - xi*B(u))*A(u)", _members(env), expected, np.eye(3))
+    assert got <= 1e-15
 
 
 def test_scalar_promotes_to_identity_in_sums():
     env = _env()
-    got = _evaluate(parse("xi*(1 - E^2)"), _members(env), np.eye(3))
     expected = env["xi"] * (np.eye(3) - env["E"] @ env["E"])
-    assert np.allclose(got, expected)
+    assert _residual_to("xi*(1 - E^2)", _members(env), expected, np.eye(3)) <= 1e-15
 
 
 def test_unary_minus():
     env = _env()
-    assert np.allclose(_evaluate(parse("-A(u)"), _members(env), np.eye(3)), -env["A(u)"])
+    assert _residual_to("-A(u)", _members(env), -env["A(u)"], np.eye(3)) == 0.0
 
 
 def test_residual_zero_for_identity():
@@ -93,7 +99,7 @@ def test_bad_token_rejected():
 
 def test_unbound_symbol_reported():
     with pytest.raises(KeyError, match="C\\(u\\)"):
-        _evaluate(parse("C(u)"), _members(_env()), np.eye(3))
+        relation_residual("C(u) = A(u)", _members(_env()), np.eye(3))
 
 
 def test_all_tables_parse():
@@ -221,9 +227,8 @@ def test_word_table_agrees_with_dense_products(n):
             for relation in SYMMETRY_RELATIONS + (_ET,):
                 for side in relation.text.split("="):
                     want = _full_matrix_evaluate(parse(side), dense)
-                    want = want @ x if isinstance(want, np.ndarray) else want * x
-                    got = _evaluate(parse(side), applied, x)
-                    assert rel_residual(got, want) <= 1e-13, (relation.rel_id, side)
+                    got = _residual_to(side, applied, want, x)
+                    assert got <= 1e-13, (relation.rel_id, side)
 
 
 def test_each_distinct_word_is_applied_once_per_family_and_level():
@@ -255,7 +260,7 @@ def test_block_evaluation_is_the_operator_applied_to_the_block():
     x = np.random.default_rng(1).standard_normal((3, 2))
     text = "xi*(1 - E^2)*A(u) + alpha(u,v)*A(u)*B(u)"
     full = _full_matrix_evaluate(parse(text), env)
-    assert np.allclose(_evaluate(parse(text), _members(env), x), full @ x, rtol=0, atol=1e-13)
+    assert _residual_to(text, _members(env), full, x) <= 1e-15
 
 
 def test_a_binding_that_is_neither_member_nor_number_is_refused():
@@ -266,4 +271,4 @@ def test_a_binding_that_is_neither_member_nor_number_is_refused():
     with pytest.raises(TypeError, match=r"B\(u\)"):
         relation_residual("A(u)*B(u) = B(u)*A(u)", env, np.eye(3))
     with pytest.raises(TypeError, match="xi"):
-        _evaluate(parse("xi*A(u)"), {**env, "xi": "0.5"}, np.eye(3))
+        relation_residual("xi*A(u) = A(u)", {**env, "xi": "0.5"}, np.eye(3))

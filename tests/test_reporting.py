@@ -230,7 +230,7 @@ def _perturb_extraction(monkeypatch, eps):
     returns the perturbed extraction."""
     extract = ch.extract_hamiltonian
 
-    def perturbed(spec, h_formula=None):
+    def perturbed(spec, h_formula):
         pair = extract(spec, h_formula)
         return replace(pair, h_extracted=pair.h_extracted
                        + eps * embed_at_site(SM, 1, spec.n_sites))
@@ -248,7 +248,7 @@ def test_extraction_commutes_is_the_full_residual_on_the_identity_probe(n, monke
     spec = ch.ChainSpec(n, TwistParams(config.xi, config.eta))
     for eps in (0.0, 1e-3):
         with monkeypatch.context() as patch:
-            h = _perturb_extraction(patch, eps)(spec).h_extracted
+            h = _perturb_extraction(patch, eps)(spec, ch.build_hamiltonian(spec)).h_extracted
             report = _extraction_commutes(config)
         t_u = ch.transfer_matrix(spec, report.params["u"])
         full = np.linalg.norm(h @ t_u - t_u @ h) / np.linalg.norm(h @ t_u)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from twistchain import relations
-from twistchain.chain import ChainSpec, _monodromy_poly_pair, transfer_matrix
+from twistchain.chain import ChainSpec, _site_product, transfer_matrix
 from twistchain.reporting import RunConfig, render_json
+from twistchain.rmatrix import build_r_xi
 from twistchain.suites import run_suite
 from twistchain.symmetry import (
     PROBE_COLUMNS,
@@ -53,12 +54,12 @@ def test_t0_block_structure(n):
 @pytest.mark.parametrize("xi", [0.45, 0.3 + 0.4j])
 def test_constant_blocks_are_those_of_extract_t0(n, xi):
     """The blocks that ``_constant_blocks`` and ``extract_t0`` read off the
-    T_0 applier on the identity are bitwise the four blocks of the u^N
-    coefficient of the two-degree carry, which also carries the 1/u
-    coefficient; on a block X they are those blocks applied to X."""
+    T_0 applier on the identity are bitwise the four blocks of the grown
+    constant product prod_k R_{a,k}(xi), the u^N coefficient of the
+    polynomial monodromy; on a block X they are those blocks applied to X."""
     spec = ChainSpec(n, TwistParams(xi, 0.8 + 0.3j))
     d = spec.dim
-    t0 = _monodromy_poly_pair(spec, "high")[0]
+    t0 = _site_product(build_r_xi(xi), n)
     want = (t0[:d, :d], t0[d:, :d], t0[d:, d:])
     data = extract_t0(spec, np.eye(d))
     for got in (_constant_blocks(spec), (data.e, data.g, data.e_inv)):
@@ -126,7 +127,7 @@ def test_e_commutes_with_transfer(n):
 
 @pytest.mark.parametrize("split", [(1, 1), (2, 1), (2, 2)])
 def test_coproducts(split):
-    result = verify_coproducts(*split, xi=0.7)
+    result = verify_coproducts(*split, xi=0.7, eta=1.0)
     assert result["e_residual"] < 1e-12
     assert result["g_residual"] < 1e-12
     assert result["order"] == "second_segment_left"
@@ -135,20 +136,20 @@ def test_coproducts(split):
 def test_coproduct_wrong_order_fails():
     """Only one tensor-factor order satisfies the G formula; the other is
     recorded as failing, which pins the convention empirically."""
-    result = verify_coproducts(2, 1, xi=0.7)
+    result = verify_coproducts(2, 1, xi=0.7, eta=1.0)
     assert result["g_residual_first_segment_left"] > 1e-2
 
 
 def test_coproducts_trivial_at_zero():
-    result = verify_coproducts(2, 2, xi=0.0)
+    result = verify_coproducts(2, 2, xi=0.0, eta=1.0)
     assert result["e_residual"] == 0.0 and result["g_residual"] == 0.0
 
 
 def test_coproduct_bounds():
     with pytest.raises(ValueError):
-        verify_coproducts(0, 2, 0.1)
+        verify_coproducts(0, 2, 0.1, 1.0)
     with pytest.raises(ValueError):
-        verify_coproducts(7, 6, 0.1)
+        verify_coproducts(7, 6, 0.1, 1.0)
 
 
 @pytest.mark.parametrize("n,xi", [(1, 0.5), (2, 0.5), (3, -0.7), (5, 0.3 + 0.4j)])
