@@ -25,13 +25,17 @@ and every evaluator takes that factor: R(u), Lbar(u), R_xi, or the lifted
 factor on aux^m ⊗ site of ``_monodromy_product`` (RTT and fusion). One
 route serves each job. ``_site_product`` grows the dense product one site
 at a time, T_k = L_{a,k} (T_{k-1} ⊗ 1) from the auxiliary identity, as a
-matrix product operator is contracted (``_grow_site``). ``_transfer``
-grows sites 1..N-1 and traces site N straight into one 2^N-square output,
-row chunk by row chunk (``_trace_last_site``). ``_poly_carry`` carries the
-coefficients of prod_k (const + u lin)_{a,k}, densely or on a column
-block. ``_factors_apply`` applies the product to a column block with
-``tensor.apply_local``, O(N 4^N) per block; every reader of A..D goes
-through ``monodromy_blocks_apply``, whose one application to
+matrix product operator is contracted (``_grow_site``; Murg, Korepin and
+Verstraete, arXiv:1201.5627). A trace over the auxiliary space never
+forms the whole product over sites 1..N-1: the product is grown over sites
+1..N-2 only, and ``_stream_trace`` makes site N-1 one row band at a time
+with the same matmul and traces each band at site N straight into the
+2^N-square output (t(u) in ``_transfer``, t(0) and t'(0) in
+``log_derivative``).
+``_poly_carry`` carries the coefficients of prod_k (const + u lin)_{a,k},
+densely or on a column block. ``_factors_apply`` applies the product to a
+column block with ``tensor.apply_local``, O(N 4^N) per block; every reader
+of A..D goes through ``monodromy_blocks_apply``, whose one application to
 [[X, 0], [0, X]] gives all four blocks (on X = I for the displayed table,
 bound by ``monodromy_members``, and for ``rtt_components``), and
 ``monodromy_matrix`` stays as the dense reference. The Hamiltonian, a sum
@@ -41,7 +45,7 @@ of local terms, is scattered into its matrix term by term with
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from typing import NamedTuple
@@ -70,9 +74,10 @@ from .twist import TwistParams
 
 _P = permutation_op()
 
-# Site N is traced into t(u) in row chunks of about this many bytes of
-# output (``_trace_last_site``).
-_TRACE_CHUNK_BYTES = 2**20
+# The last two sites of a trace over the auxiliary space are streamed in
+# row bands of about this many bytes of output, one row of the product over
+# sites 1..N-2 at least (``_row_bands``).
+_BAND_BYTES = 2**17
 
 # A sector block is split into momentum blocks only when the mass its
 # momentum basis leaves outside them is at most MOMENTUM_TOL times the
@@ -178,19 +183,26 @@ def _aux_blocks_apply(op: np.ndarray, n_sites: int, x: np.ndarray) -> tuple[np.n
     return tuple(part.reshape(x.shape) for part in (y[:d, :k], y[:d, k:], y[d:, :k], y[d:, k:]))
 
 
+def _site_op(op: np.ndarray) -> np.ndarray:
+    """A 2A x 2A factor on aux ⊗ site, the auxiliary space of dimension A
+    leftmost, reshaped to (a'' s'' s, a'): the left operand of every site
+    step, against a product read as (a', rest)."""
+    aux = op.shape[0] // 2
+    return op.reshape(aux, 2, aux, 2).transpose(0, 1, 3, 2).reshape(4 * aux, aux)
+
+
 def _grow_site(op: np.ndarray, t: np.ndarray) -> np.ndarray:
     """op_{a,k} (t ⊗ 1_k): extend t on aux ⊗ sites 1..k-1 by site k.
 
-    `op` is a 2A x 2A factor on aux ⊗ site k, the auxiliary space of
-    dimension A leftmost. Since t ⊗ 1 keeps the site index (s' = s), only
-    the auxiliary index a' is summed: one matmul of op, reshaped to
-    (a'' s'' s, a'), against t read as (a', rows cols), and one transpose
-    to (a'', rows, s'', cols, s). The identity t ⊗ 1 is never formed.
+    `op` is a 2A x 2A factor on aux ⊗ site k. Since t ⊗ 1 keeps the site
+    index (s' = s), only the auxiliary index a' is summed: one matmul of
+    op, reshaped to (a'' s'' s, a') (``_site_op``), against t read as (a',
+    rows cols), and one transpose to (a'', rows, s'', cols, s). The
+    identity t ⊗ 1 is never formed.
     """
     aux = op.shape[0] // 2
     rows = t.shape[0] // aux
-    op_t = op.reshape(aux, 2, aux, 2).transpose(0, 1, 3, 2).reshape(4 * aux, aux)
-    grown = (op_t @ t.reshape(aux, -1)).reshape(aux, 2, 2, rows, t.shape[1])
+    grown = (_site_op(op) @ t.reshape(aux, -1)).reshape(aux, 2, 2, rows, t.shape[1])
     return grown.transpose(0, 3, 1, 4, 2).reshape(2 * t.shape[0], 2 * t.shape[1])
 
 
@@ -227,53 +239,117 @@ def monodromy_matrix(spec: ChainSpec, u: complex) -> np.ndarray:
     return _site_product(build_r(u, spec.params), spec.n_sites)
 
 
-def _trace_last_site(op: np.ndarray, t: np.ndarray,
-                     *more: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """tr_aux op_{a,N} (t ⊗ 1_N): the trace over the auxiliary space of the
-    last site's factor on a product t on aux ⊗ sites 1..N-1, as one
-    2^N-square array.
+def _row_bands(n_sites: int) -> Iterator[tuple[slice, slice]]:
+    """Row bands of a trace over N sites streamed at the last two sites:
+    (rows per auxiliary index of the product over sites 1..N-2, the rows of
+    the 2^N-square output they give), about _BAND_BYTES of output each. At
+    N <= 2 that product is the auxiliary identity, one row per index."""
+    dim = 2 ** n_sites
+    g_rows = 2 ** max(n_sites - 2, 0)
+    per_row = dim // g_rows
+    step = max(1, _BAND_BYTES // (per_row * dim * 16))
+    for r in range(0, g_rows, step):
+        stop = min(r + step, g_rows)
+        yield slice(r, stop), slice(per_row * r, per_row * stop)
 
-    `op` is a 4 x 4 factor on aux ⊗ site N. The auxiliary-diagonal block a
-    reads only the columns of t with auxiliary index a: one matmul of op's
-    rows with a'' = a, reshaped to (s'' s, a'), against those columns read
-    as (a', rows cols). The output is allocated once in its final (rows,
-    s'', cols, s) layout and filled one chunk of rows at a time (about
-    _TRACE_CHUNK_BYTES of output each): block a = 0 is written, block a = 1
-    added in place, bitwise A + D. Further (op, t) pairs in `more` are
-    terms of a sum, added into each block in order before the two blocks
-    are summed. Neither op_{a,N} (t ⊗ 1_N) nor either block is formed whole.
+
+def _aux_block(g: np.ndarray, rows: slice, a: int) -> np.ndarray:
+    """Rows `rows` of every auxiliary row block of a product g on aux ⊗
+    sites, in auxiliary column block a: read (a', rows, cols)."""
+    return g.reshape(2, g.shape[0] // 2, 2, -1)[:, rows, a, :]
+
+
+def _grow_block(op_t: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """op_{a,k} (part ⊗ 1_k) for a 4 x 4 factor op read as op_t =
+    ``_site_op(op)``, on a part (a', rows, cols) of a product
+    (``_aux_block``), read (a', rows s'' cols s) as the trace at the next
+    site reads it: the same matmul as ``_grow_site`` on fewer columns."""
+    _, rows, cols = part.shape
+    grown = (op_t @ part.reshape(2, -1)).reshape(2, 2, 2, rows, cols)
+    return grown.transpose(0, 3, 1, 4, 2).reshape(2, -1)
+
+
+def _trace_block(band: np.ndarray, a: int,
+                 terms: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Auxiliary-diagonal block a of tr_aux sum_terms op_{a,N} (t ⊗ 1_N)
+    on a band of output rows: written at a = 0, added in place at a = 1,
+    bitwise A + D.
+
+    In each (op_t, t_a) term op_t is the site-N factor read by ``_site_op``
+    and t_a the auxiliary column block a of a product over sites 1..N-1 on
+    the band's rows, read (a', rows cols). The block reads only those
+    columns: one matmul of op_t's rows with a'' = a, (s'' s, a'), against
+    t_a. The terms are summed in order before the block enters the band,
+    which is viewed in the output layout (rows, s'', cols, s).
     """
-    rows, cols = t.shape[0] // 2, t.shape[1] // 2
-    terms = [(f.reshape(2, 2, 2, 2).transpose(0, 1, 3, 2).reshape(2, 4, 2),
-              p.reshape(2, rows, 2, cols)) for f, p in [(op, t), *more]]
-    out = np.empty((rows, 2, cols, 2), dtype=complex)
-    step = max(1, _TRACE_CHUNK_BYTES // out[0].nbytes)
+    products = (op_t[4 * a:4 * a + 4] @ t_a for op_t, t_a in terms)
+    total = next(products)
+    for prod in products:
+        total += prod
+    rows = band.shape[0] // 2
+    block = total.reshape(2, 2, rows, -1).transpose(2, 0, 3, 1)
+    view = band.reshape(rows, 2, -1, 2)
+    if a == 0:
+        view[...] = block
+    else:
+        view += block
 
-    def block(a: int, r: int) -> np.ndarray:
-        # block a on rows r:r+step, summed over the terms in order, viewed in
-        # the output layout; its temporaries die with the call
-        products = (op_t[a] @ t_cols[:, r:r + step, a, :].reshape(2, -1)
-                    for op_t, t_cols in terms)
-        total = next(products)
-        for prod in products:
-            total += prod
-        return total.reshape(2, 2, -1, cols).transpose(2, 0, 3, 1)
 
-    for r in range(0, rows, step):
-        out[r:r + step] = block(0, r)
-        out[r:r + step] += block(1, r)
-    return out.reshape(2 * rows, 2 * cols)
+def _stream_trace(n_sites: int,
+                  traced: Callable[[slice, int], list[list[tuple[np.ndarray, np.ndarray]]]],
+                  n_out: int = 1,
+                  out: np.ndarray | None = None) -> Iterator[tuple[slice, list[np.ndarray]]]:
+    """Traces over the auxiliary space of products over N sites, row band
+    by row band (``_row_bands``); yields (output rows, bands).
+
+    ``traced(rows, a)`` gives, on the rows `rows` per auxiliary index of
+    the products over sites 1..N-2 and their auxiliary column block a, one
+    list of (op_t, t_a) terms per output (``_trace_block``): t_a is site
+    N-1 grown on that part (``_grow_block``) and op_t the site-N factor. So
+    neither a product over sites 1..N-1 nor a whole auxiliary block is ever
+    formed. The `n_out` bands are new arrays, or the rows of `out` when it
+    is given (one output).
+    """
+    dim = 2 ** n_sites
+    for rows, out_rows in _row_bands(n_sites):
+        bands = ([out[out_rows]] if out is not None else
+                 [np.empty((out_rows.stop - out_rows.start, dim), dtype=complex)
+                  for _ in range(n_out)])
+        for a in (0, 1):
+            for band, terms in zip(bands, traced(rows, a)):
+                _trace_block(band, a, terms)
+        yield out_rows, bands
+
+
+def _transfer_terms(l4: np.ndarray, n_sites: int) -> Callable:
+    """The trace terms (``_stream_trace``) of tr_aux l4_{a,N} ... l4_{a,1}
+    for a 4 x 4 site factor l4; the product is grown over sites 1..N-2
+    here, and site N-1 on each part as it is asked for."""
+    g = _site_product(l4, max(n_sites - 2, 0))
+    l4_t = _site_op(l4)
+
+    def traced(rows, a):
+        part = _aux_block(g, rows, a)
+        # at N = 1 the auxiliary identity g is the product over no site
+        t_a = _grow_block(l4_t, part) if n_sites > 1 else part.reshape(2, -1)
+        return [[(l4_t, t_a)]]
+
+    return traced
 
 
 def _transfer(l4: np.ndarray, n_sites: int) -> np.ndarray:
-    """tr_aux l4_{a,N} ... l4_{a,1} for a 4 x 4 site factor l4: the product
-    is grown over sites 1..N-1 and site N is traced straight into one
-    2^N-square output (``_trace_last_site``)."""
-    return _trace_last_site(l4, _site_product(l4, n_sites - 1))
+    """tr_aux l4_{a,N} ... l4_{a,1} as one 2^N-square array, streamed at the
+    last two sites with every band written in place; the output is
+    allocated once the product over sites 1..N-2 is grown."""
+    traced = _transfer_terms(l4, n_sites)
+    out = np.empty((2 ** n_sites, 2 ** n_sites), dtype=complex)
+    for _ in _stream_trace(n_sites, traced, out=out):
+        pass
+    return out
 
 
 def transfer_matrix(spec: ChainSpec, u: complex) -> np.ndarray:
-    """t(u) = tr_aux T(u) = A(u) + D(u), traced at the last site
+    """t(u) = tr_aux T(u) = A(u) + D(u), streamed at the last two sites
     (``_transfer``)."""
     return _transfer(build_r(u, spec.params), spec.n_sites)
 
@@ -494,12 +570,14 @@ def build_hamiltonian(spec: ChainSpec, deformation_doubled: bool = False) -> np.
     return h
 
 
-def _affine_fit(target: np.ndarray, base: np.ndarray) -> tuple[complex, complex, float]:
+def _affine_fit(target: np.ndarray, base: np.ndarray,
+                overwrite_base: bool = False) -> tuple[complex, complex, float]:
     """Least-squares fit target ~ a*base + b*I; returns (a, b, relative residual).
 
     The normal equations are the 2 x 2 Gram system of the Frobenius inner
     products <x, y> = vdot(x, y), with <I, y> = tr y and <I, I> = dim, solved
-    in closed form; the residual target - a*base - b*I is formed in place.
+    in closed form; the residual target - a*base - b*I is formed in place,
+    in `base` itself when `overwrite_base` is set.
     """
     dim = base.shape[0]
     bb = np.vdot(base, base).real
@@ -508,23 +586,27 @@ def _affine_fit(target: np.ndarray, base: np.ndarray) -> tuple[complex, complex,
     det = dim * bb - abs(tr_b) ** 2
     a = complex((dim * bt - tr_b.conjugate() * tr_t) / det)
     b = complex((bb * tr_t - tr_b * bt) / det)
-    res = base * -a
+    if overwrite_base:
+        res = base
+        res *= -a
+    else:
+        res = base * -a
     res += target
     res.flat[::dim + 1] -= b
     return a, b, float(np.linalg.norm(res) / np.linalg.norm(target))
 
 
 def _scaled_permutation(m: np.ndarray) -> tuple[complex, np.ndarray] | None:
-    """(c, cols) when m is exactly c times a permutation matrix, with
-    m[i, cols[i]] = c != 0 the only nonzero of row i; None otherwise.
+    """(c, cols) when every row i of m has exactly one nonzero, m[i, cols[i]]
+    = c, the same c != 0 in every row, in distinct columns; None otherwise.
 
-    The test is bitwise: m has one nonzero per row, in distinct columns, all
-    equal to the same c, which is m == c * Pi entry by entry.
+    The test is bitwise. On a square m it says m == c * Pi entry by entry
+    for a permutation matrix Pi; on a band of rows, that the band is one of
+    such a matrix.
     """
     rows, cols = np.nonzero(m)
-    n = m.shape[0]
-    if not (np.array_equal(rows, np.arange(n))
-            and np.array_equal(np.sort(cols), np.arange(n))):
+    if not (np.array_equal(rows, np.arange(m.shape[0]))
+            and np.unique(cols).size == cols.size):
         return None
     values = m[rows, cols]
     if not np.all(values == values[0]):
@@ -532,20 +614,27 @@ def _scaled_permutation(m: np.ndarray) -> tuple[complex, np.ndarray] | None:
     return values[0], cols
 
 
-def _solve_t0(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """t0^{-1} t1 for t0 a scaled permutation, read off with no factorization.
+def _solve_t0(bands: Iterable[tuple[np.ndarray, np.ndarray]], dim: int) -> np.ndarray:
+    """t0^{-1} t1 for t0 a scaled permutation c Pi, read off with no
+    factorization from (t0, t1) row bands given in order.
 
     The polynomial transfer matrix at u = 0 is tbar(0) = (-eta)^N U with U
-    the cyclic shift, bitwise, so c x[cols[i]] = t1[i]. Any other t0 raises
-    ExtractionError.
+    the cyclic shift, bitwise. Each band of t0 is checked on its own
+    (``_scaled_permutation``), against the c of the first band and the
+    columns of the bands before it, and its t1 rows go straight to their
+    rows of the solution, c x[cols[i]] = t1[i]; t0 is never held whole. Any
+    other t0 raises ExtractionError.
     """
-    scaled = _scaled_permutation(t0)
-    if scaled is None:
-        raise ExtractionError("t(0) is not a scaled permutation (singular or unexpected)")
-    c, cols = scaled
-    # x[cols[i]] = t1[i] / c: gather the rows by the inverse permutation
-    x = np.asarray(t1, dtype=np.result_type(t1, c))[np.argsort(cols)]
-    x /= c
+    x = np.empty((dim, dim), dtype=complex)
+    taken = np.zeros(dim, dtype=bool)
+    c = None
+    for t0, t1 in bands:
+        scaled = _scaled_permutation(t0)
+        if scaled is None or (c is not None and scaled[0] != c) or taken[scaled[1]].any():
+            raise ExtractionError("t(0) is not a scaled permutation (singular or unexpected)")
+        c, cols = scaled
+        taken[cols] = True
+        x[cols] = t1 / c
     return x
 
 
@@ -554,44 +643,63 @@ def log_derivative(spec: ChainSpec, derivative: str = "poly") -> np.ndarray:
 
     The derivative is taken from the exact polynomial coefficients by
     default; derivative="fd" uses central differences with step 1e-5 on the
-    polynomial transfer matrix as a cross-check. Both routes invert t(0),
-    the scaled cyclic shift, exactly (``_solve_t0``).
+    polynomial transfer matrix as a cross-check. Both routes stream t(0)
+    and t'(0) band by band (``_stream_trace``) into the exact inverse of the
+    scaled cyclic shift (``_solve_t0``), so neither is ever held whole.
     """
     if spec.boundary != "periodic":
         raise ValueError("extraction requires periodic boundary")
     if spec.n_sites < 2:
         raise ValueError("need at least 2 sites")
+    n = spec.n_sites
     if derivative == "poly":
-        # carry (c0, c1) over sites 1..N-1, then trace site N: t'(0) is
-        # tr [const_{a,N} c1 + lin_{a,N} c0], each block summed over the two
-        # terms before the blocks are added, and t(0) is tr const_{a,N} c0
         const, lin = _poly_factors(spec)
-        c0, c1 = _poly_carry(const, lin, np.eye(2, dtype=complex), spec.n_sites - 1, _grow_at)
-        t1 = _trace_last_site(const, c1, (lin, c0))
-        del c1
-        t0 = _trace_last_site(const, c0)
-        del c0
+        carried = _poly_carry(const, lin, np.eye(2, dtype=complex), n - 2, _grow_at)
+        const_t, lin_t = _site_op(const), _site_op(lin)
+
+        def traced(rows, a):
+            # site N-1 as ``_poly_carry`` takes it, on this part: c0 becomes
+            # const c0, c1 becomes lin c0 plus const c1 (at N = 2 no c1 is
+            # carried yet); then t(0) is tr const_{a,N} c0 and t'(0) is
+            # tr [const_{a,N} c1 + lin_{a,N} c0]
+            p0, *p1 = (_aux_block(c, rows, a) for c in carried)
+            c0 = _grow_block(const_t, p0)
+            c1 = _grow_block(lin_t, p0)
+            for p in p1:
+                c1 += _grow_block(const_t, p)
+            return [[(const_t, c0)], [(const_t, c1), (lin_t, c0)]]
+
+        bands = (pair for _, pair in _stream_trace(n, traced, n_out=2))
     elif derivative == "fd":
-        step, n = 1e-5, spec.n_sites
-        t1 = _transfer(polynomial_l(step, spec.params), n)
-        t1 -= _transfer(polynomial_l(-step, spec.params), n)
-        t1 /= 2 * step
-        t0 = _transfer(polynomial_l(0.0, spec.params), n)
+        # the bands of t(step), t(-step) and t(0) are streamed side by side:
+        # each t(-step) band is subtracted in place from its t(step) band
+        step = 1e-5
+        plus, minus, zero = (_stream_trace(n, _transfer_terms(polynomial_l(p, spec.params), n))
+                             for p in (step, -step, 0.0))
+
+        def central_differences():
+            for (_, (t1,)), (_, (t1_minus,)), (_, (t0,)) in zip(plus, minus, zero):
+                t1 -= t1_minus
+                t1 /= 2 * step
+                yield t0, t1
+
+        bands = central_differences()
     else:
         raise ValueError(f"unknown derivative method {derivative!r}")
-    return _solve_t0(t0, t1)
+    return _solve_t0(bands, spec.dim)
 
 
 def extract_hamiltonian(spec: ChainSpec, h_formula: np.ndarray) -> HamiltonianPair:
     """The exact log-derivative Hamiltonian (``log_derivative``), affinely
     fitted to the displayed local formula `h_formula` (H(xi) of
     ``build_hamiltonian``, built by the caller) and to its doubled-coefficient
-    variant; both fits are reported.
+    variant; both fits are reported. The doubled variant is built for its
+    fit alone, which forms its residual in it.
     """
     h_ext = log_derivative(spec)
     a, b, res = _affine_fit(h_ext, h_formula)
-    h_doubled = build_hamiltonian(spec, deformation_doubled=True)
-    a2, b2, res2 = _affine_fit(h_ext, h_doubled)
+    a2, b2, res2 = _affine_fit(h_ext, build_hamiltonian(spec, deformation_doubled=True),
+                               overwrite_base=True)
     return HamiltonianPair(
         h_formula=h_formula, h_extracted=h_ext,
         scale=a, shift=b, fit_residual=res,
@@ -774,28 +882,30 @@ def verify_spectrum_coincidence(
     """Match the spectra of the deformed and undeformed chain.
 
     Returns the eigenvalue comparison of H(xi) against H(0) and
-    ``strictly_lowering_residual(H(xi) - H(0))`` (both None at N = 1, where
-    the periodic chain has no Hamiltonian) and, for each sampled u, the
-    comparison of t_xi(u) against t_0(u). The twist terms strictly lower
-    total sz, so both matrices are block triangular in the graded basis with
-    the same diagonal blocks: the undeformed spectrum is computed blockwise
-    (exact, see graded_eigenvalues) and certified for the deformed matrix
-    (``spectrum_pair``), making the coincidence exact rather than
-    perturbative; a pair that fails the certificate is solved on both sides.
-    `hamiltonians` is (H(xi), H(0)) from ``build_hamiltonian``, None at
-    N = 1; the spectra of H and of t(u) are matched within `tol_h` and
+    ``strictly_lowering_residual(H(xi) - H(0))`` (both None without
+    `hamiltonians`; at N = 1 the periodic chain has none) and, for each
+    sampled u, the comparison of t_xi(u) against t_0(u). The twist terms
+    strictly lower total sz, so both matrices are block triangular in the
+    graded basis with the same diagonal blocks: the undeformed spectrum is
+    computed blockwise (exact, see graded_eigenvalues) and certified for the
+    deformed matrix (``spectrum_pair``), making the coincidence exact rather
+    than perturbative; a pair that fails the certificate is solved on both
+    sides.
+    `hamiltonians` is (H(xi), H(0)) from ``build_hamiltonian``, or None
+    to skip the Hamiltonian comparison (always at N = 1); the transfer pairs
+    are matched first, and the spectra of H and of t(u) within `tol_h` and
     `tol_t`.
     """
     if spec.boundary != "periodic":
         raise ValueError("spectrum coincidence is a periodic-chain statement")
     spec0 = ChainSpec(spec.n_sites, TwistParams(0.0, spec.params.eta), spec.boundary)
     n = spec.n_sites
-    h_report = h_lowering = None
-    if n >= 2:
-        ev_xi, ev_0, h_lowering = spectrum_pair(*hamiltonians, n)
-        h_report = match_spectra(ev_xi, ev_0, tol_h)
     t_reports = []
     for u in u_samples:
         ev_xi, ev_0, _ = spectrum_pair(transfer_matrix(spec, u), transfer_matrix(spec0, u), n)
         t_reports.append((u, match_spectra(ev_xi, ev_0, tol_t)))
+    h_report = h_lowering = None
+    if hamiltonians is not None:
+        ev_xi, ev_0, h_lowering = spectrum_pair(*hamiltonians, n)
+        h_report = match_spectra(ev_xi, ev_0, tol_h)
     return h_report, h_lowering, t_reports

@@ -12,13 +12,16 @@ built-in defaults. The environment variable TWISTCHAIN_SEED supplies the
 default seed. The exit status is 1 when a check that is not an
 expected-failure check fails, and 2, with no report written, when
 RunConfig refuses a value (flag or config file), the config file cannot
-be read, a ``--tol`` item is not CHECK=VALUE, or a tolerance override
-names a key that no check of the run reads. Bad input is reported under
-the ``verify`` usage line with one ``twistchain verify: error:`` line,
-before any suite runs. A suite that raises ends in
-a failing ``<suite>.error`` report before its later checks read their
-keys, so then the report is written, the unread keys are named as a
-warning and the exit status is 1.
+be read, a ``--tol`` item is not CHECK=VALUE with a numeric VALUE, a
+number in the config file or in TWISTCHAIN_SEED does not parse, or a
+tolerance override names a key that no check of the run reads. Bad input
+is reported under the ``verify`` usage line with one ``twistchain verify:
+error:`` line. Every refusal comes before any suite runs except the last:
+the keys a suite reads are known only once it has run, so an unread
+override is refused after the suites, before the report is written. A
+suite that raises ends in a failing ``<suite>.error`` report before its
+later checks read their keys, so then the report is written, the unread
+keys are named as a warning and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -76,7 +79,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         values.update(load_config_file(args.config))
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None and "seed" not in values:
-        values["seed"] = int(env_seed)
+        try:
+            values["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV} expects an integer, got {env_seed!r}") from None
 
     overrides = {
         "seed": args.seed,
@@ -93,10 +99,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     tolerances = dict(values.pop("tolerances", {}))
     for item in args.tol:
-        if "=" not in item:
+        check, sep, value = item.partition("=")
+        if not sep:
             raise ValueError(f"--tol expects CHECK=VALUE, got {item!r}")
-        check, _, value = item.partition("=")
-        tolerances[check.strip()] = float(value)
+        try:
+            tolerances[check.strip()] = float(value)
+        except ValueError:
+            raise ValueError(f"--tol expects CHECK=VALUE with a numeric VALUE, "
+                             f"got {item!r}") from None
     if tolerances:
         values["tolerances"] = tolerances
     return RunConfig(**values)
@@ -113,9 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     unread = unread_tolerances(config, reports)
     errors = [r.check_id for r in reports if r.check_id.endswith(".error")]
     if unread and not errors:
-        print(f"twistchain: error: no check of this run reads the tolerance "
-              f"override(s) {', '.join(unread)}", file=sys.stderr)
-        return 2
+        args.refuse(f"no check of this run reads the tolerance override(s) "
+                    f"{', '.join(unread)}")
     if unread:
         print(f"twistchain: warning: the tolerance override(s) {', '.join(unread)} "
               f"went unread; {', '.join(errors)} stopped a suite before its later "

@@ -193,6 +193,15 @@ def emit_report(config: RunConfig, reports: list[VerificationReport],
         fh.write(text)
 
 
+# the value parser of each RunConfig field a config file may set
+_CONFIG_PARSERS = {
+    "seed": int, "n_sites": int, "samples": int,
+    "xi": parse_complex, "eta": parse_complex,
+    "boundary": str,
+    "complex_xi": lambda value: value.lower() in ("1", "true", "yes"),
+}
+
+
 def load_config_file(path: str) -> dict:
     """Flat key = value file mirroring RunConfig fields; # starts a comment.
 
@@ -208,18 +217,18 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key.startswith("tol."):
-                tolerances[key[4:]] = float(value)
-            elif key in ("seed", "n_sites", "samples"):
-                out[key] = int(value)
-            elif key in ("xi", "eta"):
-                out[key] = parse_complex(value)
-            elif key == "boundary":
-                out[key] = value
-            elif key == "complex_xi":
-                out[key] = value.lower() in ("1", "true", "yes")
-            else:
+            tolerance = key.startswith("tol.")
+            parse = float if tolerance else _CONFIG_PARSERS.get(key)
+            if parse is None:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                parsed = parse(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+            if tolerance:
+                tolerances[key[4:]] = parsed
+            else:
+                out[key] = parsed
     if tolerances:
         out["tolerances"] = tolerances
     return out

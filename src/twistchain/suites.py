@@ -326,19 +326,22 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
         ))
         return reports
     spec = ch.ChainSpec(config.n_sites, tw.TwistParams(config.xi, eta))
-    hamiltonians = None
-    if spec.n_sites >= 2:
-        hamiltonians = (ch.build_hamiltonian(spec),
-                        ch.build_hamiltonian(ch.ChainSpec(spec.n_sites, tw.TwistParams(0.0, eta))))
-
     u_samples = [_sample_u(rng) for _ in range(_count(config, 5))]
     # the spectra are paired under the tolerances they are judged by
     hamiltonian = _Check(config, "spectrum.hamiltonian", 1e-8)
     transfer = _Check(config, "spectrum.transfer", 1e-7)
-    h_report, h_lowering, t_reports = ch.verify_spectrum_coincidence(
+    # the transfer pairs run before any Hamiltonian is built, and every
+    # 2^N-square matrix is dropped after its last read, so that at most three
+    # are alive at once; the reports keep their order
+    _, _, t_reports = ch.verify_spectrum_coincidence(
         spec, u_samples, tol_h=hamiltonian.tolerance, tol_t=transfer.tolerance,
-        hamiltonians=hamiltonians)
-    if h_report is not None:
+        hamiltonians=None)
+    if spec.n_sites >= 2:
+        h_xi = ch.build_hamiltonian(spec)
+        h_0 = ch.build_hamiltonian(ch.ChainSpec(spec.n_sites, tw.TwistParams(0.0, eta)))
+        h_report, h_lowering, _ = ch.verify_spectrum_coincidence(
+            spec, [], tol_h=hamiltonian.tolerance, tol_t=transfer.tolerance,
+            hamiltonians=(h_xi, h_0))
         reports.append(hamiltonian.report(
             {"n_sites": spec.n_sites, "xi": config.xi}, h_report.max_pair_distance,
             notes="eigenvalue multiset of H(xi) against H(0), computed blockwise in the "
@@ -349,18 +352,17 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
             {"n_sites": spec.n_sites, "xi": config.xi, "u": u}, rep.max_pair_distance))
 
     if spec.n_sites >= 2:
-        h_xi, h_0 = hamiltonians
         reports.append(_Check(config, "spectrum.grading", 1e-13).report(
             {"n_sites": spec.n_sites, "xi": config.xi}, h_lowering,
             notes="H(xi) - H(0) strictly lowers total sz in the graded basis",
         ))
         dense_check = _Check(config, "spectrum.hamiltonian_dense", 1e-5)
         # H(0) is the exactly real symmetric XXX Hamiltonian (a test pins
-        # this), solved in real arithmetic; the deformed side keeps the
-        # general solver. H(0) is read for the last time here.
-        dense = match_spectra(eigenvalues(h_xi), hermitian_eigenvalues(h_0),
-                              dense_check.tolerance)
-        del hamiltonians, h_0
+        # this), solved in real arithmetic and dropped before the deformed
+        # side is solved with the general solver
+        ev_0 = hermitian_eigenvalues(h_0)
+        del h_0
+        dense = match_spectra(eigenvalues(h_xi), ev_0, dense_check.tolerance)
         reports.append(dense_check.report(
             {"n_sites": spec.n_sites, "xi": config.xi}, dense.max_pair_distance,
             notes="end-to-end dense cross-check; accuracy limited by eigensolver "
@@ -376,24 +378,27 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
             ))
 
         pair = ch.extract_hamiltonian(spec, h_xi)
+        h_ext = pair.h_extracted
+        fit, fit_doubled = pair.fit_residual, pair.fit_residual_doubled
+        # H(xi), also the pair's formula, is read for the last time by the fits
+        del pair, h_xi
         fit_notes = (
             "affine fit of the log-derivative Hamiltonian to the displayed local "
             f"formula; the variant with doubled deformation coefficients fits with "
-            f"residual {pair.fit_residual_doubled:.3e}, so a coefficient misprint in "
+            f"residual {fit_doubled:.3e}, so a coefficient misprint in "
             "the displayed formula is suspected (flagged, not corrected)"
         )
         reports.append(_Check(config, "spectrum.extraction_fit", 1e-9).report(
-            {"n_sites": spec.n_sites, "xi": config.xi}, pair.fit_residual, notes=fit_notes,
+            {"n_sites": spec.n_sites, "xi": config.xi}, fit, notes=fit_notes,
         ))
         reports.append(_Check(config, "spectrum.extraction_fit_doubled", 1e-9).report(
-            {"n_sites": spec.n_sites, "xi": config.xi}, pair.fit_residual_doubled,
+            {"n_sites": spec.n_sites, "xi": config.xi}, fit_doubled,
             notes="same fit against the doubled-coefficient variant (2 xi^2, 2 xi)",
         ))
         u = _sample_u(rng)
         # ||(H t - t H) X|| / ||H t X|| on a probe block from a child stream:
         # spawning does not advance rng, so the sampled u stay as without it
         x, route = sy.probe_block(spec.dim, rng.spawn(1)[0])
-        h_ext = pair.h_extracted
         htx = h_ext @ ch.transfer_apply(spec, u, x)
         commutes = np.linalg.norm(htx - ch.transfer_apply(spec, u, h_ext @ x))
         reports.append(_Check(config, "spectrum.extraction_commutes", 1e-10).report(
@@ -403,7 +408,7 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
         ))
         reports.append(_Check(config, "spectrum.extraction_fd_agrees", 1e-6).report(
             {"n_sites": spec.n_sites},
-            rel_residual(pair.h_extracted, ch.log_derivative(spec, derivative="fd")),
+            rel_residual(h_ext, ch.log_derivative(spec, derivative="fd")),
             notes="exact polynomial derivative against central differences, step 1e-5",
         ))
     return reports

@@ -311,12 +311,12 @@ def test_multi_magnon_defect_equals_the_dense_product(n, xi):
 
 
 def test_bethe_suite_builds_and_solves_t_u4_once(monkeypatch):
-    """One verify bethe traces one full t(u4) and solves one graded spectrum."""
-    calls = {"_trace_last_site": 0, "graded_eigenvalues": 0}
+    """One verify bethe streams one full t(u4) and solves one graded spectrum."""
+    calls = {"_stream_trace": 0, "graded_eigenvalues": 0}
     for name in calls:
-        def counting(*args, _name=name, _original=getattr(chain, name)):
+        def counting(*args, _name=name, _original=getattr(chain, name), **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
         monkeypatch.setattr(chain, name, counting)
     run_suite(RunConfig(n_sites=6), "bethe")
-    assert calls == {"_trace_last_site": 1, "graded_eigenvalues": 1}
+    assert calls == {"_stream_trace": 1, "graded_eigenvalues": 1}

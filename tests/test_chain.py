@@ -119,30 +119,59 @@ _TRACE_PARAMS = [TwistParams(0.5, 1.0), TwistParams(0.3 + 0.4j, 0.8 + 0.3j)]
 _FORMS = ((build_r, [1.7, -1.3 + 0.8j]), (polynomial_l, [2.9 + 0.4j, 0.0, 1e-5, -1e-5]))
 
 
+def _whole_trace(l4, n):
+    """A + D of the whole product of l4 over n sites (``_site_product``)."""
+    t, d = _site_product(l4, n), 2 ** n
+    return t[:d, :d] + t[d:, d:]
+
+
+def _whole_log_derivatives(spec):
+    """Both log-derivatives from whole products over all N sites, traced as
+    A + D: the u^0 and u^1 coefficients grown site by site (the exact
+    route), and the polynomial transfer matrix at 0 and +-1e-5 (central
+    differences)."""
+    n, params, d = spec.n_sites, spec.params, spec.dim
+    coeffs = chain._poly_carry(*chain._poly_factors(spec), np.eye(2, dtype=complex), n,
+                               chain._grow_at)
+    t0, t1 = (c[:d, :d] + c[d:, d:] for c in coeffs)
+    fd = _whole_trace(polynomial_l(1e-5, params), n)
+    fd -= _whole_trace(polynomial_l(-1e-5, params), n)
+    fd /= 2e-5
+    t0_fd = _whole_trace(polynomial_l(0.0, params), n)
+    return _solve_t0([(t0, t1)], d), _solve_t0([(t0_fd, fd)], d)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
-def test_transfer_matrix_is_bitwise_a_plus_d(n):
-    """Traced at the last site, t(u) is bitwise A + D of the full monodromy,
-    for the site factors of both forms, including the finite-difference
-    points of the polynomial form; for the rational form through the public
+def test_streamed_traces_are_bitwise_the_whole_product(n, monkeypatch):
+    """Streamed at the last two sites in bands of 3 rows of the product over
+    sites 1..N-2, which split its 2^(N-2) rows unevenly from N = 4 on, t(u)
+    for both forms (with the finite-difference points of the polynomial
+    form) is bitwise A + D of the whole product over N sites, and so are
+    both log-derivative routes; for the rational form through the public
     ``transfer_matrix`` and ``monodromy_matrix`` as well."""
+    # a row of the product over sites 1..N-2 gives four output rows at N >= 2
+    monkeypatch.setattr(chain, "_BAND_BYTES", 3 * 4 * 2**n * 16)
     for params in _TRACE_PARAMS:
         spec, d = ChainSpec(n, params), 2 ** n
         for local, us in _FORMS:
             for u in us:
                 l4 = local(u, params)
-                t = _site_product(l4, n)
-                assert np.array_equal(_transfer(l4, n), t[:d, :d] + t[d:, d:])
+                assert np.array_equal(_transfer(l4, n), _whole_trace(l4, n))
         for u in _FORMS[0][1]:
             t = monodromy_matrix(spec, u)
             assert np.array_equal(transfer_matrix(spec, u), t[:d, :d] + t[d:, d:])
+        if n >= 2:
+            poly, fd = _whole_log_derivatives(spec)
+            assert np.array_equal(log_derivative(spec), poly)
+            assert np.array_equal(log_derivative(spec, derivative="fd"), fd)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_uneven_row_chunks_are_bitwise_one_chunk(n, monkeypatch):
-    """Traced in chunks of 3 rows of t, which split its 2^(N-1) rows
-    unevenly from N = 3 on, t(u) for both forms (with the finite-difference
-    points) and both log-derivative routes are bitwise the one-chunk
-    result."""
+def test_uneven_row_bands_are_bitwise_one_band(n, monkeypatch):
+    """Streamed in bands of 3 rows of the product over sites 1..N-2, which
+    split its 2^(N-2) rows unevenly from N = 4 on, t(u) for both forms
+    (with the finite-difference points) and both log-derivative routes are
+    bitwise the one-band result."""
 
     def results():
         out = []
@@ -153,13 +182,12 @@ def test_uneven_row_chunks_are_bitwise_one_chunk(n, monkeypatch):
                 out += [log_derivative(spec), log_derivative(spec, derivative="fd")]
         return out
 
-    monkeypatch.setattr(chain, "_TRACE_CHUNK_BYTES", 2**62)
+    monkeypatch.setattr(chain, "_BAND_BYTES", 2**62)
     whole = results()
-    # a row of t spans two rows of the 2^N-square output, complex entries
-    monkeypatch.setattr(chain, "_TRACE_CHUNK_BYTES", 3 * 2 * 2**n * 16)
-    chunked = results()
-    assert len(chunked) == len(whole)
-    for got, want in zip(chunked, whole):
+    monkeypatch.setattr(chain, "_BAND_BYTES", 3 * 4 * 2**n * 16)
+    banded = results()
+    assert len(banded) == len(whole)
+    for got, want in zip(banded, whole):
         assert np.array_equal(got, want)
 
 
@@ -175,20 +203,20 @@ def _peak_mib(f):
 
 
 def test_traced_transfer_and_log_derivative_stay_in_budget():
-    """At N = 9 one 2^(N+1)-square matrix is 16 MiB and one 2^N-square
-    matrix 4 MiB. Traced straight into one output at the last site, t(u)
-    peaks at 10 MiB or less, the log-derivative at 15 MiB or less by the
-    exact route and 14 MiB or less by central differences (measured 9.5,
-    14.5 and 13.5 MiB; with the two auxiliary-diagonal blocks formed whole
-    they read 16, 28 and 20 MiB). At N = 10 t(u) peaks at 36.5 MiB or less
-    (measured 36 MiB, set by the last ``_grow_site``; 64 MiB with whole
-    blocks)."""
-    spec = ChainSpec(9, TwistParams(0.5, 1.0))
-    assert _peak_mib(lambda: transfer_matrix(spec, 1.7)) <= 10.0
-    assert _peak_mib(lambda: log_derivative(spec)) <= 15.0
-    assert _peak_mib(lambda: log_derivative(spec, derivative="fd")) <= 14.0
-    spec = ChainSpec(10, TwistParams(0.5, 1.0))
-    assert _peak_mib(lambda: transfer_matrix(spec, 1.7)) <= 36.5
+    """At N = 9 one 2^N-square matrix is 4 MiB and the product over sites
+    1..N-2 1 MiB. Streamed at the last two sites, t(u) peaks at 5.5 MiB or
+    less, the log-derivative at 7.5 MiB or less by the exact route and 8.5
+    MiB or less by central differences (measured 5.3, 7.0 and 8.2 MiB; with
+    the product over sites 1..N-1 formed whole and both derivatives held
+    whole they read 9.5, 14.5 and 13.5 MiB). At N = 10 they peak at 20.5,
+    25.5 and 29.5 MiB or less (measured 20.3, 25.0 and 29.2 MiB; 36, 56 and
+    52 MiB with the whole product)."""
+    for n, budgets in ((9, (5.5, 7.5, 8.5)), (10, (20.5, 25.5, 29.5))):
+        spec = ChainSpec(n, TwistParams(0.5, 1.0))
+        t_u, poly, fd = budgets
+        assert _peak_mib(lambda: transfer_matrix(spec, 1.7)) <= t_u
+        assert _peak_mib(lambda: log_derivative(spec)) <= poly
+        assert _peak_mib(lambda: log_derivative(spec, derivative="fd")) <= fd
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -628,7 +656,7 @@ def test_log_derivative_equals_the_untraced_trace(n):
     identity."""
     for params in _TRACE_PARAMS:
         spec = ChainSpec(n, params)
-        assert np.array_equal(log_derivative(spec), _solve_t0(*_poly_t0_t1(spec)))
+        assert np.array_equal(log_derivative(spec), _solve_t0([_poly_t0_t1(spec)], spec.dim))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -674,7 +702,7 @@ def test_perturbed_t0_raises_extraction_error():
     t0[3, 5] += 1e-3
     assert _scaled_permutation(t0) is None
     with pytest.raises(ExtractionError):
-        _solve_t0(t0, t1)
+        _solve_t0([(t0, t1)], spec.dim)
 
 
 @pytest.mark.parametrize("t0", [
@@ -684,7 +712,27 @@ def test_perturbed_t0_raises_extraction_error():
 def test_singular_t0_raises_extraction_error(t0):
     assert _scaled_permutation(t0) is None
     with pytest.raises(ExtractionError):
-        _solve_t0(t0, np.eye(4))
+        _solve_t0([(t0, np.eye(4))], 4)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_banded_t0_is_checked_across_its_bands(n):
+    """Each band of a scaled permutation passes on its own; a band scaled
+    by another c, or repeating a column of an earlier band, is refused
+    although it passes alone. Streamed t(0) gives bitwise the whole
+    solve."""
+    spec = ChainSpec(n, TwistParams(0.5, 1.0))
+    t0, t1 = _poly_t0_t1(spec)
+    d, half = spec.dim, spec.dim // 2
+    want = _solve_t0([(t0, t1)], d)
+    assert np.array_equal(_solve_t0([(t0[:half], t1[:half]), (t0[half:], t1[half:])], d), want)
+    rescaled = t0[half:] * 2
+    assert _scaled_permutation(rescaled) is not None
+    with pytest.raises(ExtractionError):
+        _solve_t0([(t0[:half], t1[:half]), (rescaled, t1[half:])], d)
+    repeated = t0[:half]
+    with pytest.raises(ExtractionError):
+        _solve_t0([(t0[:half], t1[:half]), (repeated, t1[half:])], d)
 
 
 def _transfer_pair(n=4, u=1.7 + 0.3j):

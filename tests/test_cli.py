@@ -87,20 +87,26 @@ def test_tol_flag(capsys):
 
 
 def test_unread_tol_override_is_rejected(tmp_path, capsys):
-    """A key that no check reads changes nothing, so the run is refused and
-    the key named; no report is written."""
+    """A key that no check reads changes nothing, so the run is refused
+    under the verify usage line and the key named; no report is written."""
     out = tmp_path / "cr.json"
-    code = main(["verify", "cr", "--tol", "cr.AC=1e-30", "--tol", "cr.relations=1e-3",
-                 "--out", str(out)])
-    assert code == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "cr", "--tol", "cr.AC=1e-30", "--tol", "cr.relations=1e-3",
+              "--out", str(out)])
+    assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert "cr.AC" in err and "cr.relations" not in err
+    assert err.startswith("usage: twistchain verify ")
+    (error,) = [line for line in err.splitlines() if "error" in line]
+    assert error.startswith("twistchain verify: error: ")
+    assert "cr.AC" in error and "cr.relations" not in error
     assert not out.exists()
 
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tol.ybe.nonsense = 1e-3\n")
-    assert main(["verify", "ybe", "--config", str(cfg)]) == 2
-    assert "ybe.nonsense" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "ybe", "--config", str(cfg)])
+    assert exit_info.value.code == 2
+    assert "twistchain verify: error: " in capsys.readouterr().err
 
 
 def test_suite_error_report_wins_over_unread_override(tmp_path, capsys, monkeypatch):
@@ -166,6 +172,31 @@ def _assert_refused(capsys, out, args):
 def test_bad_tol_flag(tmp_path, capsys):
     error = _assert_refused(capsys, tmp_path / "report.json", ["--tol", "nonsense"])
     assert "--tol expects CHECK=VALUE" in error
+
+
+def test_non_numeric_tol_flag_names_the_item(tmp_path, capsys):
+    error = _assert_refused(capsys, tmp_path / "report.json",
+                            ["--tol", "twist.cocycle=1e-9", "--tol", "x=bar"])
+    assert "--tol" in error and "'x=bar'" in error and "twist.cocycle" not in error
+
+
+@pytest.mark.parametrize("config_line", [
+    "tol.twist.cocycle = bar", "seed = x", "n_sites = 4.5", "samples = many",
+])
+def test_non_numeric_config_value_names_line_and_key(tmp_path, capsys, config_line):
+    """A config line whose number does not parse is refused like a bad value,
+    naming the file, the line and the key."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment\n" + config_line + "\n")
+    error = _assert_refused(capsys, tmp_path / "report.json", ["--config", str(cfg)])
+    key = config_line.split("=")[0].strip()
+    assert f"{cfg}:2: {key}:" in error
+
+
+def test_non_numeric_seed_variable_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TWISTCHAIN_SEED", "soon")
+    error = _assert_refused(capsys, tmp_path / "report.json", [])
+    assert "TWISTCHAIN_SEED" in error and "'soon'" in error
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
