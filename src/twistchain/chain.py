@@ -297,7 +297,6 @@ def _trace_block(band: np.ndarray, a: int,
 
 def _stream_trace(n_sites: int,
                   traced: Callable[[slice, int], list[list[tuple[np.ndarray, np.ndarray]]]],
-                  n_out: int = 1,
                   out: np.ndarray | None = None) -> Iterator[tuple[slice, list[np.ndarray]]]:
     """Traces over the auxiliary space of products over N sites, row band
     by row band (``_row_bands``); yields (output rows, bands).
@@ -307,17 +306,21 @@ def _stream_trace(n_sites: int,
     list of (op_t, t_a) terms per output (``_trace_block``): t_a is site
     N-1 grown on that part (``_grow_block``) and op_t the site-N factor. So
     neither a product over sites 1..N-1 nor a whole auxiliary block is ever
-    formed. The `n_out` bands are new arrays, or the rows of `out` when it
-    is given (one output).
+    formed. The bands are the rows of `out` when it is given (one output),
+    else new arrays, one per list that ``traced`` gives; the terms of block
+    a = 0 are dropped before those of a = 1 are grown.
     """
     dim = 2 ** n_sites
     for rows, out_rows in _row_bands(n_sites):
-        bands = ([out[out_rows]] if out is not None else
-                 [np.empty((out_rows.stop - out_rows.start, dim), dtype=complex)
-                  for _ in range(n_out)])
+        bands = None if out is None else [out[out_rows]]
         for a in (0, 1):
-            for band, terms in zip(bands, traced(rows, a)):
-                _trace_block(band, a, terms)
+            terms = traced(rows, a)
+            if bands is None:
+                bands = [np.empty((out_rows.stop - out_rows.start, dim), dtype=complex)
+                         for _ in terms]
+            for band, band_terms in zip(bands, terms):
+                _trace_block(band, a, band_terms)
+            del terms, band_terms
         yield out_rows, bands
 
 
@@ -570,14 +573,13 @@ def build_hamiltonian(spec: ChainSpec, deformation_doubled: bool = False) -> np.
     return h
 
 
-def _affine_fit(target: np.ndarray, base: np.ndarray,
-                overwrite_base: bool = False) -> tuple[complex, complex, float]:
+def _affine_fit(target: np.ndarray, base: np.ndarray) -> tuple[complex, complex, float]:
     """Least-squares fit target ~ a*base + b*I; returns (a, b, relative residual).
 
     The normal equations are the 2 x 2 Gram system of the Frobenius inner
     products <x, y> = vdot(x, y), with <I, y> = tr y and <I, I> = dim, solved
-    in closed form; the residual target - a*base - b*I is formed in place,
-    in `base` itself when `overwrite_base` is set.
+    in closed form; the residual target - a*base - b*I is formed in place in
+    `base`, which the fit consumes.
     """
     dim = base.shape[0]
     bb = np.vdot(base, base).real
@@ -586,11 +588,8 @@ def _affine_fit(target: np.ndarray, base: np.ndarray,
     det = dim * bb - abs(tr_b) ** 2
     a = complex((dim * bt - tr_b.conjugate() * tr_t) / det)
     b = complex((bb * tr_t - tr_b * bt) / det)
-    if overwrite_base:
-        res = base
-        res *= -a
-    else:
-        res = base * -a
+    res = base
+    res *= -a
     res += target
     res.flat[::dim + 1] -= b
     return a, b, float(np.linalg.norm(res) / np.linalg.norm(target))
@@ -669,7 +668,7 @@ def log_derivative(spec: ChainSpec, derivative: str = "poly") -> np.ndarray:
                 c1 += _grow_block(const_t, p)
             return [[(const_t, c0)], [(const_t, c1), (lin_t, c0)]]
 
-        bands = (pair for _, pair in _stream_trace(n, traced, n_out=2))
+        bands = (pair for _, pair in _stream_trace(n, traced))
     elif derivative == "fd":
         # the bands of t(step), t(-step) and t(0) are streamed side by side:
         # each t(-step) band is subtracted in place from its t(step) band
@@ -697,9 +696,10 @@ def extract_hamiltonian(spec: ChainSpec, h_formula: np.ndarray) -> HamiltonianPa
     fit alone, which forms its residual in it.
     """
     h_ext = log_derivative(spec)
-    a, b, res = _affine_fit(h_ext, h_formula)
-    a2, b2, res2 = _affine_fit(h_ext, build_hamiltonian(spec, deformation_doubled=True),
-                               overwrite_base=True)
+    # the fit consumes its base: the formula's residual is formed in a copy,
+    # the doubled variant's in the variant itself
+    a, b, res = _affine_fit(h_ext, h_formula.copy())
+    a2, b2, res2 = _affine_fit(h_ext, build_hamiltonian(spec, deformation_doubled=True))
     return HamiltonianPair(
         h_formula=h_formula, h_extracted=h_ext,
         scale=a, shift=b, fit_residual=res,
@@ -872,40 +872,25 @@ def spectrum_pair(m_xi: np.ndarray, m_0: np.ndarray,
     return spectrum_of(m_xi, n_sites)[0], ev_0, lowering
 
 
-def verify_spectrum_coincidence(
-    spec: ChainSpec,
-    u_samples: list[complex],
-    tol_h: float,
-    tol_t: float,
-    hamiltonians: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[SpectrumReport | None, float | None, list[tuple[complex, SpectrumReport]]]:
-    """Match the spectra of the deformed and undeformed chain.
+def transfer_spectrum_coincidence(spec: ChainSpec, u_samples: list[complex],
+                                  tol: float) -> list[tuple[complex, SpectrumReport]]:
+    """Match the spectrum of t_xi(u) against that of t_0(u) within `tol`,
+    for each sampled u.
 
-    Returns the eigenvalue comparison of H(xi) against H(0) and
-    ``strictly_lowering_residual(H(xi) - H(0))`` (both None without
-    `hamiltonians`; at N = 1 the periodic chain has none) and, for each
-    sampled u, the comparison of t_xi(u) against t_0(u). The twist terms
-    strictly lower total sz, so both matrices are block triangular in the
-    graded basis with the same diagonal blocks: the undeformed spectrum is
-    computed blockwise (exact, see graded_eigenvalues) and certified for the
-    deformed matrix (``spectrum_pair``), making the coincidence exact rather
-    than perturbative; a pair that fails the certificate is solved on both
-    sides.
-    `hamiltonians` is (H(xi), H(0)) from ``build_hamiltonian``, or None
-    to skip the Hamiltonian comparison (always at N = 1); the transfer pairs
-    are matched first, and the spectra of H and of t(u) within `tol_h` and
-    `tol_t`.
+    The twist terms strictly lower total sz, so both matrices are block
+    triangular in the graded basis with the same diagonal blocks: the
+    undeformed spectrum is computed blockwise (exact, see graded_eigenvalues)
+    and certified for the deformed matrix (``spectrum_pair``), making the
+    coincidence exact rather than perturbative; a pair that fails the
+    certificate is solved on both sides. The Hamiltonians are paired the
+    same way by ``spectrum_pair`` on (H(xi), H(0)).
     """
     if spec.boundary != "periodic":
         raise ValueError("spectrum coincidence is a periodic-chain statement")
     spec0 = ChainSpec(spec.n_sites, TwistParams(0.0, spec.params.eta), spec.boundary)
-    n = spec.n_sites
     t_reports = []
     for u in u_samples:
-        ev_xi, ev_0, _ = spectrum_pair(transfer_matrix(spec, u), transfer_matrix(spec0, u), n)
-        t_reports.append((u, match_spectra(ev_xi, ev_0, tol_t)))
-    h_report = h_lowering = None
-    if hamiltonians is not None:
-        ev_xi, ev_0, h_lowering = spectrum_pair(*hamiltonians, n)
-        h_report = match_spectra(ev_xi, ev_0, tol_h)
-    return h_report, h_lowering, t_reports
+        ev_xi, ev_0, _ = spectrum_pair(transfer_matrix(spec, u), transfer_matrix(spec0, u),
+                                       spec.n_sites)
+        t_reports.append((u, match_spectra(ev_xi, ev_0, tol)))
+    return t_reports

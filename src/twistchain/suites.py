@@ -333,15 +333,13 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
     # the transfer pairs run before any Hamiltonian is built, and every
     # 2^N-square matrix is dropped after its last read, so that at most three
     # are alive at once; the reports keep their order
-    _, _, t_reports = ch.verify_spectrum_coincidence(
-        spec, u_samples, tol_h=hamiltonian.tolerance, tol_t=transfer.tolerance,
-        hamiltonians=None)
+    t_reports = ch.transfer_spectrum_coincidence(spec, u_samples, transfer.tolerance)
     if spec.n_sites >= 2:
+        # at N = 1 the periodic chain has no Hamiltonian
         h_xi = ch.build_hamiltonian(spec)
         h_0 = ch.build_hamiltonian(ch.ChainSpec(spec.n_sites, tw.TwistParams(0.0, eta)))
-        h_report, h_lowering, _ = ch.verify_spectrum_coincidence(
-            spec, [], tol_h=hamiltonian.tolerance, tol_t=transfer.tolerance,
-            hamiltonians=(h_xi, h_0))
+        ev_xi, ev_0, h_lowering = ch.spectrum_pair(h_xi, h_0, spec.n_sites)
+        h_report = match_spectra(ev_xi, ev_0, hamiltonian.tolerance)
         reports.append(hamiltonian.report(
             {"n_sites": spec.n_sites, "xi": config.xi}, h_report.max_pair_distance,
             notes="eigenvalue multiset of H(xi) against H(0), computed blockwise in the "
@@ -360,9 +358,9 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
         # H(0) is the exactly real symmetric XXX Hamiltonian (a test pins
         # this), solved in real arithmetic and dropped before the deformed
         # side is solved with the general solver
-        ev_0 = hermitian_eigenvalues(h_0)
+        dense_0 = hermitian_eigenvalues(h_0)
         del h_0
-        dense = match_spectra(eigenvalues(h_xi), ev_0, dense_check.tolerance)
+        dense = match_spectra(eigenvalues(h_xi), dense_0, dense_check.tolerance)
         reports.append(dense_check.report(
             {"n_sites": spec.n_sites, "xi": config.xi}, dense.max_pair_distance,
             notes="end-to-end dense cross-check; accuracy limited by eigensolver "

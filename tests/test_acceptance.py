@@ -25,6 +25,7 @@ from twistchain import symmetry as sy
 from twistchain import twist as tw
 from twistchain.reporting import RunConfig, render_json
 from twistchain.suites import run_suite
+from twistchain.tensor import match_spectra
 
 
 def _line(num, name, ok, detail=""):
@@ -110,10 +111,11 @@ def test_criterion_5_spectrum_coincidence():
         for xi in (0.3, 0.9, 10.0):
             spec = ch.ChainSpec(n, tw.TwistParams(xi, 1.0))
             u_samples = [_annulus(rng) for _ in range(5)]
-            hamiltonians = (ch.build_hamiltonian(spec),
-                            ch.build_hamiltonian(ch.ChainSpec(n, tw.TwistParams(0.0, 1.0))))
-            h_rep, _, t_reps = ch.verify_spectrum_coincidence(
-                spec, u_samples, tol_h=1e-8, tol_t=1e-7, hamiltonians=hamiltonians)
+            ev_xi, ev_0, _ = ch.spectrum_pair(
+                ch.build_hamiltonian(spec),
+                ch.build_hamiltonian(ch.ChainSpec(n, tw.TwistParams(0.0, 1.0))), n)
+            h_rep = match_spectra(ev_xi, ev_0, 1e-8)
+            t_reps = ch.transfer_spectrum_coincidence(spec, u_samples, 1e-7)
             assert h_rep.matched, (n, xi)
             worst_h = max(worst_h, h_rep.max_pair_distance)
             for _, rep in t_reps:

@@ -27,11 +27,11 @@ from twistchain.chain import (
     spectrum_pair,
     strictly_lowering_residual,
     transfer_matrix,
+    transfer_spectrum_coincidence,
     vacuum_d,
     vacuum_state,
     verify_commutation_relations,
     verify_rtt,
-    verify_spectrum_coincidence,
 )
 from twistchain.rmatrix import build_r, polynomial_l
 from twistchain.tensor import SM, SX, SY, SZ, eigenvalues, match_spectra, rel_residual
@@ -392,15 +392,18 @@ def test_open_one_site_hamiltonian_is_zero():
 
 
 def _coincidence(spec):
-    """``verify_spectrum_coincidence`` at three fixed points, under the
-    spectrum suite's default tolerances, with the Hamiltonians built here as
-    the suite builds them."""
-    hamiltonians = None
+    """The spectrum suite's pairings at three fixed points, under its
+    default tolerances: (H(xi) against H(0), its lowering certificate, the
+    transfer pairs), the first two None at N = 1, where the periodic chain
+    has no Hamiltonian."""
+    h_report = h_lowering = None
     if spec.n_sites >= 2:
         spec0 = ChainSpec(spec.n_sites, TwistParams(0.0, spec.params.eta))
-        hamiltonians = build_hamiltonian(spec), build_hamiltonian(spec0)
-    return verify_spectrum_coincidence(spec, [1.7, 2.9 + 0.4j, -1.3 + 0.8j], 1e-8, 1e-7,
-                                       hamiltonians)
+        ev_xi, ev_0, h_lowering = spectrum_pair(build_hamiltonian(spec),
+                                                build_hamiltonian(spec0), spec.n_sites)
+        h_report = match_spectra(ev_xi, ev_0, 1e-8)
+    return h_report, h_lowering, transfer_spectrum_coincidence(
+        spec, [1.7, 2.9 + 0.4j, -1.3 + 0.8j], 1e-7)
 
 
 def _extract(spec):

@@ -106,7 +106,9 @@ def test_unread_tol_override_is_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "ybe", "--config", str(cfg)])
     assert exit_info.value.code == 2
-    assert "twistchain verify: error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "twistchain verify: error: " in err
+    assert "ybe.nonsense" in err
 
 
 def test_suite_error_report_wins_over_unread_override(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twistchain import chain as ch
+from twistchain import suites
 from twistchain.reporting import (
     RunConfig,
     VerificationReport,
@@ -206,7 +207,8 @@ def test_one_site_spectrum_skips_only_the_hamiltonian(boundary, check_ids):
 
 def test_spectrum_suite_pairs_spectra_under_its_check_tolerances(monkeypatch):
     """A tolerance override decides the greedy-or-optimal pairing too; the
-    transfer pairs are matched before the Hamiltonians are built."""
+    transfer pairs are matched before the Hamiltonians are built, and the
+    dense cross-check keeps its own tolerance."""
     seen = []
 
     def recording(s1, s2, tol):
@@ -214,10 +216,11 @@ def test_spectrum_suite_pairs_spectra_under_its_check_tolerances(monkeypatch):
         return match_spectra(s1, s2, tol)
 
     monkeypatch.setattr(ch, "match_spectra", recording)
+    monkeypatch.setattr(suites, "match_spectra", recording)
     config = RunConfig(n_sites=3, samples=2, tolerances={
         "spectrum.hamiltonian": 3e-9, "spectrum.transfer": 4e-8})
     run_suite(config, "spectrum")
-    assert seen == [4e-8, 4e-8, 3e-9]
+    assert seen == [4e-8, 4e-8, 3e-9, 1e-5]
 
 
 def _extraction_commutes(config):
