@@ -255,18 +255,9 @@ def _row_bands(n_sites: int) -> Iterator[tuple[slice, slice]]:
 
 def _aux_block(g: np.ndarray, rows: slice, a: int) -> np.ndarray:
     """Rows `rows` of every auxiliary row block of a product g on aux ⊗
-    sites, in auxiliary column block a: read (a', rows, cols)."""
-    return g.reshape(2, g.shape[0] // 2, 2, -1)[:, rows, a, :]
-
-
-def _grow_block(op_t: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """op_{a,k} (part ⊗ 1_k) for a 4 x 4 factor op read as op_t =
-    ``_site_op(op)``, on a part (a', rows, cols) of a product
-    (``_aux_block``), read (a', rows s'' cols s) as the trace at the next
-    site reads it: the same matmul as ``_grow_site`` on fewer columns."""
-    _, rows, cols = part.shape
-    grown = (op_t @ part.reshape(2, -1)).reshape(2, 2, 2, rows, cols)
-    return grown.transpose(0, 3, 1, 4, 2).reshape(2, -1)
+    sites, in auxiliary column block a, as a product on aux ⊗ those rows
+    and columns: (a' rows, cols), the layout ``_grow_site`` extends."""
+    return g.reshape(2, g.shape[0] // 2, 2, -1)[:, rows, a, :].reshape(-1, g.shape[1] // 2)
 
 
 def _trace_block(band: np.ndarray, a: int,
@@ -282,7 +273,7 @@ def _trace_block(band: np.ndarray, a: int,
     t_a. The terms are summed in order before the block enters the band,
     which is viewed in the output layout (rows, s'', cols, s).
     """
-    products = (op_t[4 * a:4 * a + 4] @ t_a for op_t, t_a in terms)
+    products = (op_t[4 * a:4 * a + 4] @ t_a.reshape(2, -1) for op_t, t_a in terms)
     total = next(products)
     for prod in products:
         total += prod
@@ -304,7 +295,7 @@ def _stream_trace(n_sites: int,
     ``traced(rows, a)`` gives, on the rows `rows` per auxiliary index of
     the products over sites 1..N-2 and their auxiliary column block a, one
     list of (op_t, t_a) terms per output (``_trace_block``): t_a is site
-    N-1 grown on that part (``_grow_block``) and op_t the site-N factor. So
+    N-1 grown on that part (``_grow_site``) and op_t the site-N factor. So
     neither a product over sites 1..N-1 nor a whole auxiliary block is ever
     formed. The bands are the rows of `out` when it is given (one output),
     else new arrays, one per list that ``traced`` gives; the terms of block
@@ -334,8 +325,7 @@ def _transfer_terms(l4: np.ndarray, n_sites: int) -> Callable:
     def traced(rows, a):
         part = _aux_block(g, rows, a)
         # at N = 1 the auxiliary identity g is the product over no site
-        t_a = _grow_block(l4_t, part) if n_sites > 1 else part.reshape(2, -1)
-        return [[(l4_t, t_a)]]
+        return [[(l4_t, _grow_site(l4, part) if n_sites > 1 else part)]]
 
     return traced
 
@@ -389,8 +379,8 @@ def monodromy_poly_coeffs(spec: ChainSpec) -> list[np.ndarray]:
     coefficient of u^j on aux ⊗ chain. Exact bookkeeping, no limits taken.
     """
     const, lin = _poly_factors(spec)
-    return _poly_carry(const, lin, np.eye(2, dtype=complex), spec.n_sites, _grow_at,
-                       top=spec.n_sites)
+    return _poly_carry(const, lin, [np.eye(2, dtype=complex)], range(1, spec.n_sites + 1),
+                       _grow_at, top=spec.n_sites)
 
 
 def _grow_at(op: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
@@ -398,11 +388,13 @@ def _grow_at(op: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
     return _grow_site(op, t)
 
 
-def _poly_carry(const: np.ndarray, lin: np.ndarray, c0: np.ndarray, n_sites: int,
-                at: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
+def _poly_carry(const: np.ndarray, lin: np.ndarray, coeffs: Iterable[np.ndarray],
+                sites: Iterable[int], at: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
                 top: int = 1) -> list[np.ndarray]:
-    """Coefficients of u^0..u^top of prod_{k <= n_sites} (const + u lin)_{a,k}
-    applied to c0, carried site by site; ``at(op, c, k)`` applies op_{a,k}
+    """Coefficients of u^0..u^top of prod_{k in sites} (const + u lin)_{a,k}
+    applied to the polynomial whose coefficients are `coeffs` (lowest
+    degree first, at most top + 1; [c0] starts a product at c0), carried
+    site by site in the order of `sites`; ``at(op, c, k)`` applies op_{a,k}
     to c (``_grow_at``, or ``tensor.apply_local`` at slots [0, k]).
 
     Site k runs top degree down, so each old c_d is read before it is
@@ -410,9 +402,9 @@ def _poly_carry(const: np.ndarray, lin: np.ndarray, c0: np.ndarray, n_sites: int
     `const` and `lin` swapped it carries u^N Tbar(1/u), whose lowest
     coefficients are the highest of Tbar(u).
     """
-    coeffs = [c0]
-    for k in range(1, n_sites + 1):
-        for d in range(min(k, top), 0, -1):
+    coeffs = list(coeffs)
+    for k in sites:
+        for d in range(min(len(coeffs), top), 0, -1):
             step = at(lin, coeffs[d - 1], k)
             if d < len(coeffs):
                 step += at(const, coeffs[d], k)
@@ -653,19 +645,15 @@ def log_derivative(spec: ChainSpec, derivative: str = "poly") -> np.ndarray:
     n = spec.n_sites
     if derivative == "poly":
         const, lin = _poly_factors(spec)
-        carried = _poly_carry(const, lin, np.eye(2, dtype=complex), n - 2, _grow_at)
+        carried = _poly_carry(const, lin, [np.eye(2, dtype=complex)], range(1, n - 1), _grow_at)
         const_t, lin_t = _site_op(const), _site_op(lin)
 
         def traced(rows, a):
-            # site N-1 as ``_poly_carry`` takes it, on this part: c0 becomes
-            # const c0, c1 becomes lin c0 plus const c1 (at N = 2 no c1 is
-            # carried yet); then t(0) is tr const_{a,N} c0 and t'(0) is
+            # site N-1 carried on this part (at N = 2 no c1 is carried
+            # yet); then t(0) is tr const_{a,N} c0 and t'(0) is
             # tr [const_{a,N} c1 + lin_{a,N} c0]
-            p0, *p1 = (_aux_block(c, rows, a) for c in carried)
-            c0 = _grow_block(const_t, p0)
-            c1 = _grow_block(lin_t, p0)
-            for p in p1:
-                c1 += _grow_block(const_t, p)
+            c0, c1 = _poly_carry(const, lin, (_aux_block(c, rows, a) for c in carried),
+                                 (n - 1,), _grow_at)
             return [[(const_t, c0)], [(const_t, c1), (lin_t, c0)]]
 
         bands = (pair for _, pair in _stream_trace(n, traced))

@@ -11,10 +11,11 @@ Precedence: command-line flags override the config file, which overrides
 built-in defaults. The environment variable TWISTCHAIN_SEED supplies the
 default seed. The exit status is 1 when a check that is not an
 expected-failure check fails, and 2, with no report written, when
-RunConfig refuses a value (flag or config file), the config file cannot
-be read, a ``--tol`` item is not CHECK=VALUE with a numeric VALUE, a
-number in the config file or in TWISTCHAIN_SEED does not parse, or a
-tolerance override names a key that no check of the run reads. Bad input
+RunConfig refuses a value (flag or config file; a NaN or negative
+tolerance among them), the config file cannot be read, a ``--tol`` item
+is not CHECK=VALUE with a non-empty CHECK and a numeric VALUE, a number
+in the config file or in TWISTCHAIN_SEED does not parse, or a tolerance
+override names a key that no check of the run reads. Bad input
 is reported under the ``verify`` usage line with one ``twistchain verify:
 error:`` line. Every refusal comes before any suite runs except the last:
 the keys a suite reads are known only once it has run, so an unread
@@ -100,7 +101,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     tolerances = dict(values.pop("tolerances", {}))
     for item in args.tol:
         check, sep, value = item.partition("=")
-        if not sep:
+        if not sep or not check.strip():
             raise ValueError(f"--tol expects CHECK=VALUE, got {item!r}")
         try:
             tolerances[check.strip()] = float(value)

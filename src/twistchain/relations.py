@@ -1,17 +1,15 @@
-"""Exchange-relation tables and the tiny expression grammar they are written in.
+"""Exchange-relation tables and the expression grammar they are written in.
 
-Each relation is stored verbatim as a string ``lhs = rhs`` over the grammar
-
-    expr   := term (('+' | '-') term)*
-    term   := factor ('*' factor)*
-    factor := ['-'] atom ('^' integer)?
-    atom   := number | name | name '(' u_or_v (',' u_or_v)? ')' | '(' expr ')'
-
-with operator-valued names A, B, C, D, E, G, Einv (bound to ``Member``s
-of operator families, products kept in the written order) and scalar names
-alpha, beta, xi (bound to numbers).
-Storing the relations as data keeps the transcription auditable line by
-line; nothing about them is hand-coded into the evaluator.
+Each relation is stored verbatim as a string ``lhs = rhs``. A side is a
+Python expression (``ast``) restricted to ``+``, ``-`` and ``*``, ``^``
+with a non-negative integer exponent (read as ``**``, so it binds tighter
+than unary minus), names, calls on names such as ``alpha(u,v)``, and int
+or float literals; ``parse`` refuses anything else with ValueError. The
+operator-valued names A, B, C, D, E, G, Einv are bound to ``Member``s of
+operator families, products kept in the written order, and the scalar
+names alpha, beta, xi to numbers. Storing the relations as data keeps the
+transcription auditable line by line; nothing about them is hand-coded
+into the evaluator.
 
 The evaluator never forms a product of two operators. It expands a side
 into a linear combination of operator words (scalars commute into the
@@ -49,8 +47,8 @@ failing relation is reported as a failure.
 
 from __future__ import annotations
 
+import ast
 import numbers
-import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,93 +57,33 @@ import numpy as np
 
 from .tensor import rel_residual
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^(),=]))"
-)
+# the nodes of the grammar; `_in_grammar` narrows constants, powers and calls
+_GRAMMAR = (ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.UnaryOp, ast.USub,
+            ast.Name, ast.Load, ast.Call, ast.Constant)
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    text = text.strip()
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ValueError(f"bad token at {text[pos:pos + 10]!r}")
-        tokens.append(m.group(m.lastgroup))
-        pos = m.end()
-    return tokens
+def _in_grammar(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return isinstance(node.right, ast.Constant) and type(node.right.value) is int
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and bool(node.args) and not node.keywords
+                and all(isinstance(arg, ast.Name) for arg in node.args))
+    return isinstance(node, _GRAMMAR)
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == "*":
-            self.take("*")
-            node = ("*", node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek() == "-":
-            self.take("-")
-            return ("neg", self.factor())
-        node = self.atom()
-        if self.peek() == "^":
-            self.take("^")
-            power = self.take()
-            node = ("pow", node, int(power))
-        return node
-
-    def atom(self):
-        tok = self.peek()
-        if tok == "(":
-            self.take("(")
-            node = self.expr()
-            self.take(")")
-            return node
-        tok = self.take()
-        if re.fullmatch(r"\d+(?:\.\d+)?", tok):
-            return ("num", complex(tok))
-        if self.peek() == "(":
-            self.take("(")
-            args = [self.take()]
-            while self.peek() == ",":
-                self.take(",")
-                args.append(self.take())
-            self.take(")")
-            return ("sym", f"{tok}({','.join(args)})")
-        return ("sym", tok)
-
-
-def parse(text: str):
-    """Parse one side of a relation into an AST."""
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing tokens in {text!r}")
+def parse(text: str) -> ast.expr:
+    """Parse one side of a relation into a Python expression node, with
+    ``^`` read as ``**``; ValueError outside the grammar."""
+    try:
+        node = ast.parse(text.replace("^", "**").strip(), mode="eval").body
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {text!r}: {exc.msg}") from None
+    for sub in ast.walk(node):
+        if not _in_grammar(sub):
+            what = ast.unparse(sub) or type(sub).__name__
+            raise ValueError(f"{what!r} is outside the relation grammar in {text!r}")
     return node
 
 
@@ -171,27 +109,26 @@ def _product(left: tuple, right: tuple) -> tuple:
     return tuple((c1 * c2, n1 + n2) for c1, n1 in left for c2, n2 in right)
 
 
-def _expand(node) -> tuple[tuple[complex, tuple[str, ...]], ...]:
-    """The monomials whose sum an AST denotes: (number, names) pairs, the
-    names of each product in written order, scalars among them."""
-    kind = node[0]
-    if kind == "num":
-        return ((node[1], ()),)
-    if kind == "sym":
-        return ((1, (node[1],)),)
-    if kind == "neg":
-        return tuple((-c, names) for c, names in _expand(node[1]))
-    if kind == "pow":
+def _expand(node: ast.expr) -> tuple[tuple[complex, tuple[str, ...]], ...]:
+    """The monomials whose sum a parsed side denotes: (number, names)
+    pairs, the names of each product in written order, scalars among them."""
+    if isinstance(node, ast.Constant):
+        return ((complex(node.value), ()),)
+    if isinstance(node, ast.Name):
+        return ((1, (node.id,)),)
+    if isinstance(node, ast.Call):
+        return ((1, (f"{node.func.id}({','.join(arg.id for arg in node.args)})",)),)
+    if isinstance(node, ast.UnaryOp):
+        return tuple((-c, names) for c, names in _expand(node.operand))
+    if isinstance(node.op, ast.Pow):
         out = ((1, ()),)
-        for _ in range(node[2]):
-            out = _product(out, _expand(node[1]))
+        for _ in range(node.right.value):
+            out = _product(out, _expand(node.left))
         return out
-    if kind not in ("*", "+", "-"):
-        raise ValueError(f"unknown node {kind!r}")
-    left, right = _expand(node[1]), _expand(node[2])
-    if kind == "*":
+    left, right = _expand(node.left), _expand(node.right)
+    if isinstance(node.op, ast.Mult):
         return _product(left, right)
-    if kind == "+":
+    if isinstance(node.op, ast.Add):
         return left + right
     return left + tuple((-c, names) for c, names in right)
 

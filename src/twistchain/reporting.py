@@ -135,6 +135,9 @@ class RunConfig:
         if self.boundary not in ("periodic", "open"):
             raise ValueError("boundary must be periodic or open")
         TwistParams(self.xi, self.eta)  # refuses a non-finite xi or eta and eta = 0
+        for key, value in self.tolerances.items():
+            if not float(value) >= 0:  # also false for NaN
+                raise ValueError(f"tolerance {key} must be >= 0, got {value!r}")
 
     def tolerance(self, check_id: str, default: float) -> float:
         return float(self.tolerances.get(check_id, default))
@@ -217,7 +220,7 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            tolerance = key.startswith("tol.")
+            tolerance = key.startswith("tol.") and key != "tol."
             parse = float if tolerance else _CONFIG_PARSERS.get(key)
             if parse is None:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")

@@ -219,7 +219,7 @@ def order1_transcription_residual(spec: ChainSpec, x: np.ndarray) -> float:
     def at(op, c, k):
         return apply_local(op, c, dims, [0, k])
 
-    exact = _poly_carry(r_c, -spec.params.eta * p, x, n, at)[1]
+    exact = _poly_carry(r_c, -spec.params.eta * p, [x], range(1, n + 1), at)[1]
     below, total = x, None
     for k in range(1, n + 1):
         term = at(p, below, k)  # P_{a,k} M^<_k x

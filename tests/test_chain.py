@@ -131,8 +131,8 @@ def _whole_log_derivatives(spec):
     route), and the polynomial transfer matrix at 0 and +-1e-5 (central
     differences)."""
     n, params, d = spec.n_sites, spec.params, spec.dim
-    coeffs = chain._poly_carry(*chain._poly_factors(spec), np.eye(2, dtype=complex), n,
-                               chain._grow_at)
+    coeffs = chain._poly_carry(*chain._poly_factors(spec), [np.eye(2, dtype=complex)],
+                               range(1, n + 1), chain._grow_at)
     t0, t1 = (c[:d, :d] + c[d:, d:] for c in coeffs)
     fd = _whole_trace(polynomial_l(1e-5, params), n)
     fd -= _whole_trace(polynomial_l(-1e-5, params), n)

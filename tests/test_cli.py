@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from twistchain import cli
 from twistchain.cli import main
+from twistchain.reporting import RunConfig
 
 
 def test_verify_twist_exit_zero(tmp_path, capsys):
@@ -174,6 +176,35 @@ def _assert_refused(capsys, out, args):
 def test_bad_tol_flag(tmp_path, capsys):
     error = _assert_refused(capsys, tmp_path / "report.json", ["--tol", "nonsense"])
     assert "--tol expects CHECK=VALUE" in error
+
+
+@pytest.mark.parametrize("item", ["=1e-3", " =1e-3"])
+def test_empty_tol_check_is_refused_before_any_suite(tmp_path, capsys, monkeypatch, item):
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("a suite ran"))
+    error = _assert_refused(capsys, tmp_path / "report.json", ["--tol", item])
+    assert "--tol expects CHECK=VALUE" in error and repr(item) in error
+
+
+def test_empty_tol_check_in_config_is_refused_before_any_suite(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("a suite ran"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol. = 1e-3\n")
+    error = _assert_refused(capsys, tmp_path / "report.json", ["--config", str(cfg)])
+    assert f"{cfg}:1:" in error and "'tol.'" in error
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+def test_nan_or_negative_tolerance_is_refused_before_any_suite(tmp_path, capsys,
+                                                               monkeypatch, value):
+    """From the flag and from a config line, naming the key; a tolerance of
+    0 stays valid (``twist.anchor_f12`` uses it)."""
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("a suite ran"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tol.twist.cocycle = {value}\n")
+    for args in (["--tol", f"twist.cocycle={value}"], ["--config", str(cfg)]):
+        error = _assert_refused(capsys, tmp_path / "report.json", args)
+        assert "tolerance twist.cocycle must be >= 0" in error and value in error
+    assert RunConfig(tolerances={"twist.cocycle": 0.0}).tolerance("twist.cocycle", 1.0) == 0.0
 
 
 def test_non_numeric_tol_flag_names_the_item(tmp_path, capsys):

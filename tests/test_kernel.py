@@ -373,7 +373,7 @@ def test_grown_products_bitwise_equal_to_kernel_on_identity(n, xi):
                           _factors_apply(polynomial_l(u, spec.params), n, eye))
     const, lin = _poly_factors(spec)
     for end, pair in (("low", (const, lin)), ("high", (lin, const))):
-        grown = _poly_carry(*pair, np.eye(2, dtype=complex), n, _grow_at)
+        grown = _poly_carry(*pair, [np.eye(2, dtype=complex)], range(1, n + 1), _grow_at)
         for got, want in zip(grown, _kernel_poly_pair(spec, end), strict=True):
             assert np.array_equal(got, want), end
     # the T_0 applier and the order-1 reading on the identity against the
@@ -409,9 +409,10 @@ def test_poly_carry_through_the_kernel_on_identity_is_the_grown_carry(n, xi):
     const, lin = _poly_factors(spec)
     for pair in ((const, lin), (lin, const)):
         for top in (1, n):
-            on_identity = _poly_carry(*pair, np.eye(2 * spec.dim, dtype=complex), n,
-                                      kernel_at, top)
-            grown = _poly_carry(*pair, np.eye(2, dtype=complex), n, _grow_at, top)
+            on_identity = _poly_carry(*pair, [np.eye(2 * spec.dim, dtype=complex)],
+                                      range(1, n + 1), kernel_at, top)
+            grown = _poly_carry(*pair, [np.eye(2, dtype=complex)], range(1, n + 1), _grow_at,
+                                top)
             assert len(grown) == top + 1
             for got, want in zip(on_identity, grown, strict=True):
                 assert got.tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -92,9 +94,11 @@ def test_residual_zero_for_identity():
     assert relation_residual("A(u)*B(u) = A(u)*B(u)", _members(env), np.eye(3)) == 0.0
 
 
-def test_bad_token_rejected():
+@pytest.mark.parametrize("text", ["A(u) @ B(u)", "A(u)^1.5", "A(u)^-1", "1j*A(u)", "A(u).T",
+                                  "A(u=v)", "A(1)", "(A(u)"])
+def test_bad_token_rejected(text):
     with pytest.raises(ValueError):
-        parse("A(u) @ B(u)")
+        parse(text)
 
 
 def test_unbound_symbol_reported():
@@ -135,29 +139,29 @@ def test_cr_relations_share_one_tolerance_key():
 
 def _full_matrix_evaluate(node, env):
     """The full-matrix evaluator the block evaluator replaced, kept as an
-    oracle: matrices multiplied in the written order, a scalar added to a
-    matrix promoted to scalar*I."""
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "sym":
-        return env[node[1]]
-    if kind == "neg":
-        return -_full_matrix_evaluate(node[1], env)
-    if kind == "pow":
-        base = _full_matrix_evaluate(node[1], env)
-        if isinstance(base, np.ndarray):
-            return np.linalg.matrix_power(base, node[2])
-        return base ** node[2]
-    a = _full_matrix_evaluate(node[1], env)
-    b = _full_matrix_evaluate(node[2], env)
-    if kind == "*":
+    oracle over the parsed ``ast`` nodes: matrices multiplied in the
+    written order, a scalar added to a matrix promoted to scalar*I."""
+    if isinstance(node, ast.Constant):
+        return complex(node.value)
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.Call):
+        return env[f"{node.func.id}({','.join(arg.id for arg in node.args)})"]
+    if isinstance(node, ast.UnaryOp):
+        return -_full_matrix_evaluate(node.operand, env)
+    a = _full_matrix_evaluate(node.left, env)
+    if isinstance(node.op, ast.Pow):
+        if isinstance(a, np.ndarray):
+            return np.linalg.matrix_power(a, node.right.value)
+        return a ** node.right.value
+    b = _full_matrix_evaluate(node.right, env)
+    if isinstance(node.op, ast.Mult):
         return a @ b if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) else a * b
     if isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
         b = b * np.eye(a.shape[0], dtype=complex)
     if isinstance(b, np.ndarray) and not isinstance(a, np.ndarray):
         a = a * np.eye(b.shape[0], dtype=complex)
-    return a + b if kind == "+" else a - b
+    return a + b if isinstance(node.op, ast.Add) else a - b
 
 
 def _full_matrix_residual(text, env):
