@@ -26,12 +26,13 @@ factor on aux^m ⊗ site of ``_monodromy_product`` (RTT and fusion). One
 route serves each job. ``_site_product`` grows the dense product one site
 at a time, T_k = L_{a,k} (T_{k-1} ⊗ 1) from the auxiliary identity, as a
 matrix product operator is contracted (``_grow_site``; Murg, Korepin and
-Verstraete, arXiv:1201.5627). A trace over the auxiliary space never
-forms the whole product over sites 1..N-1: the product is grown over sites
-1..N-2 only, and ``_stream_trace`` makes site N-1 one row band at a time
-with the same matmul and traces each band at site N straight into the
-2^N-square output (t(u) in ``_transfer``, t(0) and t'(0) in
-``log_derivative``).
+Verstraete, arXiv:1201.5627); a stack of factors grows the stack of their
+products, which is how ``verify_rtt`` evaluates its sweep. A trace over
+the auxiliary space never forms the whole product over sites 1..N-1: the
+product is grown over sites 1..N-2 only, and ``_stream_trace`` makes site
+N-1 one row band at a time with the same matmul and traces each band at
+site N straight into the 2^N-square output (t(u) in ``_transfer``, t(0)
+and t'(0) in ``log_derivative``).
 ``_poly_carry`` carries the coefficients of prod_k (const + u lin)_{a,k},
 densely or on a column block. ``_factors_apply`` applies the product to a
 column block with ``tensor.apply_local``, O(N 4^N) per block; every reader
@@ -45,7 +46,7 @@ of local terms, is scattered into its matrix term by term with
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from typing import NamedTuple
@@ -68,6 +69,7 @@ from .tensor import (
     match_spectra,
     permutation_op,
     rel_residual,
+    sample_chunks,
     SpectrumReport,
 )
 from .twist import TwistParams
@@ -186,9 +188,11 @@ def _aux_blocks_apply(op: np.ndarray, n_sites: int, x: np.ndarray) -> tuple[np.n
 def _site_op(op: np.ndarray) -> np.ndarray:
     """A 2A x 2A factor on aux ⊗ site, the auxiliary space of dimension A
     leftmost, reshaped to (a'' s'' s, a'): the left operand of every site
-    step, against a product read as (a', rest)."""
-    aux = op.shape[0] // 2
-    return op.reshape(aux, 2, aux, 2).transpose(0, 1, 3, 2).reshape(4 * aux, aux)
+    step, against a product read as (a', rest). Leading stack axes are
+    kept."""
+    aux = op.shape[-1] // 2
+    return (op.reshape(-1, aux, 2, aux, 2).transpose(0, 1, 2, 4, 3)
+            .reshape(op.shape[:-2] + (4 * aux, aux)))
 
 
 def _grow_site(op: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -198,40 +202,46 @@ def _grow_site(op: np.ndarray, t: np.ndarray) -> np.ndarray:
     index (s' = s), only the auxiliary index a' is summed: one matmul of
     op, reshaped to (a'' s'' s, a') (``_site_op``), against t read as (a',
     rows cols), and one transpose to (a'', rows, s'', cols, s). The
-    identity t ⊗ 1 is never formed.
+    identity t ⊗ 1 is never formed. Leading stack axes of op and t
+    broadcast: one matmul per stacked pair, each as the pair alone takes it.
     """
-    aux = op.shape[0] // 2
-    rows = t.shape[0] // aux
-    grown = (_site_op(op) @ t.reshape(aux, -1)).reshape(aux, 2, 2, rows, t.shape[1])
-    return grown.transpose(0, 3, 1, 4, 2).reshape(2 * t.shape[0], 2 * t.shape[1])
+    aux = op.shape[-1] // 2
+    rows, cols = t.shape[-2:]
+    grown = _site_op(op) @ t.reshape(t.shape[:-2] + (aux, -1))
+    lead = grown.shape[:-2]
+    grown = grown.reshape(-1, aux, 2, 2, rows // aux, cols)
+    return grown.transpose(0, 1, 4, 2, 5, 3).reshape(lead + (2 * rows, 2 * cols))
 
 
 def _site_product(factor: np.ndarray, n_sites: int) -> np.ndarray:
     """factor_{a,n_sites} ... factor_{a,1} on aux ⊗ sites 1..n_sites, grown
     site by site from the identity of the auxiliary space (its dimension
-    read from the factor's shape); the identity itself at n_sites = 0."""
-    t = np.eye(factor.shape[0] // 2, dtype=complex)
+    read from the factor's shape); the identity itself at n_sites = 0. A
+    stack of factors gives the stack of their products (one identity at
+    n_sites = 0)."""
+    t = np.eye(factor.shape[-1] // 2, dtype=complex)
     for _ in range(n_sites):
         t = _grow_site(factor, t)
     return t
 
 
-def _monodromy_product(spec: ChainSpec, points: list[complex],
+def _monodromy_product(ops: list[np.ndarray], n_sites: int,
                        slots: list[int] | None = None) -> np.ndarray:
     """T_{a_{s_1}}(p_1) ... T_{a_{s_m}}(p_m) on aux^m ⊗ chain, auxiliary
-    factors leftmost; `slots` (default 0..m-1) places each monodromy.
+    factors leftmost, from the m local operators ops[i] = R(p_i) on aux ⊗
+    site (or stacks of them over the same leading axes, giving the stack of
+    products); `slots` (default 0..m-1) places each monodromy.
 
     Factors of different sites on different auxiliary spaces commute, so the
     product is grown site by site from one factor on aux^m ⊗ site, the
     product of the lifted local operators L_{a_{s_i}}(p_i) in the same order.
     """
-    m = len(points)
+    m = len(ops)
     slots = range(m) if slots is None else slots
     dims = [2] * (m + 1)
-    factor = reduce(np.matmul, (lift(build_r(p, spec.params), dims, [s, m])
-                                for p, s in zip(points, slots)),
+    factor = reduce(np.matmul, (lift(op, dims, [s, m]) for op, s in zip(ops, slots)),
                     np.eye(2 ** (m + 1), dtype=complex))
-    return _site_product(factor, spec.n_sites)
+    return _site_product(factor, n_sites)
 
 
 def monodromy_matrix(spec: ChainSpec, u: complex) -> np.ndarray:
@@ -415,22 +425,48 @@ def _poly_carry(const: np.ndarray, lin: np.ndarray, coeffs: Iterable[np.ndarray]
     return coeffs
 
 
-def verify_rtt(spec: ChainSpec, u: complex, v: complex) -> float:
-    """Relative residual of R(u-v) T1(u) T2(v) = T2(v) T1(u) R(u-v).
+def verify_rtt(n_sites: int, us: Sequence[complex], vs: Sequence[complex],
+               params: Sequence[TwistParams]) -> list[float]:
+    """Relative residual of R(u-v) T1(u) T2(v) = T2(v) T1(u) R(u-v) on
+    n_sites sites, one per sample of the sweep (us[i], vs[i], params[i]).
 
     T1 acts on auxiliary factor 0 and T2 on factor 1 of aux1 ⊗ aux2 ⊗ chain;
     both products are grown site by site, and R12 ⊗ 1 multiplies the joint
     4-dim auxiliary index from the left of one and the right of the other.
+    The samples are evaluated as stacks (``tensor.sample_chunks``, sized by
+    one product per sample), each residual bitwise that of its sample
+    alone.
     """
-    if u == v:
-        raise ValueError("RTT check requires u != v")
-    r12 = build_r(u - v, spec.params)
-    t1t2 = _monodromy_product(spec, [u, v])
-    t2t1 = _monodromy_product(spec, [v, u], [1, 0])
-    rows = t1t2.shape[0]
-    lhs = (r12 @ t1t2.reshape(4, -1)).reshape(rows, rows)
-    rhs = (t2t1.reshape(rows, 4, -1).swapaxes(1, 2) @ r12).swapaxes(1, 2).reshape(rows, rows)
-    return rel_residual(lhs, rhs)
+    if not len(us) == len(vs) == len(params):
+        raise ValueError("a sweep takes as many u as v and params")
+    if not 1 <= n_sites <= MAX_SITES:
+        raise ValueError(f"n_sites must be in 1..{MAX_SITES}")
+    rows = 4 * 2 ** n_sites
+    return [res for chunk in sample_chunks(len(us), rows * rows * 16)
+            for res in _rtt_stack(n_sites, us[chunk], vs[chunk], params[chunk])]
+
+
+def _rtt_stack(n_sites: int, us: Sequence[complex], vs: Sequence[complex],
+               params: Sequence[TwistParams]) -> list[float]:
+    """``verify_rtt`` on one stack: each R built per sample as ``build_r``
+    builds it alone, both monodromy products grown and multiplied by R12
+    on the stack. One call per chunk, so that a chunk's arrays are freed
+    before the next chunk's are built."""
+    r12, ru, rv = [], [], []
+    for u, v, p in zip(us, vs, params):
+        if u == v:
+            raise ValueError("RTT check requires u != v")
+        r12.append(build_r(u - v, p))
+        ru.append(build_r(u, p))
+        rv.append(build_r(v, p))
+    r12, ru, rv = np.array(r12), np.array(ru), np.array(rv)
+    k, rows = len(r12), 4 * 2 ** n_sites
+    t1t2 = _monodromy_product([ru, rv], n_sites)
+    t2t1 = _monodromy_product([rv, ru], n_sites, [1, 0])
+    lhs = (r12 @ t1t2.reshape(k, 4, -1)).reshape(k, rows, rows)
+    rhs = (t2t1.reshape(k, rows, 4, -1).swapaxes(-1, -2)
+           @ r12[:, None]).swapaxes(-1, -2).reshape(k, rows, rows)
+    return [rel_residual(left, right) for left, right in zip(lhs, rhs)]
 
 
 def rtt_components(spec: ChainSpec, u: complex, v: complex) -> list[tuple[str, float]]:

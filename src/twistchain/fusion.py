@@ -40,7 +40,7 @@ from itertools import permutations
 import numpy as np
 
 from .chain import ChainSpec, _monodromy_product, transfer_matrix, vacuum_d
-from .rmatrix import build_f12, spectral_projectors
+from .rmatrix import build_f12, build_r, spectral_projectors
 from .tensor import lift, rel_residual
 
 MAX_LEVEL = 3
@@ -100,7 +100,7 @@ def _staggered_product(spec: ChainSpec, level: int, u: complex) -> np.ndarray:
     points = [u - i * spec.params.eta for i in range(level)]
     if 0 in points:
         raise ValueError(f"fusion point u - {points.index(0)} eta = 0 hits the rational pole")
-    return _monodromy_product(spec, points)
+    return _monodromy_product([build_r(p, spec.params) for p in points], spec.n_sites)
 
 
 def fused_transfer(spec: ChainSpec, level: int, u: complex) -> np.ndarray:

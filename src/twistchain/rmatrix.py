@@ -8,17 +8,23 @@ Building blocks (xi the twist parameter, eta the spectral scale):
     R(u)     = R_xi - (eta/u) P          (rational form, pole at u = 0)
     Lbar(u)  = u R_xi - eta P            (polynomial form, Lbar(0) = -eta P)
 
-Every constant matrix is built along two independent routes (displayed
-entries vs. algebraic product) and cross-validated, which guards against
+R_xi and R(u) are built along two independent routes (displayed entries
+vs. the twist products F21 F12^{-1} and F21 (1 - (eta/u) P) F12^{-1}) and
+cross-validated by ``verify_construction``, which guards against
 transcription slips on either side. The Yang-Baxter check embeds R12, R13
-and R23 into C^2 ⊗ C^2 ⊗ C^2 with ``tensor.lift``.
+and R23 into C^2 ⊗ C^2 ⊗ C^2 with ``tensor.lift``. Both checks are sweeps:
+they take sequences of samples and evaluate them as stacks over a leading
+sample axis, in chunks of ``tensor.sample_chunks``, each residual bitwise
+that of its sample evaluated alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from .tensor import lift, permutation_op, rel_residual
+from .tensor import lift, permutation_op, rel_residual, sample_chunks
 from .twist import TwistParams, make_spin_rep, universal_twist
 
 _P = permutation_op()
@@ -35,11 +41,6 @@ def build_f12(xi: complex) -> np.ndarray:
     )
 
 
-def build_f21(xi: complex) -> np.ndarray:
-    """P F12 P, the twist with tensor factors swapped."""
-    return _P @ build_f12(xi) @ _P
-
-
 def build_r_xi(xi: complex) -> np.ndarray:
     """Constant twisted R-matrix (displayed-entry route)."""
     return np.array(
@@ -51,11 +52,6 @@ def build_r_xi(xi: complex) -> np.ndarray:
     )
 
 
-def r_xi_from_twist(xi: complex) -> np.ndarray:
-    """Constant twisted R-matrix via the product route F21 F12^{-1}."""
-    return build_f21(xi) @ np.linalg.inv(build_f12(xi))
-
-
 def build_r(u: complex, params: TwistParams) -> np.ndarray:
     """Spectral R-matrix R(u) = R_xi - (eta/u) P. Rejects the pole u = 0."""
     if u == 0:
@@ -63,35 +59,91 @@ def build_r(u: complex, params: TwistParams) -> np.ndarray:
     return build_r_xi(params.xi) - (params.eta / u) * _P
 
 
-def build_r_conjugated(u: complex, params: TwistParams) -> np.ndarray:
-    """Second route for R(u): F21 (I - (eta/u) P) F12^{-1}."""
-    if u == 0:
-        raise ValueError("R(u) has a pole at u = 0")
-    f12 = build_f12(params.xi)
-    inner = np.eye(4, dtype=complex) - (params.eta / u) * _P
-    return build_f21(params.xi) @ inner @ np.linalg.inv(f12)
-
-
 def polynomial_l(u: complex, params: TwistParams) -> np.ndarray:
     """Polynomial local operator Lbar(u) = u R_xi - eta P (regular at u = 0)."""
     return u * build_r_xi(params.xi) - params.eta * _P
 
 
-def verify_ybe(u: complex, v: complex, params: TwistParams) -> float:
-    """Relative Yang-Baxter residual on C^2⊗C^2⊗C^2.
+def verify_ybe(us: Sequence[complex], vs: Sequence[complex],
+               params: Sequence[TwistParams]) -> list[float]:
+    """Relative Yang-Baxter residual on C^2⊗C^2⊗C^2, one per sample of the
+    sweep (us[i], vs[i], params[i]):
 
     ||R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v)|| / ||lhs||.
+
+    The samples are evaluated as stacks (``tensor.sample_chunks``, sized by
+    one 8 x 8 matrix per sample), each residual bitwise that of its sample
+    alone.
     """
-    for w in (u, v, u - v):
-        if w == 0:
-            raise ValueError("pole argument in YBE check")
+    if not len(us) == len(vs) == len(params):
+        raise ValueError("a sweep takes as many u as v and params")
+    return [res for chunk in sample_chunks(len(us), 8 * 8 * 16)
+            for res in _ybe_stack(us[chunk], vs[chunk], params[chunk])]
+
+
+def _ybe_stack(us: Sequence[complex], vs: Sequence[complex],
+               params: Sequence[TwistParams]) -> list[float]:
+    """``verify_ybe`` on one stack: each R built per sample as ``build_r``
+    builds it alone (u - v taken as the sample gives it: as numpy scalars
+    eta / (u - v) rounds differently), then lifted and multiplied on the
+    stack. One call per chunk, so that a chunk's arrays are freed before
+    the next chunk's are built."""
+    r12, r13, r23 = [], [], []
+    for u, v, p in zip(us, vs, params):
+        for w in (u, v, u - v):
+            if w == 0:
+                raise ValueError("pole argument in YBE check")
+        r12.append(build_r(u - v, p))
+        r13.append(build_r(u, p))
+        r23.append(build_r(v, p))
     dims = [2, 2, 2]
-    r12 = lift(build_r(u - v, params), dims, [0, 1])
-    r13 = lift(build_r(u, params), dims, [0, 2])
-    r23 = lift(build_r(v, params), dims, [1, 2])
+    r12 = lift(np.array(r12), dims, [0, 1])
+    r13 = lift(np.array(r13), dims, [0, 2])
+    r23 = lift(np.array(r23), dims, [1, 2])
     lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
+    diff = lhs - r23 @ r13 @ r12
+    return [float(np.linalg.norm(d) / np.linalg.norm(left)) for d, left in zip(diff, lhs)]
+
+
+def verify_construction(us: Sequence[complex],
+                        params: Sequence[TwistParams]) -> tuple[list[float], list[float]]:
+    """Entry norms of the two construction cross-checks, one per sample of
+    the sweep (us[i], params[i]): the displayed R_xi against the twist
+    product F21 F12^{-1} (F21 = P F12 P), and R(u) against F21 (I - (eta/u)
+    P) F12^{-1}.
+
+    F12, R_xi, R(u) and I - (eta/u) P are built per sample; F21, the
+    inverse and the products are formed on stacks of samples
+    (``tensor.sample_chunks``, sized by one 4 x 4 matrix per sample), each
+    norm bitwise that of its sample alone: ``np.linalg.inv`` and ``@`` take
+    each matrix of a stack as they take it alone.
+    """
+    if len(us) != len(params):
+        raise ValueError("a sweep takes as many u as params")
+    r_xi_res, r_u_res = [], []
+    for chunk in sample_chunks(len(us), 4 * 4 * 16):
+        r_xi, r_u = _construction_stack(us[chunk], params[chunk])
+        r_xi_res.extend(r_xi)
+        r_u_res.extend(r_u)
+    return r_xi_res, r_u_res
+
+
+def _construction_stack(us: Sequence[complex],
+                        params: Sequence[TwistParams]) -> tuple[list[float], list[float]]:
+    """``verify_construction`` on one stack of samples, one call per
+    chunk as ``_ybe_stack``."""
+    f12, inner, r_xi, r_u = [], [], [], []
+    for u, p in zip(us, params):
+        r_u.append(build_r(u, p))  # rejects the pole u = 0
+        f12.append(build_f12(p.xi))
+        inner.append(np.eye(4, dtype=complex) - (p.eta / u) * _P)
+        r_xi.append(build_r_xi(p.xi))
+    f12 = np.array(f12)
+    f21 = _P @ f12 @ _P
+    f12_inv = np.linalg.inv(f12)
+    r_xi = np.array(r_xi) - f21 @ f12_inv
+    r_u = np.array(r_u) - f21 @ np.array(inner) @ f12_inv
+    return [float(np.linalg.norm(d)) for d in r_xi], [float(np.linalg.norm(d)) for d in r_u]
 
 
 def verify_regularity(params: TwistParams) -> float:

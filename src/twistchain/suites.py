@@ -21,6 +21,14 @@ misprint only when ``relations.KNOWN_MISPRINTS`` records it.
 
 Every sampled sweep is summarised by ``_worst``: its largest sample, 0.0
 with none, and NaN, which fails the check, when any sample is NaN.
+
+The sweeps of ``ybe.yang_baxter``, the ``ybe.construction_*`` pair and
+``rtt.exchange`` draw every sample first, in the same order as one draw
+per evaluation would, and then hand the draws to one sweep call
+(``rmatrix.verify_ybe``, ``rmatrix.verify_construction``,
+``chain.verify_rtt``). The sweep evaluates them as chunked stacks over a
+leading sample axis, each residual bitwise that of its sample alone, so
+the report bytes are those of the per-sample evaluation.
 """
 
 from __future__ import annotations
@@ -132,15 +140,20 @@ def _worst(samples) -> float:
     return float(np.max(list(samples), initial=0.0))
 
 
-def _worst_sample(samples: int, draw, residual) -> tuple[float, dict]:
-    """``_worst`` over `samples` draws of params, and the params of the first
-    draw that reached it: the first NaN draw if there is one, {} when every
-    residual is 0."""
-    draws = [draw() for _ in range(samples)]
-    residuals = [residual(**params) for params in draws]
+def _worst_sample(draws: list[dict], residuals: list[float]) -> tuple[float, dict]:
+    """``_worst`` over the residuals of a sweep, and the params of the
+    first draw that reached it: the first NaN draw if there is one, {} when
+    every residual is 0."""
     worst = _worst(residuals)
     # argmax returns the first maximum, and the first NaN when there is one
     return worst, draws[int(np.argmax(residuals))] if worst != 0.0 else {}
+
+
+def _sweep(draws: list[dict], eta: complex) -> tuple[list, list, list]:
+    """The u, v and TwistParams(xi, eta) of every draw, as the sweeps of
+    ``rmatrix.verify_ybe`` and ``chain.verify_rtt`` take them."""
+    return ([d["u"] for d in draws], [d["v"] for d in draws],
+            [tw.TwistParams(d["xi"], eta) for d in draws])
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> float:
@@ -189,18 +202,15 @@ def suite_ybe(config: RunConfig) -> list[VerificationReport]:
     eta = config.eta
     reports = []
     ybe = _Check(config, "ybe.yang_baxter", 1e-12)
-    for i in range(_count(config, 100)):
-        point = _sample_xi_u_v(rng, config)
-        residual = rm.verify_ybe(point["u"], point["v"], tw.TwistParams(point["xi"], eta))
+    draws = [_sample_xi_u_v(rng, config) for _ in range(_count(config, 100))]
+    for i, (point, residual) in enumerate(zip(draws, rm.verify_ybe(*_sweep(draws, eta)))):
         reports.append(ybe.report({"sample": i, **point}, residual))
 
-    r_xi_res, r_u_res = [], []
+    twists, us = [], []
     for _ in range(50):
-        xi = _sample_xi(rng, config)
-        params = tw.TwistParams(xi, eta)
-        r_xi_res.append(np.linalg.norm(rm.build_r_xi(xi) - rm.r_xi_from_twist(xi)))
-        u = _sample_u(rng)
-        r_u_res.append(np.linalg.norm(rm.build_r(u, params) - rm.build_r_conjugated(u, params)))
+        twists.append(tw.TwistParams(_sample_xi(rng, config), eta))
+        us.append(_sample_u(rng))
+    r_xi_res, r_u_res = rm.verify_construction(us, twists)
     reports.append(_Check(config, "ybe.construction_r_xi", 1e-13).report(
         {"samples": 50}, _worst(r_xi_res),
         notes="displayed entries against the twist product route",
@@ -249,18 +259,19 @@ def suite_rtt(config: RunConfig) -> list[VerificationReport]:
     per_n = _count(config, 20)
     exchange = _Check(config, "rtt.exchange", 1e-11)
     for n in range(1, min(4, config.n_sites) + 1):
-        worst, worst_at = _worst_sample(
-            per_n, lambda: _sample_xi_u_v(rng, config),
-            lambda xi, u, v: ch.verify_rtt(ch.ChainSpec(n, tw.TwistParams(xi, eta)), u, v))
+        draws = [_sample_xi_u_v(rng, config) for _ in range(per_n)]
+        worst, worst_at = _worst_sample(draws, ch.verify_rtt(n, *_sweep(draws, eta)))
         reports.append(exchange.report({"n_sites": n, "samples": per_n, **worst_at}, worst))
 
     commuting = _Check(config, "rtt.commuting_transfer", 1e-11)
     for n in range(2, min(6, config.n_sites) + 1):
-        worst, worst_at = _worst_sample(
-            per_n, lambda: _sample_xi_u_v(rng, config),
-            lambda xi, u, v: _commutator(
-                ch.transfer_matrix(ch.ChainSpec(n, tw.TwistParams(xi, eta)), u),
-                ch.transfer_matrix(ch.ChainSpec(n, tw.TwistParams(xi, eta)), v)))
+        draws = [_sample_xi_u_v(rng, config) for _ in range(per_n)]
+        residuals = []
+        for point in draws:
+            spec = ch.ChainSpec(n, tw.TwistParams(point["xi"], eta))
+            residuals.append(_commutator(ch.transfer_matrix(spec, point["u"]),
+                                         ch.transfer_matrix(spec, point["v"])))
+        worst, worst_at = _worst_sample(draws, residuals)
         reports.append(commuting.report({"n_sites": n, "samples": per_n, **worst_at}, worst))
 
     point = _sample_xi_u_v(rng, config)
@@ -654,10 +665,10 @@ def suite_fusion(config: RunConfig) -> list[VerificationReport]:
     ))
 
     for level in (1, 2):
+        draws = [{"u": _sample_u(rng, avoid=(0.0, eta, 2 * eta, 3 * eta), min_gap=0.2)}
+                 for _ in range(_count(config, 5))]
         worst, worst_at = _worst_sample(
-            _count(config, 5),
-            lambda: {"u": _sample_u(rng, avoid=(0.0, eta, 2 * eta, 3 * eta), min_gap=0.2)},
-            lambda u: fu.verify_fusion_relation(spec, level, u))
+            draws, [fu.verify_fusion_relation(spec, level, d["u"]) for d in draws])
         reports.append(_Check(config, f"fusion.relation_l{level}", 1e-9).report(
             {"n_sites": n, "xi": config.xi, **worst_at}, worst,
             notes="fundamental factor at u - level*eta, coefficient -d(u - level*eta); "

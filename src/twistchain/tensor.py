@@ -11,18 +11,26 @@ Conventions used throughout the package:
   block (O(d_slots * size) work), and ``add_local`` adds its embedding into
   a full matrix in place, touching only the d_slots * dim entries it fills;
   ``lift`` is that embedding added to zeros, for small spaces such as one
-  site with several auxiliary spaces.
+  site with several auxiliary spaces,
+* ``add_local`` and ``lift`` take leading stack axes, so a sampled sweep is
+  evaluated as stacks of samples, in chunks of ``sample_chunks`` whose
+  largest array holds about STACK_BYTES.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 MAX_SITES = 12
+
+# A sampled sweep is evaluated as stacks of samples whose largest stacked
+# array holds about this many bytes (``sample_chunks``).
+STACK_BYTES = 2**17
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -72,12 +80,26 @@ def embed_at_site(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return kron_all(ops)
 
 
+def sample_chunks(count: int, sample_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of `count` samples, each as long as keeps a stack
+    of arrays of `sample_bytes` bytes per sample within STACK_BYTES (one
+    sample at least), so that the number of samples never sets the memory
+    a sweep holds."""
+    step = max(1, STACK_BYTES // sample_bytes)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
 def _local_operator(op, dims: list[int], slots: list[int]) -> np.ndarray:
-    """Validate `op` as a square matrix on the tensor factors `slots` of `dims`."""
-    op = as_matrix(op)
+    """Validate `op` as a square matrix on the tensor factors `slots` of
+    `dims`, or a stack of them over leading axes: the shape and the
+    finiteness of the last two axes are checked."""
+    op = np.asarray(op, dtype=complex)
     d_slots = math.prod(dims[s] for s in slots)
-    if op.shape != (d_slots, d_slots):
+    if op.shape[-2:] != (d_slots, d_slots):
         raise ValueError(f"operator dim {op.shape} does not match slots {slots} of {dims}")
+    if not np.isfinite(op).all():
+        raise ValueError("matrix entries must be finite")
     return op
 
 
@@ -100,6 +122,8 @@ def apply_local(op: np.ndarray, x: np.ndarray, dims: list[int], slots: list[int]
     of `op` against a (d_slots, size / d_slots) matrix: O(d_slots * size).
     """
     op = _local_operator(op, dims, slots)
+    if op.ndim != 2:
+        raise ValueError(f"expected one operator, got a stack of shape {op.shape}")
     full = math.prod(dims)
     x = np.asarray(x)
     if x.shape[0] != full:
@@ -119,26 +143,29 @@ def add_local(h: np.ndarray, op: np.ndarray, dims: list[int], slots: list[int]) 
 
     The embedding has op[i, j] at each row/column pair whose `slots`
     indices are i and j and whose other indices agree, and zeros elsewhere;
-    only those d_slots * prod(dims) entries of `h` are touched.
+    only those d_slots * prod(dims) entries of `h` are touched. Both may
+    carry leading stack axes, the matrices being their last two: a stack of
+    operators is added into the matching stack of matrices, one operator
+    into each matrix of a stack.
     """
     op = _local_operator(op, dims, slots)
     full = math.prod(dims)
-    if h.shape != (full, full):
+    if h.shape[-2:] != (full, full):
         raise ValueError(f"matrix has shape {h.shape}, the product space {full}")
     # the slots first, then the other factors (the column axis, last, dropped);
     # row k of idx lists the basis states whose `slots` indices read k
     order = _axis_orders(len(dims), tuple(slots))[0][:-1]
-    idx = np.arange(full).reshape(dims).transpose(order).reshape(op.shape[0], -1)
-    h[idx[:, None, :], idx[None, :, :]] += op[:, :, None]
+    idx = np.arange(full).reshape(dims).transpose(order).reshape(op.shape[-1], -1)
+    h[..., idx[:, None, :], idx[None, :, :]] += op[..., None]
 
 
 def lift(op: np.ndarray, dims: list[int], slots: list[int]) -> np.ndarray:
     """Embed `op`, acting on the tensor factors `slots` (0-based, in order),
     into the product space with factor dimensions `dims`: ``add_local``
-    into zeros.
+    into zeros, with the leading stack axes of `op`.
     """
     full = math.prod(dims)
-    out = np.zeros((full, full), dtype=complex)
+    out = np.zeros(np.shape(op)[:-2] + (full, full), dtype=complex)
     add_local(out, op, dims, slots)
     return out
 

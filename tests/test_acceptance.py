@@ -56,15 +56,12 @@ def test_criterion_1_ybe_suite():
 def test_criterion_2_construction_cross_check():
     start = time.time()
     rng = np.random.default_rng(2)
-    worst_const = worst_spectral = 0.0
+    params, us = [], []
     for _ in range(50):
-        xi = rng.uniform(-1, 1)
-        params = tw.TwistParams(xi, 1.0)
-        worst_const = max(worst_const, float(np.linalg.norm(
-            rm.build_r_xi(xi) - rm.r_xi_from_twist(xi))))
-        u = _annulus(rng)
-        worst_spectral = max(worst_spectral, float(np.linalg.norm(
-            rm.build_r(u, params) - rm.build_r_conjugated(u, params))))
+        params.append(tw.TwistParams(rng.uniform(-1, 1), 1.0))
+        us.append(_annulus(rng))
+    const, spectral = rm.verify_construction(us, params)
+    worst_const, worst_spectral = max(const), max(spectral)
     elapsed = time.time() - start
     ok = worst_const < 1e-13 and worst_spectral < 1e-13 and elapsed < 1.0
     assert _line(2, "construction cross-check < 1e-13", ok,
@@ -76,11 +73,12 @@ def test_criterion_3_rtt_suite():
     rng = np.random.default_rng(3)
     worst = 0.0
     for n in (1, 2, 3, 4):
+        us, vs, params = [], [], []
         for _ in range(20):
-            spec = ch.ChainSpec(n, tw.TwistParams(rng.uniform(-1, 1), 1.0))
-            u = _annulus(rng)
-            v = _annulus(rng, avoid=(u,))
-            worst = max(worst, ch.verify_rtt(spec, u, v))
+            params.append(tw.TwistParams(rng.uniform(-1, 1), 1.0))
+            us.append(_annulus(rng))
+            vs.append(_annulus(rng, avoid=(us[-1],)))
+        worst = max(worst, *ch.verify_rtt(n, us, vs, params))
     elapsed = time.time() - start
     ok = worst < 1e-11 and elapsed < 30.0
     assert _line(3, "rtt N in 1..4 < 1e-11", ok, f"worst {worst:.2e}, {elapsed:.1f}s")

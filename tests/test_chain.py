@@ -233,22 +233,35 @@ def test_commuting_transfer_family(n):
 
 
 def test_rtt_single_site_reduces_to_ybe():
-    spec = ChainSpec(1, TwistParams(0.9, 1.0))
-    assert verify_rtt(spec, 2.2, 0.7) < 1e-12
+    assert verify_rtt(1, [2.2], [0.7], [TwistParams(0.9, 1.0)])[0] < 1e-12
 
 
 def test_rtt_deformed():
     rng = np.random.default_rng(4)
-    spec = ChainSpec(3, TwistParams(0.63, 1.0))
+    us, vs = [], []
     for _ in range(3):
-        u = complex(rng.uniform(1, 4), rng.uniform(-1, 1))
-        v = complex(rng.uniform(-4, -1), rng.uniform(-1, 1))
-        assert verify_rtt(spec, u, v) < 1e-11
+        us.append(complex(rng.uniform(1, 4), rng.uniform(-1, 1)))
+        vs.append(complex(rng.uniform(-4, -1), rng.uniform(-1, 1)))
+    residuals = verify_rtt(3, us, vs, [TwistParams(0.63, 1.0)] * 3)
+    assert len(residuals) == 3
+    assert max(residuals) < 1e-11
 
 
 def test_rtt_undeformed_four_sites():
-    spec = ChainSpec(4, TwistParams(0.0, 1.0))
-    assert verify_rtt(spec, 2.4, -1.2) < 1e-11
+    assert verify_rtt(4, [2.4], [-1.2], [TwistParams(0.0, 1.0)])[0] < 1e-11
+
+
+def test_rtt_sweep_validates_every_sample():
+    params = [TwistParams(0.5, 1.0)] * 2
+    with pytest.raises(ValueError):
+        verify_rtt(2, [1.0, 2.0], [0.5, 2.0], params)  # u = v at the second sample
+    with pytest.raises(ValueError):
+        verify_rtt(2, [1.0, 0.0], [0.5, 1.0], params)  # the pole u = 0
+    with pytest.raises(ValueError):
+        verify_rtt(2, [1.0], [0.5, 0.7], params)
+    with pytest.raises(ValueError):
+        verify_rtt(0, [1.0], [0.5], params[:1])
+    assert verify_rtt(3, [], [], []) == []
 
 
 def test_rtt_all_sixteen_components():

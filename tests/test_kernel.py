@@ -12,7 +12,8 @@ and so are the T_0 applier and the order-1 reading of the symmetry layer,
 on the identity, with the grown full matrices they replaced.
 """
 
-from functools import lru_cache
+import tracemalloc
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from twistchain.tensor import (
     SM,
     SX,
     SY,
+    STACK_BYTES,
     SZ,
     add_local,
     apply_local,
@@ -55,6 +57,7 @@ from twistchain.tensor import (
     lift,
     permutation_op,
     rel_residual,
+    sample_chunks,
 )
 from twistchain.twist import TwistParams
 
@@ -236,11 +239,120 @@ def _kron_ybe(u, v, params):
 
 
 def test_ybe_bitwise_equal_to_kron_embedding():
+    """Every residual of one stacked sweep equals the Kronecker route on
+    its sample alone."""
     rng = np.random.default_rng(17)
+    us, vs, params = [], [], []
     for _ in range(20):
         u, v, xi, eta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        params = TwistParams(xi, eta)
-        assert verify_ybe(u, v, params) == _kron_ybe(u, v, params)
+        us.append(u)
+        vs.append(v)
+        params.append(TwistParams(xi, eta))
+    residuals = verify_ybe(us, vs, params)
+    assert len(residuals) == 20
+    for got, u, v, p in zip(residuals, us, vs, params, strict=True):
+        assert got == _kron_ybe(u, v, p)
+
+
+def _one_sample_rtt(spec, u, v):
+    """The RTT residual of one sample as it was evaluated before the sweep
+    was stacked: one factor on aux ⊗ aux ⊗ site per point order, lifted
+    and multiplied from the identity, grown site by site."""
+    def product(points, slots):
+        dims = [2, 2, 2]
+        factor = np.eye(8, dtype=complex)
+        for p, s in zip(points, slots):
+            factor = factor @ lift(build_r(p, spec.params), dims, [s, 2])
+        t = np.eye(4, dtype=complex)
+        for _ in range(spec.n_sites):
+            grown = (factor.reshape(4, 2, 4, 2).transpose(0, 1, 3, 2).reshape(16, 4)
+                     @ t.reshape(4, -1)).reshape(4, 2, 2, t.shape[0] // 4, t.shape[1])
+            t = grown.transpose(0, 3, 1, 4, 2).reshape(2 * t.shape[0], 2 * t.shape[1])
+        return t
+
+    r12 = build_r(u - v, spec.params)
+    t1t2, t2t1 = product([u, v], [0, 1]), product([v, u], [1, 0])
+    rows = t1t2.shape[0]
+    lhs = (r12 @ t1t2.reshape(4, -1)).reshape(rows, rows)
+    rhs = (t2t1.reshape(rows, 4, -1).swapaxes(1, 2) @ r12).swapaxes(1, 2).reshape(rows, rows)
+    return rel_residual(lhs, rhs)
+
+
+@pytest.mark.parametrize("n, samples", [(1, 5), (2, 12), (3, 20), (4, 40)])
+def test_rtt_sweep_bitwise_equal_to_one_sample_route(n, samples):
+    """The stacked RTT sweep against the per-sample route, residual by
+    residual with ==; at n = 4 the 40 samples span several chunks."""
+    rng = np.random.default_rng(30 + n)
+    us = list(rng.uniform(0.5, 4, samples) * np.exp(1j * rng.uniform(0, 6.3, samples)))
+    vs = [u + complex(rng.uniform(-2, 2), rng.uniform(0.2, 2)) for u in us]
+    params = [TwistParams(complex(x, y), 0.8 + 0.3j) for x, y in rng.uniform(-1, 1, (samples, 2))]
+    if n == 4:
+        rows = 4 * 2 ** n
+        assert len(list(sample_chunks(samples, rows * rows * 16))) >= 2
+    got = verify_rtt(n, us, vs, params)
+    want = [_one_sample_rtt(ChainSpec(n, p), u, v) for u, v, p in zip(us, vs, params)]
+    assert got == want
+
+
+@pytest.mark.parametrize("aux, n", [(2, 3), (4, 2), (8, 1)])
+def test_site_product_on_a_stack_is_each_product_alone(aux, n):
+    """``_site_product`` and ``_grow_site`` on a stack of k factors give,
+    ``tobytes``-equal, the k products made one factor at a time."""
+    rng = np.random.default_rng(aux + n)
+    k = 5
+    factors = (rng.standard_normal((k, 2 * aux, 2 * aux))
+               + 1j * rng.standard_normal((k, 2 * aux, 2 * aux)))
+    stacked = _site_product(factors, n)
+    assert stacked.shape == (k, aux * 2 ** n, aux * 2 ** n)
+    for got, factor in zip(stacked, factors, strict=True):
+        assert got.tobytes() == _site_product(factor, n).tobytes()
+    t = rng.standard_normal((k, aux * 4, aux * 4)) + 1j * rng.standard_normal((k, aux * 4, aux * 4))
+    for got, factor, part in zip(_grow_site(factors, t), factors, t, strict=True):
+        assert got.tobytes() == _grow_site(factor, part).tobytes()
+
+
+def _sweep_peak(sweep, samples):
+    """tracemalloc peak, in bytes, of one sweep call over `samples` draws
+    made before tracing starts."""
+    rng = np.random.default_rng(samples)
+    us = list(rng.uniform(0.5, 4, samples) + 1j * rng.uniform(-1, 1, samples))
+    vs = [u + 0.7 - 0.4j for u in us]
+    params = [TwistParams(xi, 1.0) for xi in rng.uniform(-1, 1, samples)]
+    tracemalloc.start()
+    try:
+        sweep(us, vs, params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sweep", [verify_ybe, partial(verify_rtt, 2)], ids=["ybe", "rtt_n2"])
+def test_sweep_memory_does_not_grow_with_samples(sweep):
+    """Chunked, a sweep of 2000 samples peaks within a small slack of one
+    of 100: three stack budgets, for the working set of a full chunk (128
+    samples of the 8 x 8 YBE stacks against 100) and the residual list.
+    One unchunked stack of 2000 samples would hold 2 MiB (ybe) or 8 MiB
+    (rtt at n = 2) per array."""
+    assert _sweep_peak(sweep, 2000) <= _sweep_peak(sweep, 100) + 3 * STACK_BYTES
+
+
+def test_lift_and_add_local_on_a_stack_are_each_matrix_alone():
+    rng = np.random.default_rng(8)
+    ops = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    dims = [2, 3, 2]
+    stacked = lift(ops, dims, [2, 0])
+    assert stacked.shape == (3, 12, 12)
+    for got, op in zip(stacked, ops, strict=True):
+        assert got.tobytes() == lift(op, dims, [2, 0]).tobytes()
+    # one operator into every matrix of a stack
+    h = rng.standard_normal((3, 12, 12)) + 1j * rng.standard_normal((3, 12, 12))
+    want = [m + lift(ops[0], dims, [2, 0]) for m in h]
+    add_local(h, ops[0], dims, [2, 0])
+    assert all(np.array_equal(got, w) for got, w in zip(h, want))
+    with pytest.raises(ValueError):
+        lift(np.full((2, 4, 4), np.nan), dims, [2, 0])
+    with pytest.raises(ValueError):
+        apply_local(ops, np.eye(12), dims, [2, 0])
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -290,8 +402,9 @@ def test_rtt_matches_dense_lift_products(n):
     r12 = lift(build_r(u - v, spec.params), dims, [0, 1])
     lhs, rhs = r12 @ t1 @ t2, t2 @ t1 @ r12
     dense = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1)
-    assert verify_rtt(spec, u, v) < 1e-14
-    assert abs(verify_rtt(spec, u, v) - dense) < 1e-14
+    (residual,) = verify_rtt(n, [u], [v], [spec.params])
+    assert residual < 1e-14
+    assert abs(residual - dense) < 1e-14
 
 
 @pytest.mark.parametrize("level", [2, 3])

@@ -3,15 +3,13 @@ import pytest
 
 from twistchain.rmatrix import (
     build_f12,
-    build_f21,
     build_r,
-    build_r_conjugated,
     build_r_xi,
     fundamental_twist_matches_universal,
     measure_unitarity,
     polynomial_l,
-    r_xi_from_twist,
     spectral_projectors,
+    verify_construction,
     verify_regularity,
     verify_ybe,
 )
@@ -49,7 +47,8 @@ def test_r_xi_unit_entries():
 
 @pytest.mark.parametrize("xi", [0.4, -1.7, 0.3 - 0.6j])
 def test_r_xi_two_routes_agree(xi):
-    assert np.linalg.norm(build_r_xi(xi) - r_xi_from_twist(xi)) < 1e-13
+    r_xi_res, _ = verify_construction([1.0], [TwistParams(xi)])
+    assert r_xi_res[0] < 1e-13
 
 
 def test_r_undeformed_is_yang():
@@ -81,37 +80,70 @@ def test_r_pole_rejected():
 @pytest.mark.parametrize("xi", [0.0, 0.8, -0.4 + 0.2j])
 def test_r_conjugated_route_agrees(xi):
     params = TwistParams(xi, 1.3)
-    for u in (2.1, -0.7 + 0.9j):
-        a = build_r(u, params)
-        b = build_r_conjugated(u, params)
-        assert np.linalg.norm(a - b) < 1e-13 * max(1.0, np.linalg.norm(a))
+    us = [2.1, -0.7 + 0.9j]
+    _, r_u_res = verify_construction(us, [params] * 2)
+    for u, res in zip(us, r_u_res, strict=True):
+        assert res < 1e-13 * max(1.0, np.linalg.norm(build_r(u, params)))
+
+
+def test_construction_sweep_bitwise_equal_to_one_sample_routes():
+    """The stacked construction sweep against the two product routes
+    formed per sample, F21 F12^{-1} and F21 (I - (eta/u) P) F12^{-1}, with
+    ==; 50 samples, as the ybe suite draws them."""
+    rng = np.random.default_rng(12)
+    params = [TwistParams(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(0.5, 1, 2)))
+              for _ in range(50)]
+    us = [complex(*rng.uniform(-3, 3, 2)) for _ in range(50)]
+    r_xi_res, r_u_res = verify_construction(us, params)
+    for i, (u, p) in enumerate(zip(us, params, strict=True)):
+        f12 = build_f12(p.xi)
+        f21 = P @ f12 @ P
+        inner = np.eye(4, dtype=complex) - (p.eta / u) * P
+        assert r_xi_res[i] == float(np.linalg.norm(build_r_xi(p.xi) - f21 @ np.linalg.inv(f12)))
+        assert r_u_res[i] == float(np.linalg.norm(
+            build_r(u, p) - f21 @ inner @ np.linalg.inv(f12)))
+        assert r_xi_res[i] < 1e-13 and r_u_res[i] < 1e-13 * max(1.0, abs(p.eta / u))
+    with pytest.raises(ValueError):
+        verify_construction([1.0, 0.0], params[:2])
+    with pytest.raises(ValueError):
+        verify_construction([1.0], params[:2])
 
 
 def test_ybe_yang_solution():
-    params = TwistParams(0.0, 1.0)
     rng = np.random.default_rng(1)
+    us, vs = [], []
     for _ in range(5):
-        u = complex(rng.uniform(1, 3), rng.uniform(-1, 1))
-        v = complex(rng.uniform(-3, -1), rng.uniform(-1, 1))
-        assert verify_ybe(u, v, params) < 1e-12
+        us.append(complex(rng.uniform(1, 3), rng.uniform(-1, 1)))
+        vs.append(complex(rng.uniform(-3, -1), rng.uniform(-1, 1)))
+    residuals = verify_ybe(us, vs, [TwistParams(0.0, 1.0)] * 5)
+    assert len(residuals) == 5
+    assert max(residuals) < 1e-12
 
 
 def test_ybe_deformed():
     rng = np.random.default_rng(2)
+    us, vs, params = [], [], []
     for _ in range(10):
-        params = TwistParams(rng.uniform(-1, 1), 1.0)
-        u = complex(rng.uniform(1, 4), rng.uniform(-1, 1))
-        v = complex(rng.uniform(-4, -1), rng.uniform(-1, 1))
-        assert verify_ybe(u, v, params) < 1e-12
+        params.append(TwistParams(rng.uniform(-1, 1), 1.0))
+        us.append(complex(rng.uniform(1, 4), rng.uniform(-1, 1)))
+        vs.append(complex(rng.uniform(-4, -1), rng.uniform(-1, 1)))
+    residuals = verify_ybe(us, vs, params)
+    assert len(residuals) == 10
+    assert max(residuals) < 1e-12
 
 
 def test_ybe_large_deformation():
-    assert verify_ybe(3.0, 1.0, TwistParams(2.0, 1.0)) < 1e-12
+    assert verify_ybe([3.0], [1.0], [TwistParams(2.0, 1.0)])[0] < 1e-12
 
 
 def test_ybe_pole_rejected():
+    params = [TwistParams(0.3)] * 2
+    for u, v in (([2.0, 1.0], [1.0, 1.0]), ([2.0, 0.0], [1.0, 1.0]), ([2.0, 1.0], [1.0, 0.0])):
+        with pytest.raises(ValueError):
+            verify_ybe(u, v, params)
     with pytest.raises(ValueError):
-        verify_ybe(1.0, 1.0, TwistParams(0.3))
+        verify_ybe([2.0], [1.0], params)
+    assert verify_ybe([], [], []) == []
 
 
 @pytest.mark.parametrize("xi", [0.0, 1.0, -0.6])
@@ -160,7 +192,7 @@ def test_r_xi_inverse_is_sign_flip():
 
 def test_f21_is_permuted_f12():
     xi = 0.35
-    f21 = build_f21(xi)
+    f21 = P @ build_f12(xi) @ P
     assert f21[2, 0] == xi and f21[3, 1] == -xi
 
 
