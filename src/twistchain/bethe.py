@@ -19,15 +19,33 @@ v = eta/(1 - w) over the N-th roots of unity w != 1. For two or more
 magnons the eigenvalues still coincide with the undeformed ones but the
 product states C(v_1)...C(v_M) Omega stop being eigenvectors once xi != 0;
 that failure is probed numerically, not repaired.
+
+The one-magnon checks are sweeps over sampled points, on shell
+(``one_magnon_defects``) and off shell (``verify_one_magnon_action``): the
+samples are evaluated as chunked stacks of R (``tensor.sample_chunks``),
+C(v) Omega and t(u) C(v) Omega formed by one stacked application per site
+(``chain._factors_apply``, ``chain._aux_blocks_apply``), each residual
+bitwise that of its sample alone. Every state C(v_1)...C(v_M) Omega goes
+through the same lowering step (``_lowered``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, monodromy_apply, transfer_apply, vacuum_d, vacuum_state
+from .chain import (
+    ChainSpec,
+    _aux_blocks_apply,
+    _factors_apply,
+    transfer_apply,
+    vacuum_d,
+    vacuum_state,
+)
+from .rmatrix import build_r
+from .tensor import sample_chunks
 
 MAX_ROOT_MAGNITUDE = 1e8  # beyond this a root is treated as escaped to infinity
 NEWTON_MAX_ITER = 200  # Newton steps per attempt of solve_bethe
@@ -220,8 +238,10 @@ def verify_tq(state: BetheState, u: complex) -> float:
     return float(abs(lhs - rhs) / max(abs(lhs), 1.0))
 
 
-def verify_one_magnon_action(spec: ChainSpec, u: complex, v: complex) -> float:
-    """Off-shell action of t(u) on the one-magnon vector C(v) Omega.
+def verify_one_magnon_action(spec: ChainSpec, us: Sequence[complex],
+                             vs: Sequence[complex]) -> list[float]:
+    """Off-shell action of t(u) on the one-magnon vector C(v) Omega, one
+    residual per sample of the sweep (us[i], vs[i]).
 
     Checks the three-term identity
 
@@ -232,13 +252,16 @@ def verify_one_magnon_action(spec: ChainSpec, u: complex, v: complex) -> float:
     as a vector identity on the chain space; the residual is relative to
     the left-hand side. The C(u) O and O coefficients vanish exactly on
     shell ((alpha(v))^N = 1), which is the one-magnon Bethe equation.
+    C(v) O, C(u) O and t(u) C(v) O are formed on stacks of samples
+    (``_sweep``), each residual bitwise that of its sample alone.
     """
-    if u == v or u == 0 or v == 0:
-        raise ValueError("u, v must be nonzero and distinct")
-    eta = spec.params.eta
+    if len(us) != len(vs):
+        raise ValueError("a sweep takes as many u as v")
+    for u, v in zip(us, vs):
+        if u == v or u == 0 or v == 0:
+            raise ValueError("u, v must be nonzero and distinct")
+    eta, xi = spec.params.eta, spec.params.xi
     omega = vacuum_state(spec.n_sites)
-    c_v = magnon_product_state(spec, [v])
-    c_u = magnon_product_state(spec, [u])
 
     def alpha(x, y):
         return 1 - eta / (x - y)
@@ -246,25 +269,75 @@ def verify_one_magnon_action(spec: ChainSpec, u: complex, v: complex) -> float:
     def beta(x, y):
         return -eta / (x - y)
 
-    du, dv = vacuum_d(u, spec), vacuum_d(v, spec)
-    lhs = transfer_apply(spec, u, c_v)
-    rhs = (
-        (alpha(u, v) + du * alpha(v, u)) * c_v
-        - (beta(u, v) + beta(v, u) * dv) * c_u
-        + spec.params.xi * (1 - du) * (1 - dv) * omega
-    )
-    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1.0))
+    def residuals(r_u, r_v, u_part, v_part):
+        c_v, c_u = _lowered(spec, r_v, omega), _lowered(spec, r_u, omega)
+        a, _, _, d = _aux_blocks_apply(r_u, spec.n_sites, c_v)
+        out = []
+        for u, v, left, cv, cu in zip(u_part, v_part, a + d, c_v, c_u):
+            du, dv = vacuum_d(u, spec), vacuum_d(v, spec)
+            rhs = ((alpha(u, v) + du * alpha(v, u)) * cv
+                   - (beta(u, v) + beta(v, u) * dv) * cu
+                   + xi * (1 - du) * (1 - dv) * omega)
+            out.append(float(np.linalg.norm(left - rhs) / max(np.linalg.norm(left), 1.0)))
+        return out
+
+    return _sweep(spec, residuals, us, vs)
+
+
+def one_magnon_defects(spec: ChainSpec, roots: Sequence[complex],
+                       us: Sequence[complex]) -> list[float]:
+    """Eigenvector defect ||t(u) psi - Lambda(u) psi|| / ||psi|| of the
+    one-magnon state psi = C(v) Omega, one per sample of the sweep
+    (roots[i], us[i]), Lambda that of ``eval_lambda`` on the root v alone.
+    It vanishes on shell, where v is a root of the Bethe equations. The
+    states and t(u) psi are formed on stacks of samples (``_sweep``), each
+    defect bitwise that of its sample alone."""
+    omega = vacuum_state(spec.n_sites)
+
+    def defects(r_u, r_v, u_part, v_part):
+        psi = _lowered(spec, r_v, omega)
+        a, _, _, d = _aux_blocks_apply(r_u, spec.n_sites, psi)
+        out = []
+        for u, v, t_psi, state in zip(u_part, v_part, a + d, psi):
+            lam = eval_lambda(u, BetheState(spec.n_sites, 1, (complex(v),), 0.0, spec.params.eta))
+            out.append(np.linalg.norm(t_psi - lam * state) / np.linalg.norm(state))
+        return out
+
+    return _sweep(spec, defects, us, roots)
+
+
+def _sweep(spec: ChainSpec, evaluate: Callable, us: Sequence[complex],
+           vs: Sequence[complex]) -> list:
+    """evaluate(R(u) stack, R(v) stack, us, vs) over consecutive chunks of
+    the sweep (``tensor.sample_chunks``, sized by one block on aux ⊗ chain
+    of ``_aux_blocks_apply`` per sample), each R built per sample as
+    ``build_r`` builds it alone, the results concatenated in order."""
+    out = []
+    for chunk in sample_chunks(len(us), 4 * 16 * spec.dim):
+        r_u, r_v = (np.array([build_r(w, spec.params) for w in ws[chunk]]) for ws in (us, vs))
+        out.extend(evaluate(r_u, r_v, us[chunk], vs[chunk]))
+    return out
+
+
+def _lowered(spec: ChainSpec, r: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """C psi, the lower half of T [psi; 0] for the monodromy T of the site
+    factor r: R(v), or a stack of them, applied to one chain vector or to a
+    stack of them over the same leading axes."""
+    d = spec.dim
+    x = np.zeros(r.shape[:-2] + (2 * d,), dtype=complex)
+    x[..., :d] = psi
+    return _factors_apply(r, spec.n_sites, x)[..., d:]
 
 
 def magnon_product_state(spec: ChainSpec, roots) -> np.ndarray:
     """C(v_1)...C(v_M) Omega as a vector on the chain space.
 
-    C(v) psi is the lower half of T(v)[psi; 0], so no matrix is formed.
+    C(v) psi is the lower half of T(v)[psi; 0] (``_lowered``), so no matrix
+    is formed.
     """
-    d = spec.dim
     psi = vacuum_state(spec.n_sites)
     for v in reversed(list(roots)):
-        psi = monodromy_apply(spec, v, np.concatenate([psi, np.zeros(d, dtype=complex)]))[d:]
+        psi = _lowered(spec, build_r(v, spec.params), psi)
     return psi
 
 

@@ -32,10 +32,14 @@ the auxiliary space never forms the whole product over sites 1..N-1: the
 product is grown over sites 1..N-2 only, and ``_stream_trace`` makes site
 N-1 one row band at a time with the same matmul and traces each band at
 site N straight into the 2^N-square output (t(u) in ``_transfer``, t(0)
-and t'(0) in ``log_derivative``).
+and t'(0) in ``log_derivative``). ``_transfer`` takes a stack of factors
+and fills the stack of their traces, which is how
+``verify_commuting_transfer`` evaluates its sweep.
 ``_poly_carry`` carries the coefficients of prod_k (const + u lin)_{a,k},
 densely or on a column block. ``_factors_apply`` applies the product to a
-column block with ``tensor.apply_local``, O(N 4^N) per block; every reader
+column block with ``tensor.apply_local``, O(N 4^N) per block, a stack of
+factors to a stack of blocks (the one-magnon sweeps of
+``twistchain.bethe``); every reader
 of A..D goes through ``monodromy_blocks_apply``, whose one application to
 [[X, 0], [0, X]] gives all four blocks (on X = I for the displayed table,
 bound by ``monodromy_members``, and for ``rtt_components``), and
@@ -64,6 +68,7 @@ from .tensor import (
     SZ,
     add_local,
     apply_local,
+    commutator_residuals,
     eigenvalues,
     lift,
     match_spectra,
@@ -153,14 +158,10 @@ def vacuum_d(u: complex, spec: ChainSpec) -> complex:
     return (1 - spec.params.eta / u) ** spec.n_sites
 
 
-def monodromy_apply(spec: ChainSpec, u: complex, x: np.ndarray) -> np.ndarray:
-    """T(u) x = L_N(u)...L_1(u) x for a vector or column block x on
-    aux ⊗ chain, matrix-free."""
-    return _factors_apply(build_r(u, spec.params), spec.n_sites, x)
-
-
 def _factors_apply(op: np.ndarray, n_sites: int, x: np.ndarray) -> np.ndarray:
-    """op_{a,N} ... op_{a,1} x on aux ⊗ chain, one ``apply_local`` per site."""
+    """op_{a,N} ... op_{a,1} x on aux ⊗ chain, one ``apply_local`` per site;
+    a stack of factors applies to the stack of vectors or blocks x over the
+    same leading axes."""
     dims = [2] * (n_sites + 1)
     for k in range(1, n_sites + 1):
         x = apply_local(op, x, dims, [0, k])
@@ -172,17 +173,19 @@ def _aux_blocks_apply(op: np.ndarray, n_sites: int, x: np.ndarray) -> tuple[np.n
     vector or block x: top left, top right, bottom left, bottom right.
 
     One application to [[x, 0], [0, x]]: the first column half comes out as
-    the two left blocks applied to x, the second as the two right ones.
+    the two left blocks applied to x, the second as the two right ones. A
+    stack of factors takes a stack of x over the same leading axes.
     """
     x = np.asarray(x, dtype=complex)
-    d = 2 ** n_sites
-    block = x.reshape(d, -1)
-    k = block.shape[1]
-    stacked = np.zeros((2 * d, 2 * k), dtype=complex)
-    stacked[:d, :k] = block
-    stacked[d:, k:] = block
-    y = _factors_apply(op, n_sites, stacked)
-    return tuple(part.reshape(x.shape) for part in (y[:d, :k], y[:d, k:], y[d:, :k], y[d:, k:]))
+    lead, d = op.shape[:-2], 2 ** n_sites
+    block = x.reshape(lead + (d, -1))
+    k = block.shape[-1]
+    doubled = np.zeros(lead + (2 * d, 2 * k), dtype=complex)
+    doubled[..., :d, :k] = block
+    doubled[..., d:, k:] = block
+    y = _factors_apply(op, n_sites, doubled)
+    return tuple(part.reshape(x.shape) for part in (y[..., :d, :k], y[..., :d, k:],
+                                                    y[..., d:, :k], y[..., d:, k:]))
 
 
 def _site_op(op: np.ndarray) -> np.ndarray:
@@ -266,8 +269,11 @@ def _row_bands(n_sites: int) -> Iterator[tuple[slice, slice]]:
 def _aux_block(g: np.ndarray, rows: slice, a: int) -> np.ndarray:
     """Rows `rows` of every auxiliary row block of a product g on aux ⊗
     sites, in auxiliary column block a, as a product on aux ⊗ those rows
-    and columns: (a' rows, cols), the layout ``_grow_site`` extends."""
-    return g.reshape(2, g.shape[0] // 2, 2, -1)[:, rows, a, :].reshape(-1, g.shape[1] // 2)
+    and columns: (a' rows, cols), the layout ``_grow_site`` extends. Leading
+    stack axes are kept."""
+    lead, (n_rows, n_cols) = g.shape[:-2], g.shape[-2:]
+    part = g.reshape(lead + (2, n_rows // 2, 2, -1))[..., :, rows, a, :]
+    return part.reshape(lead + (-1, n_cols // 2))
 
 
 def _trace_block(band: np.ndarray, a: int,
@@ -281,15 +287,18 @@ def _trace_block(band: np.ndarray, a: int,
     the band's rows, read (a', rows cols). The block reads only those
     columns: one matmul of op_t's rows with a'' = a, (s'' s, a'), against
     t_a. The terms are summed in order before the block enters the band,
-    which is viewed in the output layout (rows, s'', cols, s).
+    which is viewed in the output layout (rows, s'', cols, s). Leading stack
+    axes of op_t and t_a broadcast to those of the band.
     """
-    products = (op_t[4 * a:4 * a + 4] @ t_a.reshape(2, -1) for op_t, t_a in terms)
+    products = (op_t[..., 4 * a:4 * a + 4, :] @ t_a.reshape(t_a.shape[:-2] + (2, -1))
+                for op_t, t_a in terms)
     total = next(products)
     for prod in products:
         total += prod
-    rows = band.shape[0] // 2
-    block = total.reshape(2, 2, rows, -1).transpose(2, 0, 3, 1)
-    view = band.reshape(rows, 2, -1, 2)
+    lead, rows = total.shape[:-2], band.shape[-2] // 2
+    block = (total.reshape(-1, 2, 2, rows, band.shape[-1] // 2).transpose(0, 3, 1, 4, 2)
+             .reshape(lead + (rows, 2, -1, 2)))
+    view = band.reshape(lead + (rows, 2, -1, 2))
     if a == 0:
         view[...] = block
     else:
@@ -307,13 +316,14 @@ def _stream_trace(n_sites: int,
     list of (op_t, t_a) terms per output (``_trace_block``): t_a is site
     N-1 grown on that part (``_grow_site``) and op_t the site-N factor. So
     neither a product over sites 1..N-1 nor a whole auxiliary block is ever
-    formed. The bands are the rows of `out` when it is given (one output),
-    else new arrays, one per list that ``traced`` gives; the terms of block
-    a = 0 are dropped before those of a = 1 are grown.
+    formed. The bands are the rows of `out` when it is given (one output,
+    or a stack of them), else new arrays, one per list that ``traced``
+    gives; the terms of block a = 0 are dropped before those of a = 1 are
+    grown.
     """
     dim = 2 ** n_sites
     for rows, out_rows in _row_bands(n_sites):
-        bands = None if out is None else [out[out_rows]]
+        bands = None if out is None else [out[..., out_rows, :]]
         for a in (0, 1):
             terms = traced(rows, a)
             if bands is None:
@@ -327,8 +337,8 @@ def _stream_trace(n_sites: int,
 
 def _transfer_terms(l4: np.ndarray, n_sites: int) -> Callable:
     """The trace terms (``_stream_trace``) of tr_aux l4_{a,N} ... l4_{a,1}
-    for a 4 x 4 site factor l4; the product is grown over sites 1..N-2
-    here, and site N-1 on each part as it is asked for."""
+    for a 4 x 4 site factor l4, or a stack of them; the product is grown
+    over sites 1..N-2 here, and site N-1 on each part as it is asked for."""
     g = _site_product(l4, max(n_sites - 2, 0))
     l4_t = _site_op(l4)
 
@@ -343,9 +353,11 @@ def _transfer_terms(l4: np.ndarray, n_sites: int) -> Callable:
 def _transfer(l4: np.ndarray, n_sites: int) -> np.ndarray:
     """tr_aux l4_{a,N} ... l4_{a,1} as one 2^N-square array, streamed at the
     last two sites with every band written in place; the output is
-    allocated once the product over sites 1..N-2 is grown."""
+    allocated once the product over sites 1..N-2 is grown. A stack of
+    factors fills the stack of their traces, each bitwise the trace of its
+    factor alone."""
     traced = _transfer_terms(l4, n_sites)
-    out = np.empty((2 ** n_sites, 2 ** n_sites), dtype=complex)
+    out = np.empty(l4.shape[:-2] + (2 ** n_sites, 2 ** n_sites), dtype=complex)
     for _ in _stream_trace(n_sites, traced, out=out):
         pass
     return out
@@ -467,6 +479,30 @@ def _rtt_stack(n_sites: int, us: Sequence[complex], vs: Sequence[complex],
     rhs = (t2t1.reshape(k, rows, 4, -1).swapaxes(-1, -2)
            @ r12[:, None]).swapaxes(-1, -2).reshape(k, rows, rows)
     return [rel_residual(left, right) for left, right in zip(lhs, rhs)]
+
+
+def verify_commuting_transfer(n_sites: int, us: Sequence[complex], vs: Sequence[complex],
+                              params: Sequence[TwistParams]) -> list[float]:
+    """||t(u) t(v) - t(v) t(u)|| / ||t(u) t(v)|| on n_sites sites, one per
+    sample of the sweep (us[i], vs[i], params[i]) (``commutator_residuals``).
+
+    Each R is built per sample as ``build_r`` builds it alone; the stacks
+    of t(u) and t(v) are traced by ``_transfer`` and multiplied on the
+    stack. The samples are evaluated as stacks (``tensor.sample_chunks``,
+    sized by one 2^N-square array per sample), each residual bitwise that
+    of its sample's two ``transfer_matrix`` alone.
+    """
+    if not len(us) == len(vs) == len(params):
+        raise ValueError("a sweep takes as many u as v and params")
+    if not 1 <= n_sites <= MAX_SITES:
+        raise ValueError(f"n_sites must be in 1..{MAX_SITES}")
+    out = []
+    for chunk in sample_chunks(len(us), 16 * 4 ** n_sites):
+        ps = params[chunk]
+        t_u = _transfer(np.array([build_r(u, p) for u, p in zip(us[chunk], ps)]), n_sites)
+        t_v = _transfer(np.array([build_r(v, p) for v, p in zip(vs[chunk], ps)]), n_sites)
+        out.extend(commutator_residuals(t_u, t_v))
+    return out
 
 
 def rtt_components(spec: ChainSpec, u: complex, v: complex) -> list[tuple[str, float]]:

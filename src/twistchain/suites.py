@@ -22,13 +22,16 @@ misprint only when ``relations.KNOWN_MISPRINTS`` records it.
 Every sampled sweep is summarised by ``_worst``: its largest sample, 0.0
 with none, and NaN, which fails the check, when any sample is NaN.
 
-The sweeps of ``ybe.yang_baxter``, the ``ybe.construction_*`` pair and
-``rtt.exchange`` draw every sample first, in the same order as one draw
-per evaluation would, and then hand the draws to one sweep call
-(``rmatrix.verify_ybe``, ``rmatrix.verify_construction``,
-``chain.verify_rtt``). The sweep evaluates them as chunked stacks over a
-leading sample axis, each residual bitwise that of its sample alone, so
-the report bytes are those of the per-sample evaluation.
+The sweeps of ``ybe.yang_baxter``, the ``ybe.construction_*`` pair,
+``rtt.exchange``, ``rtt.commuting_transfer``, ``bethe.one_magnon_on_shell``
+and ``bethe.one_magnon_off_shell`` draw every sample first, in the same
+order as one draw per evaluation would, and then hand the draws to one
+sweep call (``rmatrix.verify_ybe``, ``rmatrix.verify_construction``,
+``chain.verify_rtt``, ``chain.verify_commuting_transfer``,
+``bethe.one_magnon_defects``, ``bethe.verify_one_magnon_action``). The
+sweep evaluates them as chunked stacks over a leading sample axis, each
+residual bitwise that of its sample alone, so the report bytes are those
+of the per-sample evaluation.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .reporting import (
 from .tensor import (
     SM,
     add_local,
+    commutator_residuals,
     eigenvalues,
     hermitian_eigenvalues,
     match_spectra,
@@ -151,15 +155,10 @@ def _worst_sample(draws: list[dict], residuals: list[float]) -> tuple[float, dic
 
 def _sweep(draws: list[dict], eta: complex) -> tuple[list, list, list]:
     """The u, v and TwistParams(xi, eta) of every draw, as the sweeps of
-    ``rmatrix.verify_ybe`` and ``chain.verify_rtt`` take them."""
+    ``rmatrix.verify_ybe``, ``chain.verify_rtt`` and
+    ``chain.verify_commuting_transfer`` take them."""
     return ([d["u"] for d in draws], [d["v"] for d in draws],
             [tw.TwistParams(d["xi"], eta) for d in draws])
-
-
-def _commutator(a: np.ndarray, b: np.ndarray) -> float:
-    """||AB - BA|| / ||AB||, the denominator floored at 1e-300."""
-    ab = a @ b
-    return float(np.linalg.norm(ab - b @ a) / max(np.linalg.norm(ab), 1e-300))
 
 
 def _relation_reports(config: RunConfig, suite: str, sweeps, params: dict,
@@ -266,12 +265,8 @@ def suite_rtt(config: RunConfig) -> list[VerificationReport]:
     commuting = _Check(config, "rtt.commuting_transfer", 1e-11)
     for n in range(2, min(6, config.n_sites) + 1):
         draws = [_sample_xi_u_v(rng, config) for _ in range(per_n)]
-        residuals = []
-        for point in draws:
-            spec = ch.ChainSpec(n, tw.TwistParams(point["xi"], eta))
-            residuals.append(_commutator(ch.transfer_matrix(spec, point["u"]),
-                                         ch.transfer_matrix(spec, point["v"])))
-        worst, worst_at = _worst_sample(draws, residuals)
+        worst, worst_at = _worst_sample(draws,
+                                        ch.verify_commuting_transfer(n, *_sweep(draws, eta)))
         reports.append(commuting.report({"n_sites": n, "samples": per_n, **worst_at}, worst))
 
     point = _sample_xi_u_v(rng, config)
@@ -456,21 +451,16 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
             notes="solver lands on the closed-form roots eta/(1 - w), w^N = 1",
         ))
 
-        on_shell = []
-        for root in closed:
-            u2 = _sample_u(rng, avoid=(root, root + eta))
-            lam = bt.eval_lambda(u2, bt.BetheState(n, 1, (complex(root),), 0.0, eta))
-            psi = bt.magnon_product_state(spec, [root])
-            on_shell.append(np.linalg.norm(ch.transfer_apply(spec, u2, psi) - lam * psi)
-                            / np.linalg.norm(psi))
+        u2s = [_sample_u(rng, avoid=(root, root + eta)) for root in closed]
         reports.append(_Check(config, "bethe.one_magnon_on_shell", 1e-10).report(
-            {"n_sites": n, "xi": config.xi}, _worst(on_shell),
+            {"n_sites": n, "xi": config.xi}, _worst(bt.one_magnon_defects(spec, closed, u2s)),
         ))
 
-        off_shell = []
+        u3s, vs = [], []
         for _ in range(_count(config, 20)):
-            u3 = _sample_u(rng)
-            off_shell.append(bt.verify_one_magnon_action(spec, u3, _sample_u(rng, avoid=(u3,))))
+            u3s.append(_sample_u(rng))
+            vs.append(_sample_u(rng, avoid=(u3s[-1],)))
+        off_shell = bt.verify_one_magnon_action(spec, u3s, vs)
         reports.append(_Check(config, "bethe.one_magnon_off_shell", 1e-11).report(
             {"n_sites": n, "xi": config.xi, "samples": _count(config, 20)}, _worst(off_shell),
             notes="three-term action of t(u) on C(v) O",
@@ -685,7 +675,8 @@ def suite_fusion(config: RunConfig) -> list[VerificationReport]:
     t_v = {level: fu.fused_transfer(spec, level, v) for level in (1, 2)}
     reports.append(_Check(config, "fusion.commuting_family", 1e-9).report(
         {"n_sites": n, "u": u, "v": v},
-        _worst(_commutator(t_u[la], t_v[lb]) for la in (1, 2, 3) for lb in (1, 2)),
+        _worst(res for la in (1, 2, 3) for lb in (1, 2)
+               for res in commutator_residuals(t_u[la], t_v[lb])),
         notes="all levels and spectral parameters commute",
     ))
 

@@ -12,9 +12,12 @@ Conventions used throughout the package:
   a full matrix in place, touching only the d_slots * dim entries it fills;
   ``lift`` is that embedding added to zeros, for small spaces such as one
   site with several auxiliary spaces,
-* ``add_local`` and ``lift`` take leading stack axes, so a sampled sweep is
-  evaluated as stacks of samples, in chunks of ``sample_chunks`` whose
-  largest array holds about STACK_BYTES.
+* ``apply_local``, ``add_local`` and ``lift`` take leading stack axes (a
+  stack of operators applies to a stack of vectors or blocks over the same
+  axes), and ``commutator_residuals`` reads one residual per pair of a stack
+  of matrices, so a sampled sweep is evaluated as stacks of samples, in
+  chunks of ``sample_chunks`` whose largest array holds about STACK_BYTES,
+  each result bitwise that of its sample alone.
 """
 
 from __future__ import annotations
@@ -104,11 +107,15 @@ def _local_operator(op, dims: list[int], slots: list[int]) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _axis_orders(n: int, slots: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _axis_orders(n: int, slots: tuple[int, ...],
+                 lead: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Axis order bringing `slots` to the front of n factors plus a column
-    axis (index n), and its inverse."""
+    axis (index n), behind `lead` stack axes that stay in place, and its
+    inverse."""
     order = slots + tuple(k for k in range(n + 1) if k not in slots)
-    return order, tuple(int(k) for k in np.argsort(order))
+    stack = tuple(range(lead))
+    return (stack + tuple(lead + k for k in order),
+            stack + tuple(lead + int(k) for k in np.argsort(order)))
 
 
 def apply_local(op: np.ndarray, x: np.ndarray, dims: list[int], slots: list[int]) -> np.ndarray:
@@ -120,19 +127,22 @@ def apply_local(op: np.ndarray, x: np.ndarray, dims: list[int], slots: list[int]
     named in `slots` need not be adjacent; `op` must be square with dimension
     prod(dims[s] for s in slots). One reshape, one transpose and one matmul
     of `op` against a (d_slots, size / d_slots) matrix: O(d_slots * size).
+    A stack of operators takes a stack of vectors or blocks over the same
+    leading axes, one matmul per stacked pair, each as the pair alone takes
+    it.
     """
     op = _local_operator(op, dims, slots)
-    if op.ndim != 2:
-        raise ValueError(f"expected one operator, got a stack of shape {op.shape}")
+    lead = op.shape[:-2]
     full = math.prod(dims)
     x = np.asarray(x)
-    if x.shape[0] != full:
-        raise ValueError(f"block has {x.shape[0]} rows, the product space {full}")
+    if x.shape[:len(lead)] != lead or x.shape[len(lead):len(lead) + 1] != (full,):
+        raise ValueError(f"block of shape {x.shape} does not carry the stack {lead} "
+                         f"of operators over the product space {full}")
     # the column axis (index n) travels with the untouched factors
-    order, inverse = _axis_orders(len(dims), tuple(slots))
-    t = x.reshape(list(dims) + [-1]).transpose(order)
+    order, inverse = _axis_orders(len(dims), tuple(slots), len(lead))
+    t = x.reshape(lead + tuple(dims) + (-1,)).transpose(order)
     shape = t.shape
-    t = (op @ t.reshape(op.shape[0], -1)).reshape(shape)
+    t = (op @ t.reshape(lead + (op.shape[-1], -1))).reshape(shape)
     return t.transpose(inverse).reshape(x.shape)
 
 
@@ -303,6 +313,19 @@ def match_spectra(s1, s2, tol: float) -> SpectrumReport:
         cost = np.abs(a[:, None] - b[None, :])
         dist = float(np.max(cost[np.arange(a.size), _min_sum_assignment(cost)]))
     return SpectrumReport(eigenvalues=a, matched=bool(dist <= tol), max_pair_distance=dist)
+
+
+def commutator_residuals(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """||AB - BA|| / ||AB||, the denominator floored at 1e-300, for each
+    pair of a stack of square matrices over the same leading axes (one for
+    two matrices). The products are taken on the stack, the norms matrix
+    by matrix, so each residual is bitwise that of its pair alone."""
+    ab = a @ b
+    diff = b @ a
+    np.subtract(ab, diff, out=diff)
+    shape = (-1,) + ab.shape[-2:]
+    return [float(np.linalg.norm(d) / max(np.linalg.norm(p), 1e-300))
+            for d, p in zip(diff.reshape(shape), ab.reshape(shape))]
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:

@@ -124,16 +124,20 @@ def test_lambda_lands_in_exact_spectrum():
 
 def test_one_magnon_action_undeformed():
     spec = ChainSpec(2, TwistParams(0.0, 1.0))
-    assert verify_one_magnon_action(spec, 2.0, 0.9) < 1e-11
+    (residual,) = verify_one_magnon_action(spec, [2.0], [0.9])
+    assert residual < 1e-11
 
 
 def test_one_magnon_action_deformed():
     rng = np.random.default_rng(9)
     spec = ChainSpec(3, TwistParams(0.6, 1.0))
+    us, vs = [], []
     for _ in range(5):
-        u = complex(rng.uniform(1, 4), rng.uniform(-1, 1))
-        v = complex(rng.uniform(-4, -1), rng.uniform(-1, 1))
-        assert verify_one_magnon_action(spec, u, v) < 1e-11
+        us.append(complex(rng.uniform(1, 4), rng.uniform(-1, 1)))
+        vs.append(complex(rng.uniform(-4, -1), rng.uniform(-1, 1)))
+    residuals = verify_one_magnon_action(spec, us, vs)
+    assert len(residuals) == 5
+    assert max(residuals) < 1e-11
 
 
 def test_on_shell_one_magnon_eigenvector():

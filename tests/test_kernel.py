@@ -18,26 +18,37 @@ from functools import lru_cache, partial
 import numpy as np
 import pytest
 
-from twistchain.bethe import magnon_product_state, verify_one_magnon_action
+from twistchain.bethe import (
+    BetheState,
+    eval_lambda,
+    magnon_product_state,
+    one_magnon_defects,
+    one_magnon_roots,
+    verify_one_magnon_action,
+)
 from twistchain.chain import (
     ChainSpec,
     MonodromyBlocks,
+    _aux_blocks_apply,
     _factors_apply,
     _grow_at,
     _grow_site,
     _poly_carry,
     _poly_factors,
+    _row_bands,
     _site_product,
+    _transfer,
     bond_pairs,
     build_hamiltonian,
-    monodromy_apply,
     monodromy_blocks_apply,
     monodromy_matrix,
     monodromy_poly_coeffs,
     strictly_lowering_residual,
     transfer_apply,
     transfer_matrix,
+    vacuum_d,
     vacuum_state,
+    verify_commuting_transfer,
     verify_rtt,
 )
 from twistchain.fusion import _staggered_product
@@ -159,8 +170,9 @@ def test_monodromy_matches_dense_lift_product(spec):
     assert _rel(monodromy_matrix(spec, u), dense) < 1e-14
     rng = np.random.default_rng(spec.n_sites)
     x = rng.standard_normal((2 * spec.dim, 3)) + 1j * rng.standard_normal((2 * spec.dim, 3))
-    assert _rel(monodromy_apply(spec, u, x), dense @ x) < 1e-14
-    assert _rel(monodromy_apply(spec, u, x[:, 0]), dense @ x[:, 0]) < 1e-14
+    r_u = build_r(u, spec.params)
+    assert _rel(_factors_apply(r_u, spec.n_sites, x), dense @ x) < 1e-14
+    assert _rel(_factors_apply(r_u, spec.n_sites, x[:, 0]), dense @ x[:, 0]) < 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -211,7 +223,8 @@ def test_one_magnon_action_matches_dense_blocks():
            - (-eta / (u - v) - eta / (v - u) * dv) * (bu.c @ omega)
            + spec.params.xi * (1 - du) * (1 - dv) * omega)
     dense = float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1.0))
-    assert abs(verify_one_magnon_action(spec, u, v) - dense) < 1e-14
+    (residual,) = verify_one_magnon_action(spec, [u], [v])
+    assert abs(residual - dense) < 1e-14
 
 
 @pytest.mark.parametrize("aux", [4, 8])
@@ -311,6 +324,135 @@ def test_site_product_on_a_stack_is_each_product_alone(aux, n):
         assert got.tobytes() == _grow_site(factor, part).tobytes()
 
 
+def _random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_transfer_on_a_stack_is_each_trace_alone(n):
+    """``_transfer`` on a stack of k factors fills, ``tobytes``-equal, the
+    k traces of each factor alone; from N = 7 on the trace is streamed in
+    more than one row band."""
+    assert (len(list(_row_bands(n))) > 1) == (n >= 7)
+    rng = np.random.default_rng(50 + n)
+    factors = _random_stack(rng, (3, 4, 4))
+    stacked = _transfer(factors, n)
+    assert stacked.shape == (3, 2 ** n, 2 ** n)
+    for got, factor in zip(stacked, factors, strict=True):
+        assert got.tobytes() == _transfer(factor, n).tobytes()
+
+
+@pytest.mark.parametrize("dims, slots", [([2, 2, 2, 2], [0, 3]), ([2, 3, 2], [2, 1]), ([3, 2], [1])])
+def test_apply_local_on_a_stack_is_each_operator_alone(dims, slots):
+    """A stack of operators on the matching stack of vectors or blocks,
+    over one and over two leading axes, gives ``tobytes``-equal each
+    operator applied alone."""
+    rng = np.random.default_rng(len(dims) + sum(slots))
+    d_slots, full = int(np.prod([dims[s] for s in slots])), int(np.prod(dims))
+    for lead in ((4,), (2, 3)):
+        ops = _random_stack(rng, lead + (d_slots, d_slots))
+        for x in (_random_stack(rng, lead + (full, 3)), _random_stack(rng, lead + (full,))):
+            got = apply_local(ops, x, dims, slots)
+            assert got.shape == x.shape
+            for i in np.ndindex(lead):
+                assert got[i].tobytes() == apply_local(ops[i], x[i], dims, slots).tobytes()
+    with pytest.raises(ValueError):
+        apply_local(ops, _random_stack(rng, (3, 2, full)), dims, slots)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_factor_applies_on_a_stack_are_each_factor_alone(n):
+    """``_factors_apply`` and ``_aux_blocks_apply`` on a stack of site
+    factors and chain blocks or vectors give, ``tobytes``-equal, each
+    factor applied alone."""
+    rng = np.random.default_rng(60 + n)
+    k, d = 4, 2 ** n
+    factors = _random_stack(rng, (k, 4, 4))
+    for x in (_random_stack(rng, (k, 2 * d, 3)), _random_stack(rng, (k, 2 * d))):
+        for got, factor, part in zip(_factors_apply(factors, n, x), factors, x, strict=True):
+            assert got.tobytes() == _factors_apply(factor, n, part).tobytes()
+    for x in (_random_stack(rng, (k, d, 2)), _random_stack(rng, (k, d))):
+        blocks = _aux_blocks_apply(factors, n, x)
+        for i in range(k):
+            alone = _aux_blocks_apply(factors[i], n, x[i])
+            assert [b[i].tobytes() for b in blocks] == [b.tobytes() for b in alone]
+
+
+def _one_sample_commutator(spec, u, v):
+    """The commuting-transfer residual of one sample as it was evaluated
+    before the sweep was stacked: two ``transfer_matrix`` and two products."""
+    a, b = transfer_matrix(spec, u), transfer_matrix(spec, v)
+    ab = a @ b
+    return float(np.linalg.norm(ab - b @ a) / max(np.linalg.norm(ab), 1e-300))
+
+
+def _one_sample_action(spec, u, v):
+    """The off-shell residual of one sample as it was evaluated before the
+    sweep was stacked: C(v) O and C(u) O by ``magnon_product_state``,
+    t(u) C(v) O by ``transfer_apply``."""
+    eta = spec.params.eta
+    omega = vacuum_state(spec.n_sites)
+    c_v, c_u = magnon_product_state(spec, [v]), magnon_product_state(spec, [u])
+    du, dv = vacuum_d(u, spec), vacuum_d(v, spec)
+    lhs = transfer_apply(spec, u, c_v)
+    rhs = ((1 - eta / (u - v) + du * (1 - eta / (v - u))) * c_v
+           - (-eta / (u - v) + -eta / (v - u) * dv) * c_u
+           + spec.params.xi * (1 - du) * (1 - dv) * omega)
+    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1.0))
+
+
+def _one_sample_defect(spec, root, u):
+    """The on-shell defect of one closed-form root as it was evaluated
+    before the sweep was stacked."""
+    lam = eval_lambda(u, BetheState(spec.n_sites, 1, (complex(root),), 0.0, spec.params.eta))
+    psi = magnon_product_state(spec, [root])
+    return np.linalg.norm(transfer_apply(spec, u, psi) - lam * psi) / np.linalg.norm(psi)
+
+
+def _points(rng, samples):
+    us = list(rng.uniform(0.5, 4, samples) * np.exp(1j * rng.uniform(0, 6.3, samples)))
+    vs = [u + complex(rng.uniform(-2, 2), rng.uniform(0.2, 2)) for u in us]
+    return us, vs
+
+
+@pytest.mark.parametrize("n, samples", [(2, 1), (2, 12), (4, 20), (6, 7)])
+def test_commuting_sweep_bitwise_equal_to_one_sample_route(n, samples):
+    """The stacked commuting-transfer sweep against the per-sample route,
+    residual by residual with ==; at n = 6 the samples span several chunks."""
+    rng = np.random.default_rng(70 + n + samples)
+    us, vs = _points(rng, samples)
+    params = [TwistParams(complex(x, y), 0.8 + 0.3j) for x, y in rng.uniform(-1, 1, (samples, 2))]
+    if n == 6:
+        assert len(list(sample_chunks(samples, 16 * 4 ** n))) >= 2
+    got = verify_commuting_transfer(n, us, vs, params)
+    assert got == [_one_sample_commutator(ChainSpec(n, p), u, v)
+                   for u, v, p in zip(us, vs, params)]
+    with pytest.raises(ValueError):
+        verify_commuting_transfer(n, us, vs[:-1], params)
+
+
+@pytest.mark.parametrize("n, samples", [(1, 1), (3, 9), (8, 20)])
+@pytest.mark.parametrize("xi", XIS)
+def test_one_magnon_sweeps_bitwise_equal_to_one_sample_routes(n, samples, xi):
+    """The stacked off-shell and on-shell sweeps against their per-sample
+    routes, residual by residual with ==; at n = 8 the off-shell samples
+    span several chunks. A sample with u = v or a zero point is refused
+    wherever it stands in the sweep."""
+    spec = ChainSpec(n, TwistParams(xi, 0.8 + 0.3j))
+    rng = np.random.default_rng(80 + n + samples)
+    us, vs = _points(rng, samples)
+    if n == 8:
+        assert len(list(sample_chunks(samples, 4 * 16 * spec.dim))) >= 2
+    assert verify_one_magnon_action(spec, us, vs) == [
+        _one_sample_action(spec, u, v) for u, v in zip(us, vs)]
+    roots = one_magnon_roots(n, spec.params.eta)
+    assert one_magnon_defects(spec, roots, us[:len(roots)]) == [
+        _one_sample_defect(spec, root, u) for root, u in zip(roots, us)]
+    for bad in ((us[-1], us[-1]), (0, vs[-1]), (us[-1], 0)):
+        with pytest.raises(ValueError):
+            verify_one_magnon_action(spec, us[:-1] + [bad[0]], vs[:-1] + [bad[1]])
+
+
 def _sweep_peak(sweep, samples):
     """tracemalloc peak, in bytes, of one sweep call over `samples` draws
     made before tracing starts."""
@@ -326,13 +468,21 @@ def _sweep_peak(sweep, samples):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("sweep", [verify_ybe, partial(verify_rtt, 2)], ids=["ybe", "rtt_n2"])
+def _off_shell_n8(us, vs, params):
+    return verify_one_magnon_action(ChainSpec(8, params[0]), us, vs)
+
+
+@pytest.mark.parametrize("sweep", [
+    verify_ybe, partial(verify_rtt, 2), partial(verify_commuting_transfer, 6), _off_shell_n8,
+], ids=["ybe", "rtt_n2", "commuting_n6", "off_shell_n8"])
 def test_sweep_memory_does_not_grow_with_samples(sweep):
     """Chunked, a sweep of 2000 samples peaks within a small slack of one
     of 100: three stack budgets, for the working set of a full chunk (128
     samples of the 8 x 8 YBE stacks against 100) and the residual list.
-    One unchunked stack of 2000 samples would hold 2 MiB (ybe) or 8 MiB
-    (rtt at n = 2) per array."""
+    One unchunked stack of 2000 samples would hold 2 MiB (ybe), 8 MiB (rtt
+    at n = 2), 128 MiB (each t(u) stack of the commuting sweep at n = 6)
+    or 32 MiB (the doubled blocks of the off-shell sweep at n = 8) per
+    array."""
     assert _sweep_peak(sweep, 2000) <= _sweep_peak(sweep, 100) + 3 * STACK_BYTES
 
 
@@ -481,7 +631,8 @@ def test_grown_products_bitwise_equal_to_kernel_on_identity(n, xi):
     spec = ChainSpec(n, TwistParams(xi, 0.8 + 0.3j))
     eye = np.eye(2 * spec.dim, dtype=complex)
     u = 1.3 - 0.7j
-    assert np.array_equal(monodromy_matrix(spec, u), monodromy_apply(spec, u, eye))
+    assert np.array_equal(monodromy_matrix(spec, u),
+                          _factors_apply(build_r(u, spec.params), n, eye))
     assert np.array_equal(_site_product(polynomial_l(u, spec.params), n),
                           _factors_apply(polynomial_l(u, spec.params), n, eye))
     const, lin = _poly_factors(spec)
