@@ -44,8 +44,8 @@ from .chain import (
     vacuum_d,
     vacuum_state,
 )
-from .rmatrix import build_r
-from .tensor import sample_chunks
+from .rmatrix import build_r, build_r_stack
+from .tensor import frobenius, sample_chunks
 
 MAX_ROOT_MAGNITUDE = 1e8  # beyond this a root is treated as escaped to infinity
 NEWTON_MAX_ITER = 200  # Newton steps per attempt of solve_bethe
@@ -278,7 +278,7 @@ def verify_one_magnon_action(spec: ChainSpec, us: Sequence[complex],
             rhs = ((alpha(u, v) + du * alpha(v, u)) * cv
                    - (beta(u, v) + beta(v, u) * dv) * cu
                    + xi * (1 - du) * (1 - dv) * omega)
-            out.append(float(np.linalg.norm(left - rhs) / max(np.linalg.norm(left), 1.0)))
+            out.append(float(frobenius(left - rhs) / max(frobenius(left), 1.0)))
         return out
 
     return _sweep(spec, residuals, us, vs)
@@ -300,7 +300,7 @@ def one_magnon_defects(spec: ChainSpec, roots: Sequence[complex],
         out = []
         for u, v, t_psi, state in zip(u_part, v_part, a + d, psi):
             lam = eval_lambda(u, BetheState(spec.n_sites, 1, (complex(v),), 0.0, spec.params.eta))
-            out.append(np.linalg.norm(t_psi - lam * state) / np.linalg.norm(state))
+            out.append(frobenius(t_psi - lam * state) / frobenius(state))
         return out
 
     return _sweep(spec, defects, us, roots)
@@ -310,11 +310,12 @@ def _sweep(spec: ChainSpec, evaluate: Callable, us: Sequence[complex],
            vs: Sequence[complex]) -> list:
     """evaluate(R(u) stack, R(v) stack, us, vs) over consecutive chunks of
     the sweep (``tensor.sample_chunks``, sized by one block on aux ⊗ chain
-    of ``_aux_blocks_apply`` per sample), each R built per sample as
-    ``build_r`` builds it alone, the results concatenated in order."""
+    of ``_aux_blocks_apply`` per sample), the R stacks built by
+    ``build_r_stack``, the results concatenated in order."""
     out = []
     for chunk in sample_chunks(len(us), 4 * 16 * spec.dim):
-        r_u, r_v = (np.array([build_r(w, spec.params) for w in ws[chunk]]) for ws in (us, vs))
+        ps = [spec.params] * len(us[chunk])
+        r_u, r_v = (build_r_stack(ws[chunk], ps) for ws in (us, vs))
         out.extend(evaluate(r_u, r_v, us[chunk], vs[chunk]))
     return out
 
@@ -360,8 +361,8 @@ def verify_multi_magnon_spectrum(spec: ChainSpec, states: list[BetheState],
         gap = float(np.min(np.abs(spectrum - lam)))
         psi = magnon_product_state(spec, state.roots)
         defect = float(
-            np.linalg.norm(transfer_apply(spec, u, psi) - lam * psi)
-            / max(np.linalg.norm(psi), 1e-30)
+            frobenius(transfer_apply(spec, u, psi) - lam * psi)
+            / max(frobenius(psi), 1e-30)
         )
         out.append({
             "magnons": state.magnons,

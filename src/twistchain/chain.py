@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import relations as rel
-from .rmatrix import build_r, build_r_xi, polynomial_l
+from .rmatrix import build_r, build_r_stack, build_r_xi, polynomial_l
 from .tensor import (
     I2,
     MAX_SITES,
@@ -70,6 +70,8 @@ from .tensor import (
     apply_local,
     commutator_residuals,
     eigenvalues,
+    frobenius,
+    kron,
     lift,
     match_spectra,
     permutation_op,
@@ -460,18 +462,14 @@ def verify_rtt(n_sites: int, us: Sequence[complex], vs: Sequence[complex],
 
 def _rtt_stack(n_sites: int, us: Sequence[complex], vs: Sequence[complex],
                params: Sequence[TwistParams]) -> list[float]:
-    """``verify_rtt`` on one stack: each R built per sample as ``build_r``
-    builds it alone, both monodromy products grown and multiplied by R12
-    on the stack. One call per chunk, so that a chunk's arrays are freed
-    before the next chunk's are built."""
-    r12, ru, rv = [], [], []
-    for u, v, p in zip(us, vs, params):
-        if u == v:
-            raise ValueError("RTT check requires u != v")
-        r12.append(build_r(u - v, p))
-        ru.append(build_r(u, p))
-        rv.append(build_r(v, p))
-    r12, ru, rv = np.array(r12), np.array(ru), np.array(rv)
+    """``verify_rtt`` on one stack: the R stacks built by ``build_r_stack``,
+    both monodromy products grown and multiplied by R12 on the stack. One
+    call per chunk, so that a chunk's arrays are freed before the next
+    chunk's are built."""
+    if any(u == v for u, v in zip(us, vs)):
+        raise ValueError("RTT check requires u != v")
+    r12 = build_r_stack([u - v for u, v in zip(us, vs)], params)
+    ru, rv = build_r_stack(us, params), build_r_stack(vs, params)
     k, rows = len(r12), 4 * 2 ** n_sites
     t1t2 = _monodromy_product([ru, rv], n_sites)
     t2t1 = _monodromy_product([rv, ru], n_sites, [1, 0])
@@ -486,11 +484,11 @@ def verify_commuting_transfer(n_sites: int, us: Sequence[complex], vs: Sequence[
     """||t(u) t(v) - t(v) t(u)|| / ||t(u) t(v)|| on n_sites sites, one per
     sample of the sweep (us[i], vs[i], params[i]) (``commutator_residuals``).
 
-    Each R is built per sample as ``build_r`` builds it alone; the stacks
-    of t(u) and t(v) are traced by ``_transfer`` and multiplied on the
-    stack. The samples are evaluated as stacks (``tensor.sample_chunks``,
-    sized by one 2^N-square array per sample), each residual bitwise that
-    of its sample's two ``transfer_matrix`` alone.
+    The R stacks are built by ``build_r_stack``; the stacks of t(u) and
+    t(v) are traced by ``_transfer`` and multiplied on the stack. The
+    samples are evaluated as stacks (``tensor.sample_chunks``, sized by one
+    2^N-square array per sample), each residual bitwise that of its
+    sample's two ``transfer_matrix`` alone.
     """
     if not len(us) == len(vs) == len(params):
         raise ValueError("a sweep takes as many u as v and params")
@@ -499,8 +497,8 @@ def verify_commuting_transfer(n_sites: int, us: Sequence[complex], vs: Sequence[
     out = []
     for chunk in sample_chunks(len(us), 16 * 4 ** n_sites):
         ps = params[chunk]
-        t_u = _transfer(np.array([build_r(u, p) for u, p in zip(us[chunk], ps)]), n_sites)
-        t_v = _transfer(np.array([build_r(v, p) for v, p in zip(vs[chunk], ps)]), n_sites)
+        t_u = _transfer(build_r_stack(us[chunk], ps), n_sites)
+        t_v = _transfer(build_r_stack(vs[chunk], ps), n_sites)
         out.extend(commutator_residuals(t_u, t_v))
     return out
 
@@ -622,8 +620,8 @@ def build_hamiltonian(spec: ChainSpec, deformation_doubled: bool = False) -> np.
     xi = spec.params.xi
     c2, c1 = (2 * xi**2, 2 * xi) if deformation_doubled else (xi**2, xi)
     dims = [2] * n
-    xx, yy, zz, mm = (np.kron(s, s) for s in (SX, SY, SZ, SM))
-    linear = np.kron(SM, I2) - np.kron(I2, SM)
+    xx, yy, zz, mm = (kron(s, s) for s in (SX, SY, SZ, SM))
+    linear = kron(SM, I2) - kron(I2, SM)
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     # term by term, in the order of the displayed sum, so that every entry
     # is accumulated exactly as from the site-embedded products
@@ -656,7 +654,7 @@ def _affine_fit(target: np.ndarray, base: np.ndarray) -> tuple[complex, complex,
     res *= -a
     res += target
     res.flat[::dim + 1] -= b
-    return a, b, float(np.linalg.norm(res) / np.linalg.norm(target))
+    return a, b, float(frobenius(res) / frobenius(target))
 
 
 def _scaled_permutation(m: np.ndarray) -> tuple[complex, np.ndarray] | None:
@@ -869,7 +867,7 @@ def _sector_eigenvalues(block: np.ndarray, n_sites: int, p: int) -> list[np.ndar
     v, labels = _momentum_basis(n_sites, p)
     w = v.conj().T @ block @ v
     same = labels[:, None] == labels[None, :]
-    if np.linalg.norm(w[~same]) > MOMENTUM_TOL * np.linalg.norm(block):
+    if frobenius(w[~same]) > MOMENTUM_TOL * frobenius(block):
         return [np.linalg.eigvals(block)]
     return [np.linalg.eigvals(w[np.ix_(labels == k, labels == k)])
             for k in np.unique(labels)]

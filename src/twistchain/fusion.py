@@ -41,7 +41,7 @@ import numpy as np
 
 from .chain import ChainSpec, _monodromy_product, transfer_matrix, vacuum_d
 from .rmatrix import build_f12, build_r, spectral_projectors
-from .tensor import lift, rel_residual
+from .tensor import frobenius, lift, rel_residual
 
 MAX_LEVEL = 3
 
@@ -129,7 +129,7 @@ def fusion_invariance_residual(spec: ChainSpec, level: int, u: complex) -> float
     product = _staggered_product(spec, level, u).reshape(aux, spec.dim, aux, spec.dim)
     kept = np.einsum("aicj,cb->aibj", product, projector)
     leak = kept - np.einsum("ac,cibj->aibj", projector, kept)
-    return float(np.linalg.norm(leak) / np.linalg.norm(product))
+    return float(frobenius(leak) / frobenius(product))
 
 
 def quantum_determinant(spec: ChainSpec, u: complex) -> tuple[complex, float]:
@@ -142,7 +142,7 @@ def quantum_determinant(spec: ChainSpec, u: complex) -> tuple[complex, float]:
     product = _staggered_product(spec, 2, u).reshape(4, spec.dim, 4, spec.dim)
     block = np.einsum("ab,bicj,ca->ij", p_minus, product, p_minus)
     scalar = complex(np.trace(block) / spec.dim)
-    off = float(np.linalg.norm(block - scalar * np.eye(spec.dim)))
+    off = float(frobenius(block - scalar * np.eye(spec.dim)))
     return scalar, off
 
 

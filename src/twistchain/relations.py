@@ -21,7 +21,12 @@ the words the inputs of one family are stacked into a single call. A
 binding that is neither a ``Member`` nor a number is refused.
 ``relation_residuals`` evaluates a whole table over one set of words, so a
 word that several relations share is applied once, and compares the two
-sides of each relation on X,
+sides of each relation on X. The words, the monomials summing to each
+coefficient and the level-by-level batching depend only on the texts and
+on the binding kinds (which names are members of which family, which are
+numbers), so they are planned once per table and kinds (``_word_plan``);
+a sample only multiplies out its coefficients and calls its families. The
+comparison reads
 
     ||(L - R) X||_F / max(||L X||_F, ||R X||_F, 1).
 
@@ -36,7 +41,9 @@ Scalar coefficient conventions:
 
     alpha(u,v) = 1 + beta(u,v) = 1 - eta/(u-v)
 
-Each distinct relation text is parsed and expanded once per process.
+Each distinct relation text is parsed and expanded once per process, and
+each table's word plan built once per binding kinds; neither holds a
+number bound in an environment.
 
 A relation that fails at machine precision for every sampled parameter
 point is flagged by the verification suites as a suspected misprint, never
@@ -133,67 +140,6 @@ def _expand(node: ast.expr) -> tuple[tuple[complex, tuple[str, ...]], ...]:
     return left + tuple((-c, names) for c, names in right)
 
 
-def _word_table(monomials, env: dict) -> dict[tuple[str, ...], complex]:
-    """Coefficient of each operator word of a side: the names bound to
-    numbers are read from `env` into the monomial's coefficient (scalars
-    commute), the names bound to ``Member``s left in order form its word,
-    and the coefficients of equal words are summed. Any other binding
-    raises TypeError."""
-    table: dict[tuple[str, ...], complex] = {}
-    for coef, names in monomials:
-        word = ()
-        for name in names:
-            value = _lookup(env, name)
-            if isinstance(value, Member):
-                word += (name,)
-            elif isinstance(value, numbers.Number):
-                coef = coef * value
-            else:
-                raise TypeError(f"symbol {name!r} is bound to a {type(value).__name__}, "
-                                "neither a Member nor a number")
-        table[word] = table.get(word, 0) + coef
-    return table
-
-
-def _apply_words(words, env: dict, x: np.ndarray) -> dict[tuple[str, ...], np.ndarray]:
-    """Every word and each of its suffixes applied to the column block `x`,
-    each exactly once.
-
-    A word is applied right to left, so level l applies the l-th name from
-    the right to a suffix of level l - 1. On each level the inputs of one
-    family (the members of one ``Member.apply``) are stacked side by side
-    and go through one call. Words are visited in the order given, so the
-    same words give the same stacking, bit for bit.
-    """
-    blocks = {(): x}
-    width = x.shape[1]
-    depth = max((len(w) for w in words), default=0)
-    for level in range(1, depth + 1):
-        batches: dict[int, tuple] = {}
-        for word in words:
-            suffix = word[len(word) - level:]
-            if len(word) < level or suffix in blocks:
-                continue
-            member = _lookup(env, suffix[0])
-            _, parents, wanted = batches.setdefault(id(member.apply), (member.apply, {}, {}))
-            wanted[suffix] = (parents.setdefault(suffix[1:], len(parents)), member.index)
-        for apply, parents, wanted in batches.values():
-            stacked = (blocks[next(iter(parents))] if len(parents) == 1
-                       else np.hstack([blocks[p] for p in parents]))
-            out = apply(stacked)
-            for suffix, (pos, index) in wanted.items():
-                blocks[suffix] = out[index][:, pos * width:(pos + 1) * width]
-    return blocks
-
-
-def _combine(table: dict, blocks: dict) -> np.ndarray:
-    total = None
-    for word, coef in table.items():
-        term = coef * blocks[word]
-        total = term if total is None else total + term
-    return total
-
-
 @lru_cache(maxsize=256)
 def _relation_monomials(text: str):
     """Expanded monomials of both sides of 'lhs = rhs', once per distinct text."""
@@ -201,15 +147,125 @@ def _relation_monomials(text: str):
     return _expand(parse(lhs_text)), _expand(parse(rhs_text))
 
 
+@lru_cache(maxsize=64)
+def _names(texts: tuple[str, ...]) -> tuple[str, ...]:
+    """The distinct names of a table, in the order its monomials read them."""
+    return tuple(dict.fromkeys(name for text in texts for side in _relation_monomials(text)
+                               for _, names in side for name in names))
+
+
+def _bindings(names: tuple[str, ...], env: dict) -> tuple[tuple, list[Callable]]:
+    """How `env` binds each of `names`: None for a number, (family, index)
+    for a ``Member``, the families numbered in order of first appearance;
+    and the ``Member.apply`` of each family. Any other binding raises
+    TypeError."""
+    families: dict[int, int] = {}
+    applies, kinds = [], []
+    for name in names:
+        value = _lookup(env, name)
+        if isinstance(value, Member):
+            family = families.setdefault(id(value.apply), len(families))
+            if family == len(applies):
+                applies.append(value.apply)
+            kinds.append((family, value.index))
+        elif isinstance(value, numbers.Number):
+            kinds.append(None)
+        else:
+            raise TypeError(f"symbol {name!r} is bound to a {type(value).__name__}, "
+                            "neither a Member nor a number")
+    return tuple(kinds), applies
+
+
+def _side_plan(monomials, kind: dict) -> tuple:
+    """The operator words of a side, in order of first appearance, each
+    with the (number, scalar names) of the monomials that sum to its
+    coefficient, in monomial order: scalars commute, the operator names
+    left in order form the word."""
+    table: dict[tuple[str, ...], list] = {}
+    for coef, names in monomials:
+        word = tuple(name for name in names if kind[name] is not None)
+        scalars = tuple(name for name in names if kind[name] is None)
+        table.setdefault(word, []).append((coef, scalars))
+    return tuple((word, tuple(terms)) for word, terms in table.items())
+
+
+def _level_plan(words, kind: dict) -> tuple:
+    """Every word and each of its suffixes, to be applied to a column block
+    each exactly once, level by level.
+
+    A word is applied right to left, so level l applies the l-th name from
+    the right to a suffix of level l - 1. On each level the inputs of one
+    family are stacked side by side and go through one call: the plan
+    lists, per level, each family with the suffixes it is applied to (its
+    parents, in stacking order) and the suffixes read off its members
+    (suffix, position of the parent, member index). Words are visited in
+    the order given, so the same words give the same stacking, bit for bit.
+    """
+    done = {()}
+    levels = []
+    for level in range(1, max((len(w) for w in words), default=0) + 1):
+        batches: dict[int, tuple[dict, dict]] = {}
+        for word in words:
+            suffix = word[len(word) - level:]
+            if len(word) < level or suffix in done:
+                continue
+            family, index = kind[suffix[0]]
+            parents, wanted = batches.setdefault(family, ({}, {}))
+            wanted[suffix] = (parents.setdefault(suffix[1:], len(parents)), index)
+        levels.append(tuple((family, tuple(parents), tuple((s, *w) for s, w in wanted.items()))
+                            for family, (parents, wanted) in batches.items()))
+        for _, wanted in batches.values():
+            done.update(wanted)
+    return tuple(levels)
+
+
+@lru_cache(maxsize=64)
+def _word_plan(texts: tuple[str, ...], kinds: tuple) -> tuple[tuple, tuple]:
+    """The side plans (``_side_plan``) of each relation of a table and the
+    level plan (``_level_plan``) of all their words, once per table and
+    binding kinds (``_bindings``): nothing in it depends on a number bound
+    in the environment."""
+    kind = dict(zip(_names(texts), kinds))
+    sides = tuple(tuple(_side_plan(side, kind) for side in _relation_monomials(text))
+                  for text in texts)
+    words = dict.fromkeys(word for pair in sides for side in pair for word, _ in side)
+    return sides, _level_plan(list(words), kind)
+
+
+def _combine(side: tuple, env: dict, blocks: dict) -> np.ndarray:
+    """A side applied to the block: each word's coefficient summed from 0
+    over its monomials, each the product of its number and its scalars in
+    written order, times the word's block, the terms added in order."""
+    total = None
+    for word, terms in side:
+        coef = 0
+        for number, scalars in terms:
+            for name in scalars:
+                number = number * env[name]
+            coef = coef + number
+        term = coef * blocks[word]
+        total = term if total is None else total + term
+    return total
+
+
 def relation_residuals(texts, env: dict, x: np.ndarray) -> list[float]:
     """``relation_residual`` of each relation text on the block x, with one
-    word table for all of them: a word that several sides share is applied
+    word plan for all of them: a word that several sides share is applied
     to x once."""
-    tables = [tuple(_word_table(side, env) for side in _relation_monomials(text))
-              for text in texts]
-    words = dict.fromkeys(word for pair in tables for table in pair for word in table)
-    blocks = _apply_words(list(words), env, x)
-    return [rel_residual(_combine(lhs, blocks), _combine(rhs, blocks)) for lhs, rhs in tables]
+    texts = tuple(texts)
+    kinds, applies = _bindings(_names(texts), env)
+    sides, levels = _word_plan(texts, kinds)
+    blocks = {(): x}
+    width = x.shape[1]
+    for level in levels:
+        for family, parents, wanted in level:
+            stacked = (blocks[parents[0]] if len(parents) == 1
+                       else np.hstack([blocks[p] for p in parents]))
+            out = applies[family](stacked)
+            for suffix, pos, index in wanted:
+                blocks[suffix] = out[index][:, pos * width:(pos + 1) * width]
+    return [rel_residual(_combine(lhs, env, blocks), _combine(rhs, env, blocks))
+            for lhs, rhs in sides]
 
 
 def relation_residual(text: str, env: dict, x: np.ndarray) -> float:

@@ -15,7 +15,9 @@ transcription slips on either side. The Yang-Baxter check embeds R12, R13
 and R23 into C^2 ⊗ C^2 ⊗ C^2 with ``tensor.lift``. Both checks are sweeps:
 they take sequences of samples and evaluate them as stacks over a leading
 sample axis, in chunks of ``tensor.sample_chunks``, each residual bitwise
-that of its sample evaluated alone.
+that of its sample evaluated alone. Every sweep of the package builds its
+R(u) samples as one stack with ``build_r_stack``, each matrix bitwise
+``build_r`` of its sample.
 """
 
 from __future__ import annotations
@@ -24,10 +26,16 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .tensor import lift, permutation_op, rel_residual, sample_chunks
+from .tensor import frobenius, lift, permutation_op, rel_residual, sample_chunks
 from .twist import TwistParams, make_spin_rep, universal_twist
 
 _P = permutation_op()
+# the entries of R_xi as ``build_r_xi`` displays them, each an index into
+# (0, 1, -xi, xi, xi^2)
+_R_XI_ENTRIES = np.array([[1, 0, 0, 0],
+                          [2, 1, 0, 0],
+                          [3, 0, 1, 0],
+                          [4, 2, 3, 1]])
 
 
 def build_f12(xi: complex) -> np.ndarray:
@@ -59,6 +67,27 @@ def build_r(u: complex, params: TwistParams) -> np.ndarray:
     return build_r_xi(params.xi) - (params.eta / u) * _P
 
 
+def build_r_stack(us: Sequence[complex], params: Sequence[TwistParams]) -> np.ndarray:
+    """R(us[i]) at params[i] for each sample, as a (K, 4, 4) stack, each
+    matrix bitwise ``build_r(us[i], params[i])``. Rejects the pole u = 0
+    in any sample.
+
+    -xi, xi^2 and eta/u are taken in Python per sample, as ``build_r``
+    takes them (-xi in numpy would turn the +0 imaginary part of a real xi
+    into -0), then placed by one gather; the product with P's 0/1 entries
+    and the difference are exact entry by entry.
+    """
+    if len(us) != len(params):
+        raise ValueError("a stack takes as many u as params")
+    values = []
+    for u, p in zip(us, params):
+        if u == 0:
+            raise ValueError("R(u) has a pole at u = 0; use the polynomial form instead")
+        values.append((0, 1, -p.xi, p.xi, p.xi**2, p.eta / u))
+    values = np.array(values, dtype=complex).reshape(-1, 6)
+    return values[:, _R_XI_ENTRIES] - values[:, 5, None, None] * _P
+
+
 def polynomial_l(u: complex, params: TwistParams) -> np.ndarray:
     """Polynomial local operator Lbar(u) = u R_xi - eta P (regular at u = 0)."""
     return u * build_r_xi(params.xi) - params.eta * _P
@@ -83,26 +112,18 @@ def verify_ybe(us: Sequence[complex], vs: Sequence[complex],
 
 def _ybe_stack(us: Sequence[complex], vs: Sequence[complex],
                params: Sequence[TwistParams]) -> list[float]:
-    """``verify_ybe`` on one stack: each R built per sample as ``build_r``
-    builds it alone (u - v taken as the sample gives it: as numpy scalars
-    eta / (u - v) rounds differently), then lifted and multiplied on the
-    stack. One call per chunk, so that a chunk's arrays are freed before
-    the next chunk's are built."""
-    r12, r13, r23 = [], [], []
-    for u, v, p in zip(us, vs, params):
-        for w in (u, v, u - v):
-            if w == 0:
-                raise ValueError("pole argument in YBE check")
-        r12.append(build_r(u - v, p))
-        r13.append(build_r(u, p))
-        r23.append(build_r(v, p))
+    """``verify_ybe`` on one stack: the R stacks built by ``build_r_stack``
+    (u - v taken as the sample gives it: as numpy scalars eta / (u - v)
+    rounds differently), then lifted and multiplied on the stack. One call
+    per chunk, so that a chunk's arrays are freed before the next chunk's
+    are built."""
     dims = [2, 2, 2]
-    r12 = lift(np.array(r12), dims, [0, 1])
-    r13 = lift(np.array(r13), dims, [0, 2])
-    r23 = lift(np.array(r23), dims, [1, 2])
+    r12 = lift(build_r_stack([u - v for u, v in zip(us, vs)], params), dims, [0, 1])
+    r13 = lift(build_r_stack(us, params), dims, [0, 2])
+    r23 = lift(build_r_stack(vs, params), dims, [1, 2])
     lhs = r12 @ r13 @ r23
     diff = lhs - r23 @ r13 @ r12
-    return [float(np.linalg.norm(d) / np.linalg.norm(left)) for d, left in zip(diff, lhs)]
+    return [float(frobenius(d) / frobenius(left)) for d, left in zip(diff, lhs)]
 
 
 def verify_construction(us: Sequence[complex],
@@ -132,9 +153,9 @@ def _construction_stack(us: Sequence[complex],
                         params: Sequence[TwistParams]) -> tuple[list[float], list[float]]:
     """``verify_construction`` on one stack of samples, one call per
     chunk as ``_ybe_stack``."""
-    f12, inner, r_xi, r_u = [], [], [], []
+    r_u = build_r_stack(us, params)  # rejects the pole u = 0
+    f12, inner, r_xi = [], [], []
     for u, p in zip(us, params):
-        r_u.append(build_r(u, p))  # rejects the pole u = 0
         f12.append(build_f12(p.xi))
         inner.append(np.eye(4, dtype=complex) - (p.eta / u) * _P)
         r_xi.append(build_r_xi(p.xi))
@@ -142,14 +163,14 @@ def _construction_stack(us: Sequence[complex],
     f21 = _P @ f12 @ _P
     f12_inv = np.linalg.inv(f12)
     r_xi = np.array(r_xi) - f21 @ f12_inv
-    r_u = np.array(r_u) - f21 @ np.array(inner) @ f12_inv
-    return [float(np.linalg.norm(d)) for d in r_xi], [float(np.linalg.norm(d)) for d in r_u]
+    r_u = r_u - f21 @ np.array(inner) @ f12_inv
+    return [float(frobenius(d)) for d in r_xi], [float(frobenius(d)) for d in r_u]
 
 
 def verify_regularity(params: TwistParams) -> float:
     """Residual of Lbar(0) = -eta P, i.e. the normalized R(0) equals P."""
     l0 = polynomial_l(0.0, params)
-    return float(np.linalg.norm(l0 / (-params.eta) - _P))
+    return float(frobenius(l0 / (-params.eta) - _P))
 
 
 def spectral_projectors(params: TwistParams) -> tuple[np.ndarray, np.ndarray]:
@@ -182,4 +203,4 @@ def measure_unitarity(u: complex, params: TwistParams) -> tuple[float, complex]:
 def fundamental_twist_matches_universal(xi: complex) -> float:
     """Entry norm of F12 minus the universal twist at spin (1/2, 1/2)."""
     half = make_spin_rep(0.5)
-    return float(np.linalg.norm(universal_twist(half, half, xi) - build_f12(xi)))
+    return float(frobenius(universal_twist(half, half, xi) - build_f12(xi)))

@@ -57,7 +57,9 @@ from .tensor import (
     add_local,
     commutator_residuals,
     eigenvalues,
+    frobenius,
     hermitian_eigenvalues,
+    kron,
     match_spectra,
     permutation_op,
     rel_residual,
@@ -228,11 +230,11 @@ def suite_ybe(config: RunConfig) -> list[VerificationReport]:
     p_plus, p_minus = rm.spectral_projectors(params)
     eye4 = np.eye(4)
     proj_res = _worst([
-        np.linalg.norm(p_plus @ p_plus - p_plus),
-        np.linalg.norm(p_minus @ p_minus - p_minus),
-        np.linalg.norm(p_plus @ p_minus),
-        np.linalg.norm(p_plus + p_minus - eye4),
-        np.linalg.norm(permutation_op() @ rm.build_r_xi(config.xi) - (p_plus - p_minus)),
+        frobenius(p_plus @ p_plus - p_plus),
+        frobenius(p_minus @ p_minus - p_minus),
+        frobenius(p_plus @ p_minus),
+        frobenius(p_plus + p_minus - eye4),
+        frobenius(permutation_op() @ rm.build_r_xi(config.xi) - (p_plus - p_minus)),
         abs(np.trace(p_plus) - 3.0),
         abs(np.trace(p_minus) - 1.0),
     ])
@@ -321,12 +323,12 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
         # boundary terms share an entry, so each entry receives one term
         dims = [2] * n
         for k in range(n - 1):
-            add_local(diff, -config.xi**2 * np.kron(SM, SM), dims, [k, k + 1])
+            add_local(diff, -config.xi**2 * kron(SM, SM), dims, [k, k + 1])
         add_local(diff, -config.xi * SM, dims, [0])
         add_local(diff, config.xi * SM, dims, [n - 1])
         reports.append(_Check(config, "spectrum.open_boundary_terms", 1e-13).report(
             {"n_sites": n, "xi": config.xi},
-            _worst([float(np.linalg.norm(diff)), lowering]),
+            _worst([float(frobenius(diff)), lowering]),
             notes="open chain: the linear terms telescope to the boundary pair "
                   "sm_1 - sm_N and the deformation strictly lowers total sz",
         ))
@@ -404,10 +406,10 @@ def suite_spectrum(config: RunConfig) -> list[VerificationReport]:
         # spawning does not advance rng, so the sampled u stay as without it
         x, route = sy.probe_block(spec.dim, rng.spawn(1)[0])
         htx = h_ext @ ch.transfer_apply(spec, u, x)
-        commutes = np.linalg.norm(htx - ch.transfer_apply(spec, u, h_ext @ x))
+        commutes = frobenius(htx - ch.transfer_apply(spec, u, h_ext @ x))
         reports.append(_Check(config, "spectrum.extraction_commutes", 1e-10).report(
             {"n_sites": spec.n_sites, "u": u},
-            float(commutes / max(np.linalg.norm(htx), 1e-300)),
+            float(commutes / max(frobenius(htx), 1e-300)),
             notes=f"log-derivative Hamiltonian commutes with t(u); {_probe_note(route)}",
         ))
         reports.append(_Check(config, "spectrum.extraction_fd_agrees", 1e-6).report(
@@ -429,8 +431,8 @@ def suite_bethe(config: RunConfig) -> list[VerificationReport]:
     omega = ch.vacuum_state(n)
     on_vacuum = ch.monodromy_blocks_apply(spec, u, omega)
     vac_res = _worst([
-        np.linalg.norm(on_vacuum.a - omega),
-        np.linalg.norm(on_vacuum.d - ch.vacuum_d(u, spec) * omega),
+        frobenius(on_vacuum.a - omega),
+        frobenius(on_vacuum.d - ch.vacuum_d(u, spec) * omega),
         np.max(np.abs(on_vacuum.b)),
     ])
     reports.append(_Check(config, "bethe.vacuum", 1e-11).report(
@@ -608,7 +610,7 @@ def suite_symmetry(config: RunConfig) -> list[VerificationReport]:
     for _ in range(n):
         y = sy.t0_apply(spec, y)[0] - y
     reports.append(_Check(config, "symmetry.unipotent", 1e-10).report(
-        {"n_sites": n, "xi": config.xi}, float(np.linalg.norm(y)),
+        {"n_sites": n, "xi": config.xi}, float(frobenius(y)),
         notes="(E - I)^(N+1) = 0, E is unipotent (E = exp of -xi times the "
               "global lowering operator)",
     ))
@@ -701,10 +703,10 @@ def suite_twist(config: RunConfig) -> list[VerificationReport]:
     for two_s in (1, 2, 3):
         rep = tw.make_spin_rep(two_s / 2)
         rep_res.extend([
-            np.linalg.norm(rep.h @ rep.e - rep.e @ rep.h + 2 * rep.e),
-            np.linalg.norm(rep.h @ rep.f - rep.f @ rep.h - 2 * rep.f),
-            np.linalg.norm(rep.e @ rep.f - rep.f @ rep.e + rep.h),
-            np.linalg.norm(np.linalg.matrix_power(rep.e, rep.dim)),
+            frobenius(rep.h @ rep.e - rep.e @ rep.h + 2 * rep.e),
+            frobenius(rep.h @ rep.f - rep.f @ rep.h - 2 * rep.f),
+            frobenius(rep.e @ rep.f - rep.f @ rep.e + rep.h),
+            frobenius(np.linalg.matrix_power(rep.e, rep.dim)),
         ])
     reports.append(_Check(config, "twist.rep_relations", 1e-13).report(
         {"spins": "1/2,1,3/2"}, _worst(rep_res),
@@ -725,8 +727,8 @@ def suite_twist(config: RunConfig) -> list[VerificationReport]:
             series.append(rel_residual(tw.universal_twist(ra, rb, xi), tw.twist_series(ra, rb, xi)))
         for two_s in (1, 2, 3):
             rep = tw.make_spin_rep(two_s / 2)
-            sig.append(np.linalg.norm(tw._nilpotent_exp(-tw.sigma_element(rep, xi))
-                                      - (np.eye(rep.dim) - 2 * xi * rep.e)))
+            sig.append(frobenius(tw._nilpotent_exp(-tw.sigma_element(rep, xi))
+                                 - (np.eye(rep.dim) - 2 * xi * rep.e)))
     reports.append(_Check(config, "twist.series_matches_exponential", 1e-12).report(
         {"samples": _count(config, 5)}, _worst(series),
         notes="displayed series coefficients against the closed exponential form",
@@ -749,12 +751,12 @@ def suite_twist(config: RunConfig) -> list[VerificationReport]:
     xi = complex(rng.uniform(-1.0, 1.0))
     fmat = tw.universal_twist(half, one, xi)
     reports.append(_Check(config, "twist.inverse", 1e-13).report(
-        {"xi": xi}, float(np.linalg.norm(fmat @ np.linalg.inv(fmat) - np.eye(fmat.shape[0]))),
+        {"xi": xi}, float(frobenius(fmat @ np.linalg.inv(fmat) - np.eye(fmat.shape[0]))),
     ))
     reports.append(_Check(config, "twist.log_roundtrip", 1e-12).report(
         {"xi": xi},
-        float(np.linalg.norm(
-            tw.nilpotent_log(fmat) - np.kron(half.h, tw.sigma_element(one, xi)) / 2)),
+        float(frobenius(
+            tw.nilpotent_log(fmat) - kron(half.h, tw.sigma_element(one, xi)) / 2)),
         notes="matrix log of the twist recovers the nilpotent exponent",
     ))
 
@@ -770,9 +772,9 @@ def suite_twist(config: RunConfig) -> list[VerificationReport]:
     ))
 
     dev = tw.twisted_coproduct(half, half, "e", xi) - tw.coproduct(half, half, "e")
-    correction = -2 * xi * np.kron(half.e, half.e)
+    correction = -2 * xi * kron(half.e, half.e)
     reports.append(_Check(config, "twist.coproduct_e_deviation", 1e-12).report(
-        {"xi": xi}, float(np.linalg.norm(dev - correction)),
+        {"xi": xi}, float(frobenius(dev - correction)),
         notes="e is not twist-invariant (flagged): the deviation equals "
               "-2 xi e⊗e exactly at spin (1/2, 1/2)",
     ))

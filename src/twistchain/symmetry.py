@@ -56,7 +56,7 @@ import numpy as np
 from . import relations as rel
 from .chain import ChainSpec, _aux_blocks_apply, _poly_carry, monodromy_members
 from .rmatrix import build_r_xi
-from .tensor import MAX_SITES, apply_local, permutation_op, rel_residual
+from .tensor import MAX_SITES, apply_local, frobenius, kron, permutation_op, rel_residual
 from .twist import TwistParams
 
 # columns of the Gaussian probe block; spaces with at most PROBE_COLUMNS
@@ -112,8 +112,8 @@ def extract_t0(spec: ChainSpec, x: np.ndarray) -> AsymptoticData:
     e, upper, g, e_inv = t0_apply(spec, x)
     return AsymptoticData(
         e=e, g=g, e_inv=e_inv,
-        zero_block_residual=float(np.linalg.norm(upper)),
-        inverse_pair_residual=float(np.linalg.norm(t0_apply(spec, e_inv)[0] - x)),
+        zero_block_residual=float(frobenius(upper)),
+        inverse_pair_residual=float(frobenius(t0_apply(spec, e_inv)[0] - x)),
     )
 
 
@@ -180,11 +180,11 @@ def verify_coproducts(n1: int, n2: int, xi: complex, eta: complex) -> dict:
     e2, g2, e2_inv = _constant_blocks(ChainSpec(n2, params))
     en, gn, _ = _constant_blocks(ChainSpec(n1 + n2, params))
 
-    e_res = rel_residual(en, np.kron(e1, e2))
+    e_res = rel_residual(en, kron(e1, e2))
     # abstract left factor = first segment
-    g_first = np.kron(g1, e2) + np.kron(e1_inv, g2)
+    g_first = kron(g1, e2) + kron(e1_inv, g2)
     # abstract left factor = second segment
-    g_second = np.kron(e1, g2) + np.kron(g1, e2_inv)
+    g_second = kron(e1, g2) + kron(g1, e2_inv)
     res_first = rel_residual(gn, g_first)
     res_second = rel_residual(gn, g_second)
     return {

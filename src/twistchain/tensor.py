@@ -9,9 +9,13 @@ Conventions used throughout the package:
 * a local operator reaches the product space in one of two ways:
   ``apply_local`` contracts it into its tensor slots of a vector or column
   block (O(d_slots * size) work), and ``add_local`` adds its embedding into
-  a full matrix in place, touching only the d_slots * dim entries it fills;
-  ``lift`` is that embedding added to zeros, for small spaces such as one
-  site with several auxiliary spaces,
+  a full matrix in place, touching only the d_slots * dim entries it fills,
+  its scatter indices planned once per (dims, slots) (``_embedding_index``,
+  read-only); ``lift`` is that embedding added to zeros, for small spaces
+  such as one site with several auxiliary spaces,
+* Kronecker products are ``kron`` and residual norms ``frobenius``, each
+  bitwise the numpy call it stands for (``np.kron``, ``np.linalg.norm``)
+  without its per-call bookkeeping; no other module calls those two,
 * ``apply_local``, ``add_local`` and ``lift`` take leading stack axes (a
   stack of operators applies to a stack of vectors or blocks over the same
   axes), and ``commutator_residuals`` reads one residual per pair of a stack
@@ -62,12 +66,38 @@ def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray
     return a
 
 
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of two matrices: the elementwise products that
+    ``np.kron`` forms, laid out by one reshape, so bitwise its result
+    without its shape bookkeeping."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"kron takes two matrices, got ndim {a.ndim} and {b.ndim}")
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def frobenius(x) -> np.float64:
+    """Frobenius norm of all entries of `x` (the 2-norm of a vector): the
+    calls ``np.linalg.norm`` makes for it, the square root of the real dot
+    products of the raveled real and imaginary parts, so bitwise its value.
+    Every residual norm of the package is taken here."""
+    x = np.asarray(x)
+    if not issubclass(x.dtype.type, np.inexact):
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(x.dot(x))
+
+
 def kron_all(ops: list[np.ndarray]) -> np.ndarray:
     if not ops:
         raise ValueError("empty operator list")
     out = as_matrix(ops[0])
     for op in ops[1:]:
-        out = np.kron(out, as_matrix(op))
+        out = kron(out, as_matrix(op))
     return out
 
 
@@ -146,6 +176,20 @@ def apply_local(op: np.ndarray, x: np.ndarray, dims: list[int], slots: list[int]
     return t.transpose(inverse).reshape(x.shape)
 
 
+@lru_cache(maxsize=256)
+def _embedding_index(dims: tuple[int, ...],
+                     slots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of ``add_local``'s scatter, read-only:
+    row k of the plan lists the basis states whose `slots` indices read k
+    (the slots first, then the other factors; the column axis of
+    ``_axis_orders``, last, dropped)."""
+    order = _axis_orders(len(dims), slots)[0][:-1]
+    idx = np.arange(math.prod(dims)).reshape(dims).transpose(order)
+    idx = idx.reshape(math.prod(dims[s] for s in slots), -1)
+    idx.flags.writeable = False
+    return idx[:, None, :], idx[None, :, :]
+
+
 def add_local(h: np.ndarray, op: np.ndarray, dims: list[int], slots: list[int]) -> None:
     """Add the embedding of `op`, acting on the tensor factors `slots`
     (0-based, in order), into the square matrix `h` on the product space
@@ -162,11 +206,8 @@ def add_local(h: np.ndarray, op: np.ndarray, dims: list[int], slots: list[int]) 
     full = math.prod(dims)
     if h.shape[-2:] != (full, full):
         raise ValueError(f"matrix has shape {h.shape}, the product space {full}")
-    # the slots first, then the other factors (the column axis, last, dropped);
-    # row k of idx lists the basis states whose `slots` indices read k
-    order = _axis_orders(len(dims), tuple(slots))[0][:-1]
-    idx = np.arange(full).reshape(dims).transpose(order).reshape(op.shape[-1], -1)
-    h[..., idx[:, None, :], idx[None, :, :]] += op[..., None]
+    rows, cols = _embedding_index(tuple(dims), tuple(slots))
+    h[..., rows, cols] += op[..., None]
 
 
 def lift(op: np.ndarray, dims: list[int], slots: list[int]) -> np.ndarray:
@@ -324,14 +365,14 @@ def commutator_residuals(a: np.ndarray, b: np.ndarray) -> list[float]:
     diff = b @ a
     np.subtract(ab, diff, out=diff)
     shape = (-1,) + ab.shape[-2:]
-    return [float(np.linalg.norm(d) / max(np.linalg.norm(p), 1e-300))
+    return [float(frobenius(d) / max(frobenius(p), 1e-300))
             for d, p in zip(diff.reshape(shape), ab.reshape(shape))]
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Frobenius distance of lhs and rhs relative to their scale (floored at 1).
 
-    ``np.linalg.norm`` squares the entries, so operands of size about 1e154
+    ``frobenius`` squares the entries, so operands of size about 1e154
     and above overflow it; when a norm is inf although every entry is
     finite, the three norms are taken of the operands divided by their
     largest |entry| instead. Non-finite entries give NaN.
@@ -339,9 +380,9 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     lhs = np.asarray(lhs)
     rhs = np.asarray(rhs)
     floor = 1.0
-    norms = np.linalg.norm(lhs), np.linalg.norm(rhs), np.linalg.norm(lhs - rhs)
+    norms = frobenius(lhs), frobenius(rhs), frobenius(lhs - rhs)
     if math.inf in norms and np.isfinite(lhs).all() and np.isfinite(rhs).all():
         big = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
         lhs, rhs, floor = lhs / big, rhs / big, 1.0 / big
-        norms = np.linalg.norm(lhs), np.linalg.norm(rhs), np.linalg.norm(lhs - rhs)
+        norms = frobenius(lhs), frobenius(rhs), frobenius(lhs - rhs)
     return float(norms[2] / max(norms[0], norms[1], floor))

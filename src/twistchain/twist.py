@@ -14,20 +14,27 @@ the twist evaluated in a representation pair (pi, rho) is
 Both the closed exponential and the truncated series are implemented; the
 exponential is canonical, the series is a cross-check. All series terminate
 exactly because e (hence sigma) is nilpotent, so no cutoffs are involved.
+Each spin's representation is built once and shared, its generators
+read-only; Kronecker products go through ``tensor.kron``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .tensor import as_matrix, lift, rel_residual
+from .tensor import as_matrix, kron, lift, rel_residual
 
 
 @dataclass(frozen=True)
 class SpinRep:
-    """Irreducible sl(2) representation of spin s (dimension 2s+1)."""
+    """Irreducible sl(2) representation of spin s (dimension 2s+1).
+
+    ``make_spin_rep`` returns one shared instance per spin, so `h`, `e` and
+    `f` are read-only arrays; derive new arrays from them.
+    """
 
     spin: float
     dim: int
@@ -50,12 +57,14 @@ class TwistParams:
             raise ValueError("eta must be nonzero")
 
 
+@lru_cache
 def make_spin_rep(s: float) -> SpinRep:
     """Spin-s generators with [h,e] = -2e and the spin-1/2 anchor e = sigma^-.
 
     h = 2 J_z and e, f are the standard lowering/raising matrices
     J-|m> = sqrt((s+m)(s-m+1)) |m-1>, which at s = 1/2 gives exactly
-    (h, e, f) = (sigma^z, sigma^-, sigma^+).
+    (h, e, f) = (sigma^z, sigma^-, sigma^+). Built once per spin and
+    shared, its arrays read-only.
     """
     two_s = round(2 * s)
     if two_s < 0 or abs(2 * s - two_s) > 1e-12:
@@ -70,6 +79,8 @@ def make_spin_rep(s: float) -> SpinRep:
         amp = np.sqrt((s_val + m[k]) * (s_val - m[k] + 1))
         e[k + 1, k] = amp  # lowering
         f[k, k + 1] = amp  # raising
+    for a in (h, e, f):
+        a.flags.writeable = False
     return SpinRep(spin=s_val, dim=dim, h=h, e=e, f=f)
 
 
@@ -112,7 +123,7 @@ def sigma_element(rep: SpinRep, xi: complex) -> np.ndarray:
 def universal_twist(rep1: SpinRep, rep2: SpinRep, xi: complex) -> np.ndarray:
     """Twist in rep1 ⊗ rep2: exp(h_1 ⊗ sigma_2 / 2), evaluated exactly."""
     sig = sigma_element(rep2, xi)
-    return _nilpotent_exp(np.kron(rep1.h, sig) / 2)
+    return _nilpotent_exp(kron(rep1.h, sig) / 2)
 
 
 def twist_series(rep1: SpinRep, rep2: SpinRep, xi: complex) -> np.ndarray:
@@ -133,7 +144,7 @@ def twist_series(rep1: SpinRep, rep2: SpinRep, xi: complex) -> np.ndarray:
         fact *= k
         if not ek.any():
             break
-        out = out + (xi**k / fact) * np.kron(hprod, ek)
+        out = out + (xi**k / fact) * kron(hprod, ek)
     return out
 
 
@@ -163,8 +174,8 @@ def verify_cocycle(rep1: SpinRep, rep2: SpinRep, rep3: SpinRep, xi: complex) -> 
     f23 = lift(universal_twist(rep2, rep3, xi), dims, [1, 2])
 
     dh = coproduct(rep1, rep2, "h")
-    lhs = f12 @ _nilpotent_exp(np.kron(dh, sigma_element(rep3, xi)) / 2)
+    lhs = f12 @ _nilpotent_exp(kron(dh, sigma_element(rep3, xi)) / 2)
 
     sig_de = _neg_log_one_minus(2 * xi * coproduct(rep2, rep3, "e"))
-    rhs = f23 @ _nilpotent_exp(np.kron(rep1.h, sig_de) / 2)
+    rhs = f23 @ _nilpotent_exp(kron(rep1.h, sig_de) / 2)
     return rel_residual(lhs, rhs)

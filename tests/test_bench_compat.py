@@ -2,7 +2,8 @@
 its layer scan calls three of them directly, and a probe reads the route
 that `chain.spectrum_of` returns. A rename, a move or a changed return type
 would otherwise surface only there, as missing metrics. The package exports
-nothing that neither its own code nor the benchmark reads.
+nothing that neither its own code nor the benchmark reads, and takes its
+norms and Kronecker products from `tensor` alone.
 """
 
 import ast
@@ -102,3 +103,24 @@ def test_every_exported_name_is_read_in_src_or_pinned_by_the_benchmark():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in referenced and (module, node.name) not in pinned]
     assert unread == []
+
+
+def test_norms_and_kronecker_products_come_from_tensor_alone():
+    """No ``np.linalg.norm`` or ``np.kron`` (nor ``numpy.`` spellings of
+    them) in the package outside ``tensor.py``: every residual norm is
+    ``tensor.frobenius`` and every Kronecker product ``tensor.kron``, so
+    one body decides how they are taken."""
+    found = []
+    for module, tree in _module_trees().items():
+        if module == "tensor":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                    (node.attr == "kron" and isinstance(node.value, ast.Name))
+                    or (node.attr == "norm" and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "linalg")):
+                found.append(f"{module}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                found.extend(f"{module}:{node.lineno} from {node.module} import {a.name}"
+                             for a in node.names if a.name in ("kron", "norm"))
+    assert found == []

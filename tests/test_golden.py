@@ -9,8 +9,10 @@ every check id, parameter and verdict, and every residual to 1e-12
 absolute; the `ybe.*` and `rtt.*` records and the
 `bethe.one_magnon_off_shell` and `bethe.one_magnon_on_shell` records,
 evaluated as stacked sweeps whose every sample must equal its own
-evaluation bitwise, must stay exactly as rendered, residual strings
-included. A deliberate change
+evaluation bitwise, and the `twist.*` and `fusion.*` records, whose small
+dense evaluations must equal the numpy calls they replaced bitwise
+(`tensor.kron`, `tensor.frobenius`), must stay exactly as rendered,
+residual strings included. A deliberate change
 regenerates the file and explains each moved number in CHANGES.md.
 """
 
@@ -26,7 +28,8 @@ DATA = Path(__file__).parent / "data"
 
 
 # check-id prefixes whose records must equal the golden ones exactly
-_EXACT = ("ybe.", "rtt.", "bethe.one_magnon_off_shell", "bethe.one_magnon_on_shell")
+_EXACT = ("ybe.", "rtt.", "bethe.one_magnon_off_shell", "bethe.one_magnon_on_shell",
+          "twist.", "fusion.")
 
 
 def _assert_matches_golden(name, config, suite="all"):

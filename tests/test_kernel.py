@@ -9,9 +9,13 @@ deformation terms (bitwise); Kronecker and einsum embeddings for the
 Yang-Baxter check (bitwise). The site-grown products and the scattered
 embedding are also compared bitwise with the kernel applied to the identity,
 and so are the T_0 applier and the order-1 reading of the symmetry layer,
-on the identity, with the grown full matrices they replaced.
+on the identity, with the grown full matrices they replaced. The lean
+kernels (`kron`, `frobenius`, `build_r_stack`, the cached embedding plan
+and the relation word plan) are compared bitwise with the numpy calls or
+per-sample constructions they replace.
 """
 
+import math
 import tracemalloc
 from functools import lru_cache, partial
 
@@ -53,7 +57,8 @@ from twistchain.chain import (
 )
 from twistchain.fusion import _staggered_product
 from twistchain.reporting import RunConfig
-from twistchain.rmatrix import build_r, build_r_xi, polynomial_l, verify_ybe
+from twistchain.relations import Member, _word_plan, relation_residuals
+from twistchain.rmatrix import build_r, build_r_stack, build_r_xi, polynomial_l, verify_ybe
 from twistchain.suites import run_suite
 from twistchain.symmetry import _constant_blocks, order1_transcription_residual
 from twistchain.tensor import (
@@ -62,9 +67,12 @@ from twistchain.tensor import (
     SY,
     STACK_BYTES,
     SZ,
+    _embedding_index,
     add_local,
     apply_local,
     embed_at_site,
+    frobenius,
+    kron,
     lift,
     permutation_op,
     rel_residual,
@@ -741,3 +749,158 @@ def test_strictly_lowering_residual_equals_loop(n):
         assert strictly_lowering_residual(planted, n) == want
     noisy = m + 1e-9 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     assert strictly_lowering_residual(noisy, n) == _loop_lowering_residual(noisy, n) > 0
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _norm_operands():
+    rng = np.random.default_rng(31)
+    for shape in ((7,), (5, 6), (3, 4, 5), (2 ** 7, 2 ** 7)):
+        for make in (rng.standard_normal, partial(_complex, rng)):
+            x = make(shape)
+            yield x
+            yield np.asfortranarray(x)
+            yield x[..., ::2]
+            yield x.T
+    yield np.zeros((0,))
+    yield np.zeros((3, 0), dtype=complex)
+    yield np.arange(12).reshape(3, 4)  # integers go through float, as in norm
+    yield 1e200 * _complex(rng, (4, 4))  # overflows to inf in both
+
+
+@np.errstate(over="ignore")
+def test_frobenius_bitwise_equal_to_linalg_norm():
+    for x in _norm_operands():
+        got, want = frobenius(x), np.linalg.norm(x)
+        assert type(got) is type(want)
+        assert got.tobytes() == want.tobytes(), x.shape
+
+
+@pytest.mark.parametrize("shapes", [((2, 2), (2, 2)), ((1, 3), (4, 1)), ((3, 1), (1, 4)),
+                                    ((1, 1), (3, 2)), ((4, 4), (2, 3)), ((2, 3), (0, 2))])
+def test_kron_bitwise_equal_to_np_kron(shapes):
+    rng = np.random.default_rng(sum(map(sum, shapes)))
+    real = [rng.standard_normal(s) for s in shapes]
+    cplx = [_complex(rng, s) for s in shapes]
+    for a, b in ((cplx[0], cplx[1]), (real[0], cplx[1]), (cplx[0], real[1]), (real[0], real[1]),
+                 (cplx[0].T.T[::-1], cplx[1])):
+        got, want = kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_kron_refuses_non_matrices():
+    with pytest.raises(ValueError):
+        kron(np.ones(2), np.eye(2))
+
+
+# real xi: -xi taken in numpy would read -0.5-0j, not build_r's -0.5+0j
+_R_SAMPLES = [(u, TwistParams(xi, eta))
+              for xi in (0.5, -0.25, 0.0, 0.3 + 0.4j, complex(0.3, -0.0))
+              for eta in (1.0, 0.8 + 0.3j, -2)
+              for u in (1.3, -0.7, 1.2 - 0.5j, np.complex128(0.4 + 0.1j), np.float64(-2.5), 3)]
+
+
+def test_build_r_stack_bitwise_equal_to_build_r():
+    stack = build_r_stack([u for u, _ in _R_SAMPLES], [p for _, p in _R_SAMPLES])
+    assert stack.shape == (len(_R_SAMPLES), 4, 4)
+    for r, (u, p) in zip(stack, _R_SAMPLES):
+        assert r.tobytes() == build_r(u, p).tobytes()
+    assert build_r_stack([], []).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_build_r_stack_refuses_a_pole_in_any_sample(at):
+    us = [1.0, 2.0, 3.0]
+    us[at] = 0
+    with pytest.raises(ValueError, match="pole"):
+        build_r_stack(us, [TwistParams(0.5)] * 3)
+    with pytest.raises(ValueError):
+        build_r_stack([1.0], [])
+
+
+def _loop_embedding(op, dims, slots):
+    """op[i, j] at each row/column pair whose `slots` indices are i and j
+    and whose other indices agree, entry by entry."""
+    full = math.prod(dims)
+    states = list(np.ndindex(*dims))
+    out = np.zeros((full, full), dtype=complex)
+    for r, row in enumerate(states):
+        for c, col in enumerate(states):
+            if all(row[k] == col[k] for k in range(len(dims)) if k not in slots):
+                i = np.ravel_multi_index([row[s] for s in slots], [dims[s] for s in slots])
+                j = np.ravel_multi_index([col[s] for s in slots], [dims[s] for s in slots])
+                out[r, c] = op[i, j]
+    return out
+
+
+@pytest.mark.parametrize("dims, slots", [([2, 2, 2], [0, 2]), ([2, 3, 2], [2, 1]),
+                                         ([3, 2], [1]), ([2, 2, 2, 2], [3, 0])])
+def test_cached_embedding_plan_equals_loop_embedding(dims, slots):
+    rng = np.random.default_rng(len(dims) + 7 * sum(slots))
+    d_slots = math.prod(dims[s] for s in slots)
+    for _ in range(2):  # the second pass reads the cached plan
+        op = _complex(rng, (d_slots, d_slots))
+        want = _loop_embedding(op, dims, slots)
+        assert lift(op, dims, slots).tobytes() == want.tobytes()
+        h = np.zeros_like(want)
+        add_local(h, op, dims, slots)
+        assert h.tobytes() == want.tobytes()
+    rows, cols = _embedding_index(tuple(dims), tuple(slots))
+    assert not rows.flags.writeable and not cols.flags.writeable
+
+
+def _family(mats):
+    return lambda y: [m @ y for m in mats]
+
+
+_PLAN_TEXTS = ("A*B = xi*B*A + A", "A*A*B + beta*B = B*A*A - xi^2*A")
+
+
+def _dense_residuals(a, b, xi, beta, x):
+    """Both relations of _PLAN_TEXTS with dense A and B, by hand."""
+    sides = ((a @ b @ x, xi * (b @ a @ x) + a @ x),
+             (a @ a @ b @ x + beta * (b @ x), b @ a @ a @ x - xi**2 * (a @ x)))
+    return [rel_residual(lhs, rhs) for lhs, rhs in sides]
+
+
+def test_relation_plan_reused_with_new_scalars_equals_fresh_evaluation():
+    rng = np.random.default_rng(5)
+    mats = [_complex(rng, (4, 4)) for _ in range(2)]
+    family = _family(mats)
+    x = _complex(rng, (4, 3))
+    _word_plan.cache_clear()
+    runs = []
+    for xi, beta in ((0.5, 1.5 - 0.25j), (0.3 + 0.4j, -2.0), (1, 0.0)):
+        env = {"A": Member(family, 0), "B": Member(family, 1), "xi": xi, "beta": beta}
+        runs.append((env, relation_residuals(_PLAN_TEXTS, env, x)))
+    assert _word_plan.cache_info().misses == 1  # one plan, read by all three
+    for env, got in runs:
+        _word_plan.cache_clear()
+        assert relation_residuals(_PLAN_TEXTS, env, x) == got
+        assert got == pytest.approx(_dense_residuals(*mats, env["xi"], env["beta"], x),
+                                    rel=1e-12, abs=1e-15)
+
+
+def test_relation_plan_rebuilt_when_a_binding_kind_changes():
+    rng = np.random.default_rng(6)
+    mats = [_complex(rng, (4, 4)) for _ in range(2)]
+    x = _complex(rng, (4, 2))
+    family = _family(mats)
+    as_member = {"A": Member(family, 0), "B": Member(family, 1), "xi": 0.5, "beta": 0.25}
+    _word_plan.cache_clear()
+    first = relation_residuals(_PLAN_TEXTS, as_member, x)
+    assert first == pytest.approx(_dense_residuals(*mats, 0.5, 0.25, x), rel=1e-12)
+    # A bound to a number: its words fold into the coefficients
+    as_number = {**as_member, "A": 0.7 - 0.1j}
+    got = relation_residuals(_PLAN_TEXTS, as_number, x)
+    assert got == pytest.approx(
+        _dense_residuals((0.7 - 0.1j) * np.eye(4), mats[1], 0.5, 0.25, x), rel=1e-12)
+    assert _word_plan.cache_info().misses == 2
+    # A and B in two families: no longer stacked into one call
+    split = {**as_member, "B": Member(_family(mats[1:]), 0)}
+    assert relation_residuals(_PLAN_TEXTS, split, x) == pytest.approx(first, rel=1e-12)
+    assert _word_plan.cache_info().misses == 3
+    assert relation_residuals(_PLAN_TEXTS, as_member, x) == first

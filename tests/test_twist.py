@@ -44,6 +44,15 @@ def test_invalid_spin_rejected():
         make_spin_rep(-0.5)
 
 
+def test_spin_rep_is_shared_per_spin_and_read_only():
+    rep = make_spin_rep(1.0)
+    assert make_spin_rep(1.0) is rep
+    for name in ("h", "e", "f"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(rep, name)[0, 0] = 5.0
+    assert rep.h[0, 0] == 2.0
+
+
 def test_sigma_vanishes_without_deformation():
     rep = make_spin_rep(1.0)
     assert not sigma_element(rep, 0.0).any()
