@@ -21,17 +21,18 @@ product states C(v_1)...C(v_M) Omega stop being eigenvectors once xi != 0;
 that failure is probed numerically, not repaired.
 
 The one-magnon checks are sweeps over sampled points, on shell
-(``one_magnon_defects``) and off shell (``verify_one_magnon_action``): the
-samples are evaluated as chunked stacks of R (``tensor.sample_chunks``),
-C(v) Omega and t(u) C(v) Omega formed by one stacked application per site
-(``chain._factors_apply``, ``chain._aux_blocks_apply``), each residual
-bitwise that of its sample alone. Every state C(v_1)...C(v_M) Omega goes
-through the same lowering step (``_lowered``).
+(``one_magnon_defects``) and off shell (``verify_one_magnon_action``),
+driven by ``tensor.sweep``: each chunk of samples takes its R stacks from
+``build_r_stack``, C(v) Omega and t(u) C(v) Omega formed by one stacked
+application per site (``chain._factors_apply``,
+``chain._aux_blocks_apply``), each residual bitwise that of its sample
+alone. Every state C(v_1)...C(v_M) Omega goes through the same lowering
+step (``_lowered``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ from .chain import (
     vacuum_state,
 )
 from .rmatrix import build_r, build_r_stack
-from .tensor import frobenius, sample_chunks
+from .tensor import frobenius, sweep
 
 MAX_ROOT_MAGNITUDE = 1e8  # beyond this a root is treated as escaped to infinity
 NEWTON_MAX_ITER = 200  # Newton steps per attempt of solve_bethe
@@ -253,10 +254,10 @@ def verify_one_magnon_action(spec: ChainSpec, us: Sequence[complex],
     the left-hand side. The C(u) O and O coefficients vanish exactly on
     shell ((alpha(v))^N = 1), which is the one-magnon Bethe equation.
     C(v) O, C(u) O and t(u) C(v) O are formed on stacks of samples
-    (``_sweep``), each residual bitwise that of its sample alone.
+    (``tensor.sweep``, sized by one aux ⊗ chain block of
+    ``_aux_blocks_apply`` per sample), each residual bitwise that of its
+    sample alone.
     """
-    if len(us) != len(vs):
-        raise ValueError("a sweep takes as many u as v")
     for u, v in zip(us, vs):
         if u == v or u == 0 or v == 0:
             raise ValueError("u, v must be nonzero and distinct")
@@ -269,11 +270,13 @@ def verify_one_magnon_action(spec: ChainSpec, us: Sequence[complex],
     def beta(x, y):
         return -eta / (x - y)
 
-    def residuals(r_u, r_v, u_part, v_part):
+    def residuals(us, vs):
+        ps = [spec.params] * len(us)
+        r_u, r_v = build_r_stack(us, ps), build_r_stack(vs, ps)
         c_v, c_u = _lowered(spec, r_v, omega), _lowered(spec, r_u, omega)
         a, _, _, d = _aux_blocks_apply(r_u, spec.n_sites, c_v)
         out = []
-        for u, v, left, cv, cu in zip(u_part, v_part, a + d, c_v, c_u):
+        for u, v, left, cv, cu in zip(us, vs, a + d, c_v, c_u):
             du, dv = vacuum_d(u, spec), vacuum_d(v, spec)
             rhs = ((alpha(u, v) + du * alpha(v, u)) * cv
                    - (beta(u, v) + beta(v, u) * dv) * cu
@@ -281,7 +284,7 @@ def verify_one_magnon_action(spec: ChainSpec, us: Sequence[complex],
             out.append(float(frobenius(left - rhs) / max(frobenius(left), 1.0)))
         return out
 
-    return _sweep(spec, residuals, us, vs)
+    return sweep(residuals, 4 * 16 * spec.dim, us, vs)
 
 
 def one_magnon_defects(spec: ChainSpec, roots: Sequence[complex],
@@ -290,34 +293,22 @@ def one_magnon_defects(spec: ChainSpec, roots: Sequence[complex],
     one-magnon state psi = C(v) Omega, one per sample of the sweep
     (roots[i], us[i]), Lambda that of ``eval_lambda`` on the root v alone.
     It vanishes on shell, where v is a root of the Bethe equations. The
-    states and t(u) psi are formed on stacks of samples (``_sweep``), each
-    defect bitwise that of its sample alone."""
+    states and t(u) psi are formed on stacks of samples (``tensor.sweep``,
+    sized as in ``verify_one_magnon_action``), each defect bitwise that of
+    its sample alone."""
     omega = vacuum_state(spec.n_sites)
 
-    def defects(r_u, r_v, u_part, v_part):
-        psi = _lowered(spec, r_v, omega)
-        a, _, _, d = _aux_blocks_apply(r_u, spec.n_sites, psi)
+    def defects(vs, us):
+        ps = [spec.params] * len(us)
+        psi = _lowered(spec, build_r_stack(vs, ps), omega)
+        a, _, _, d = _aux_blocks_apply(build_r_stack(us, ps), spec.n_sites, psi)
         out = []
-        for u, v, t_psi, state in zip(u_part, v_part, a + d, psi):
+        for u, v, t_psi, state in zip(us, vs, a + d, psi):
             lam = eval_lambda(u, BetheState(spec.n_sites, 1, (complex(v),), 0.0, spec.params.eta))
             out.append(frobenius(t_psi - lam * state) / frobenius(state))
         return out
 
-    return _sweep(spec, defects, us, roots)
-
-
-def _sweep(spec: ChainSpec, evaluate: Callable, us: Sequence[complex],
-           vs: Sequence[complex]) -> list:
-    """evaluate(R(u) stack, R(v) stack, us, vs) over consecutive chunks of
-    the sweep (``tensor.sample_chunks``, sized by one block on aux ⊗ chain
-    of ``_aux_blocks_apply`` per sample), the R stacks built by
-    ``build_r_stack``, the results concatenated in order."""
-    out = []
-    for chunk in sample_chunks(len(us), 4 * 16 * spec.dim):
-        ps = [spec.params] * len(us[chunk])
-        r_u, r_v = (build_r_stack(ws[chunk], ps) for ws in (us, vs))
-        out.extend(evaluate(r_u, r_v, us[chunk], vs[chunk]))
-    return out
+    return sweep(defects, 4 * 16 * spec.dim, roots, us)
 
 
 def _lowered(spec: ChainSpec, r: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -27,14 +27,14 @@ route serves each job. ``_site_product`` grows the dense product one site
 at a time, T_k = L_{a,k} (T_{k-1} ⊗ 1) from the auxiliary identity, as a
 matrix product operator is contracted (``_grow_site``; Murg, Korepin and
 Verstraete, arXiv:1201.5627); a stack of factors grows the stack of their
-products, which is how ``verify_rtt`` evaluates its sweep. A trace over
-the auxiliary space never forms the whole product over sites 1..N-1: the
-product is grown over sites 1..N-2 only, and ``_stream_trace`` makes site
-N-1 one row band at a time with the same matmul and traces each band at
-site N straight into the 2^N-square output (t(u) in ``_transfer``, t(0)
-and t'(0) in ``log_derivative``). ``_transfer`` takes a stack of factors
+products, which is how ``verify_rtt`` evaluates each chunk of its sweep
+(``tensor.sweep``). A trace over the auxiliary space never forms the whole
+product over sites 1..N-1: the product is grown over sites 1..N-2 only,
+and ``_stream_trace`` makes site N-1 one row band at a time with the same
+matmul and traces each band at site N straight into the 2^N-square output
+(t(u) in ``_transfer``, t(0) and t'(0) in ``log_derivative``). ``_transfer`` takes a stack of factors
 and fills the stack of their traces, which is how
-``verify_commuting_transfer`` evaluates its sweep.
+``verify_commuting_transfer`` evaluates each chunk of its sweep.
 ``_poly_carry`` carries the coefficients of prod_k (const + u lin)_{a,k},
 densely or on a column block. ``_factors_apply`` applies the product to a
 column block with ``tensor.apply_local``, O(N 4^N) per block, a stack of
@@ -76,8 +76,8 @@ from .tensor import (
     match_spectra,
     permutation_op,
     rel_residual,
-    sample_chunks,
     SpectrumReport,
+    sweep,
 )
 from .twist import TwistParams
 
@@ -447,25 +447,19 @@ def verify_rtt(n_sites: int, us: Sequence[complex], vs: Sequence[complex],
     T1 acts on auxiliary factor 0 and T2 on factor 1 of aux1 ⊗ aux2 ⊗ chain;
     both products are grown site by site, and R12 ⊗ 1 multiplies the joint
     4-dim auxiliary index from the left of one and the right of the other.
-    The samples are evaluated as stacks (``tensor.sample_chunks``, sized by
-    one product per sample), each residual bitwise that of its sample
-    alone.
+    The samples are evaluated as stacks (``tensor.sweep``, sized by one
+    product per sample), each residual bitwise that of its sample alone.
     """
-    if not len(us) == len(vs) == len(params):
-        raise ValueError("a sweep takes as many u as v and params")
     if not 1 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must be in 1..{MAX_SITES}")
     rows = 4 * 2 ** n_sites
-    return [res for chunk in sample_chunks(len(us), rows * rows * 16)
-            for res in _rtt_stack(n_sites, us[chunk], vs[chunk], params[chunk])]
+    return sweep(partial(_rtt_stack, n_sites), rows * rows * 16, us, vs, params)
 
 
 def _rtt_stack(n_sites: int, us: Sequence[complex], vs: Sequence[complex],
                params: Sequence[TwistParams]) -> list[float]:
     """``verify_rtt`` on one stack: the R stacks built by ``build_r_stack``,
-    both monodromy products grown and multiplied by R12 on the stack. One
-    call per chunk, so that a chunk's arrays are freed before the next
-    chunk's are built."""
+    both monodromy products grown and multiplied by R12 on the stack."""
     if any(u == v for u, v in zip(us, vs)):
         raise ValueError("RTT check requires u != v")
     r12 = build_r_stack([u - v for u, v in zip(us, vs)], params)
@@ -486,21 +480,18 @@ def verify_commuting_transfer(n_sites: int, us: Sequence[complex], vs: Sequence[
 
     The R stacks are built by ``build_r_stack``; the stacks of t(u) and
     t(v) are traced by ``_transfer`` and multiplied on the stack. The
-    samples are evaluated as stacks (``tensor.sample_chunks``, sized by one
+    samples are evaluated as stacks (``tensor.sweep``, sized by one
     2^N-square array per sample), each residual bitwise that of its
     sample's two ``transfer_matrix`` alone.
     """
-    if not len(us) == len(vs) == len(params):
-        raise ValueError("a sweep takes as many u as v and params")
     if not 1 <= n_sites <= MAX_SITES:
         raise ValueError(f"n_sites must be in 1..{MAX_SITES}")
-    out = []
-    for chunk in sample_chunks(len(us), 16 * 4 ** n_sites):
-        ps = params[chunk]
-        t_u = _transfer(build_r_stack(us[chunk], ps), n_sites)
-        t_v = _transfer(build_r_stack(vs[chunk], ps), n_sites)
-        out.extend(commutator_residuals(t_u, t_v))
-    return out
+
+    def residuals(us, vs, params):
+        return commutator_residuals(_transfer(build_r_stack(us, params), n_sites),
+                                    _transfer(build_r_stack(vs, params), n_sites))
+
+    return sweep(residuals, 16 * 4 ** n_sites, us, vs, params)
 
 
 def rtt_components(spec: ChainSpec, u: complex, v: complex) -> list[tuple[str, float]]:

@@ -14,8 +14,9 @@ expected-failure check fails, and 2, with no report written, when
 RunConfig refuses a value (flag or config file; a NaN or negative
 tolerance among them), the config file cannot be read, a ``--tol`` item
 is not CHECK=VALUE with a non-empty CHECK and a numeric VALUE, a number
-in the config file or in TWISTCHAIN_SEED does not parse, or a tolerance
-override names a key that no check of the run reads. Bad input
+in the config file or in TWISTCHAIN_SEED does not parse, ``complex_xi`` in
+the config file is not true/false, yes/no or 1/0 (in any case), or a
+tolerance override names a key that no check of the run reads. Bad input
 is reported under the ``verify`` usage line with one ``twistchain verify:
 error:`` line. Every refusal comes before any suite runs except the last:
 the keys a suite reads are known only once it has run, so an unread

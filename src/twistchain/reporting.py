@@ -196,12 +196,23 @@ def emit_report(config: RunConfig, reports: list[VerificationReport],
         fh.write(text)
 
 
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_flag(value: str) -> bool:
+    """true/false, yes/no or 1/0, in any case; anything else is refused."""
+    try:
+        return _FLAGS[value.lower()]
+    except KeyError:
+        raise ValueError(f"expects true/false, yes/no or 1/0, got {value!r}") from None
+
+
 # the value parser of each RunConfig field a config file may set
 _CONFIG_PARSERS = {
     "seed": int, "n_sites": int, "samples": int,
     "xi": parse_complex, "eta": parse_complex,
     "boundary": str,
-    "complex_xi": lambda value: value.lower() in ("1", "true", "yes"),
+    "complex_xi": _parse_flag,
 }
 
 

@@ -11,81 +11,77 @@ Building blocks (xi the twist parameter, eta the spectral scale):
 R_xi and R(u) are built along two independent routes (displayed entries
 vs. the twist products F21 F12^{-1} and F21 (1 - (eta/u) P) F12^{-1}) and
 cross-validated by ``verify_construction``, which guards against
-transcription slips on either side. The Yang-Baxter check embeds R12, R13
-and R23 into C^2 ⊗ C^2 ⊗ C^2 with ``tensor.lift``. Both checks are sweeps:
-they take sequences of samples and evaluate them as stacks over a leading
-sample axis, in chunks of ``tensor.sample_chunks``, each residual bitwise
-that of its sample evaluated alone. Every sweep of the package builds its
-R(u) samples as one stack with ``build_r_stack``, each matrix bitwise
-``build_r`` of its sample.
+transcription slips on either side. Each displayed matrix is transcribed
+once, as a table of indices into the row (0, 1, -xi, xi, xi^2) of a
+sample (``_F12_ENTRIES``, ``_R_XI_ENTRIES``), so one gather builds it for
+one sample or a stack of them. The Yang-Baxter check embeds R12, R13 and
+R23 into C^2 ⊗ C^2 ⊗ C^2 with ``tensor.lift``. Both checks are sweeps
+driven by ``tensor.sweep``: they take sequences of samples and evaluate
+them as chunked stacks over a leading sample axis, each residual bitwise
+that of its sample evaluated alone. Every R(u) of the package, one or a
+stack, is built by ``build_r_stack``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .tensor import frobenius, lift, permutation_op, rel_residual, sample_chunks
+from .tensor import frobenius, lift, permutation_op, rel_residual, sweep
 from .twist import TwistParams, make_spin_rep, universal_twist
 
 _P = permutation_op()
-# the entries of R_xi as ``build_r_xi`` displays them, each an index into
-# (0, 1, -xi, xi, xi^2)
+# the displayed entries of F12 and R_xi, each an index into (0, 1, -xi, xi, xi^2)
+_F12_ENTRIES = np.array([[1, 0, 0, 0],
+                         [3, 1, 0, 0],
+                         [0, 0, 1, 0],
+                         [0, 0, 2, 1]])
 _R_XI_ENTRIES = np.array([[1, 0, 0, 0],
                           [2, 1, 0, 0],
                           [3, 0, 1, 0],
                           [4, 2, 3, 1]])
 
 
+def _xi_rows(xis: Iterable[complex]) -> np.ndarray:
+    """The rows (0, 1, -xi, xi, xi^2) that the entry tables index, one per
+    xi, as a (K, 5) stack. -xi and xi^2 are taken in Python, as a displayed
+    literal takes them (-xi in numpy would turn the +0 imaginary part of a
+    real xi into -0)."""
+    return np.array([(0, 1, -xi, xi, xi**2) for xi in xis], dtype=complex).reshape(-1, 5)
+
+
+def _eta_over_u(us: Sequence[complex], params: Sequence[TwistParams]) -> np.ndarray:
+    """eta/u of each sample, taken in Python, as a (K, 1, 1) stack. Rejects
+    the pole u = 0 in any sample."""
+    if len(us) != len(params):
+        raise ValueError("a stack takes as many u as params")
+    if 0 in us:
+        raise ValueError("R(u) has a pole at u = 0; use the polynomial form instead")
+    return np.array([p.eta / u for u, p in zip(us, params)], dtype=complex).reshape(-1, 1, 1)
+
+
 def build_f12(xi: complex) -> np.ndarray:
     """Fundamental twist matrix, unit lower triangular in the product basis."""
-    return np.array(
-        [[1, 0, 0, 0],
-         [xi, 1, 0, 0],
-         [0, 0, 1, 0],
-         [0, 0, -xi, 1]],
-        dtype=complex,
-    )
+    return _xi_rows([xi])[0, _F12_ENTRIES]
 
 
 def build_r_xi(xi: complex) -> np.ndarray:
     """Constant twisted R-matrix (displayed-entry route)."""
-    return np.array(
-        [[1, 0, 0, 0],
-         [-xi, 1, 0, 0],
-         [xi, 0, 1, 0],
-         [xi**2, -xi, xi, 1]],
-        dtype=complex,
-    )
+    return _xi_rows([xi])[0, _R_XI_ENTRIES]
 
 
 def build_r(u: complex, params: TwistParams) -> np.ndarray:
     """Spectral R-matrix R(u) = R_xi - (eta/u) P. Rejects the pole u = 0."""
-    if u == 0:
-        raise ValueError("R(u) has a pole at u = 0; use the polynomial form instead")
-    return build_r_xi(params.xi) - (params.eta / u) * _P
+    return build_r_stack([u], [params])[0]
 
 
 def build_r_stack(us: Sequence[complex], params: Sequence[TwistParams]) -> np.ndarray:
-    """R(us[i]) at params[i] for each sample, as a (K, 4, 4) stack, each
-    matrix bitwise ``build_r(us[i], params[i])``. Rejects the pole u = 0
-    in any sample.
-
-    -xi, xi^2 and eta/u are taken in Python per sample, as ``build_r``
-    takes them (-xi in numpy would turn the +0 imaginary part of a real xi
-    into -0), then placed by one gather; the product with P's 0/1 entries
-    and the difference are exact entry by entry.
-    """
-    if len(us) != len(params):
-        raise ValueError("a stack takes as many u as params")
-    values = []
-    for u, p in zip(us, params):
-        if u == 0:
-            raise ValueError("R(u) has a pole at u = 0; use the polynomial form instead")
-        values.append((0, 1, -p.xi, p.xi, p.xi**2, p.eta / u))
-    values = np.array(values, dtype=complex).reshape(-1, 6)
-    return values[:, _R_XI_ENTRIES] - values[:, 5, None, None] * _P
+    """R(us[i]) at params[i] for each sample, as a (K, 4, 4) stack: the
+    gathered R_xi less eta/u times P, exact entry by entry against P's 0/1
+    entries. Rejects the pole u = 0 in any sample."""
+    c = _eta_over_u(us, params)
+    return _xi_rows(p.xi for p in params)[:, _R_XI_ENTRIES] - c * _P
 
 
 def polynomial_l(u: complex, params: TwistParams) -> np.ndarray:
@@ -100,23 +96,18 @@ def verify_ybe(us: Sequence[complex], vs: Sequence[complex],
 
     ||R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v)|| / ||lhs||.
 
-    The samples are evaluated as stacks (``tensor.sample_chunks``, sized by
-    one 8 x 8 matrix per sample), each residual bitwise that of its sample
+    The samples are evaluated as stacks (``tensor.sweep``, sized by one
+    8 x 8 matrix per sample), each residual bitwise that of its sample
     alone.
     """
-    if not len(us) == len(vs) == len(params):
-        raise ValueError("a sweep takes as many u as v and params")
-    return [res for chunk in sample_chunks(len(us), 8 * 8 * 16)
-            for res in _ybe_stack(us[chunk], vs[chunk], params[chunk])]
+    return sweep(_ybe_stack, 8 * 8 * 16, us, vs, params)
 
 
 def _ybe_stack(us: Sequence[complex], vs: Sequence[complex],
                params: Sequence[TwistParams]) -> list[float]:
     """``verify_ybe`` on one stack: the R stacks built by ``build_r_stack``
     (u - v taken as the sample gives it: as numpy scalars eta / (u - v)
-    rounds differently), then lifted and multiplied on the stack. One call
-    per chunk, so that a chunk's arrays are freed before the next chunk's
-    are built."""
+    rounds differently), then lifted and multiplied on the stack."""
     dims = [2, 2, 2]
     r12 = lift(build_r_stack([u - v for u, v in zip(us, vs)], params), dims, [0, 1])
     r13 = lift(build_r_stack(us, params), dims, [0, 2])
@@ -133,38 +124,28 @@ def verify_construction(us: Sequence[complex],
     product F21 F12^{-1} (F21 = P F12 P), and R(u) against F21 (I - (eta/u)
     P) F12^{-1}.
 
-    F12, R_xi, R(u) and I - (eta/u) P are built per sample; F21, the
-    inverse and the products are formed on stacks of samples
-    (``tensor.sample_chunks``, sized by one 4 x 4 matrix per sample), each
-    norm bitwise that of its sample alone: ``np.linalg.inv`` and ``@`` take
-    each matrix of a stack as they take it alone.
+    The samples are evaluated as stacks (``tensor.sweep``, sized by one
+    4 x 4 matrix per sample), each norm bitwise that of its sample alone:
+    ``np.linalg.inv`` and ``@`` take each matrix of a stack as they take it
+    alone.
     """
-    if len(us) != len(params):
-        raise ValueError("a sweep takes as many u as params")
-    r_xi_res, r_u_res = [], []
-    for chunk in sample_chunks(len(us), 4 * 4 * 16):
-        r_xi, r_u = _construction_stack(us[chunk], params[chunk])
-        r_xi_res.extend(r_xi)
-        r_u_res.extend(r_u)
-    return r_xi_res, r_u_res
+    pairs = sweep(_construction_stack, 4 * 4 * 16, us, params)
+    return [r_xi for r_xi, _ in pairs], [r_u for _, r_u in pairs]
 
 
 def _construction_stack(us: Sequence[complex],
-                        params: Sequence[TwistParams]) -> tuple[list[float], list[float]]:
-    """``verify_construction`` on one stack of samples, one call per
-    chunk as ``_ybe_stack``."""
-    r_u = build_r_stack(us, params)  # rejects the pole u = 0
-    f12, inner, r_xi = [], [], []
-    for u, p in zip(us, params):
-        f12.append(build_f12(p.xi))
-        inner.append(np.eye(4, dtype=complex) - (p.eta / u) * _P)
-        r_xi.append(build_r_xi(p.xi))
-    f12 = np.array(f12)
+                        params: Sequence[TwistParams]) -> list[tuple[float, float]]:
+    """``verify_construction`` on one stack: F12 and R_xi gathered from
+    their tables, I - (eta/u) P and R(u) formed on the stack; the pair of
+    norms of each sample."""
+    scaled_p = _eta_over_u(us, params) * _P  # rejects the pole u = 0
+    rows = _xi_rows(p.xi for p in params)
+    f12, r_xi = rows[:, _F12_ENTRIES], rows[:, _R_XI_ENTRIES]
     f21 = _P @ f12 @ _P
     f12_inv = np.linalg.inv(f12)
-    r_xi = np.array(r_xi) - f21 @ f12_inv
-    r_u = r_u - f21 @ np.array(inner) @ f12_inv
-    return [float(frobenius(d)) for d in r_xi], [float(frobenius(d)) for d in r_u]
+    d_xi = r_xi - f21 @ f12_inv
+    d_u = (r_xi - scaled_p) - f21 @ (np.eye(4, dtype=complex) - scaled_p) @ f12_inv
+    return [(float(frobenius(a)), float(frobenius(b))) for a, b in zip(d_xi, d_u)]
 
 
 def verify_regularity(params: TwistParams) -> float:

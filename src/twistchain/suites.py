@@ -28,10 +28,12 @@ and ``bethe.one_magnon_off_shell`` draw every sample first, in the same
 order as one draw per evaluation would, and then hand the draws to one
 sweep call (``rmatrix.verify_ybe``, ``rmatrix.verify_construction``,
 ``chain.verify_rtt``, ``chain.verify_commuting_transfer``,
-``bethe.one_magnon_defects``, ``bethe.verify_one_magnon_action``). The
-sweep evaluates them as chunked stacks over a leading sample axis, each
-residual bitwise that of its sample alone, so the report bytes are those
-of the per-sample evaluation.
+``bethe.one_magnon_defects``, ``bethe.verify_one_magnon_action``), as
+equal-length columns (``_columns`` for the YBE, RTT and commuting
+sweeps). Every such sweep goes through ``tensor.sweep``, which evaluates
+the samples as chunked stacks over a leading sample axis, each residual
+bitwise that of its sample alone, so the report bytes are those of one
+evaluation per sample.
 """
 
 from __future__ import annotations
@@ -155,10 +157,10 @@ def _worst_sample(draws: list[dict], residuals: list[float]) -> tuple[float, dic
     return worst, draws[int(np.argmax(residuals))] if worst != 0.0 else {}
 
 
-def _sweep(draws: list[dict], eta: complex) -> tuple[list, list, list]:
-    """The u, v and TwistParams(xi, eta) of every draw, as the sweeps of
-    ``rmatrix.verify_ybe``, ``chain.verify_rtt`` and
-    ``chain.verify_commuting_transfer`` take them."""
+def _columns(draws: list[dict], eta: complex) -> tuple[list, list, list]:
+    """The u, v and TwistParams(xi, eta) of every draw, the columns that
+    the sweeps of ``rmatrix.verify_ybe``, ``chain.verify_rtt`` and
+    ``chain.verify_commuting_transfer`` take."""
     return ([d["u"] for d in draws], [d["v"] for d in draws],
             [tw.TwistParams(d["xi"], eta) for d in draws])
 
@@ -204,7 +206,7 @@ def suite_ybe(config: RunConfig) -> list[VerificationReport]:
     reports = []
     ybe = _Check(config, "ybe.yang_baxter", 1e-12)
     draws = [_sample_xi_u_v(rng, config) for _ in range(_count(config, 100))]
-    for i, (point, residual) in enumerate(zip(draws, rm.verify_ybe(*_sweep(draws, eta)))):
+    for i, (point, residual) in enumerate(zip(draws, rm.verify_ybe(*_columns(draws, eta)))):
         reports.append(ybe.report({"sample": i, **point}, residual))
 
     twists, us = [], []
@@ -261,14 +263,14 @@ def suite_rtt(config: RunConfig) -> list[VerificationReport]:
     exchange = _Check(config, "rtt.exchange", 1e-11)
     for n in range(1, min(4, config.n_sites) + 1):
         draws = [_sample_xi_u_v(rng, config) for _ in range(per_n)]
-        worst, worst_at = _worst_sample(draws, ch.verify_rtt(n, *_sweep(draws, eta)))
+        worst, worst_at = _worst_sample(draws, ch.verify_rtt(n, *_columns(draws, eta)))
         reports.append(exchange.report({"n_sites": n, "samples": per_n, **worst_at}, worst))
 
     commuting = _Check(config, "rtt.commuting_transfer", 1e-11)
     for n in range(2, min(6, config.n_sites) + 1):
         draws = [_sample_xi_u_v(rng, config) for _ in range(per_n)]
         worst, worst_at = _worst_sample(draws,
-                                        ch.verify_commuting_transfer(n, *_sweep(draws, eta)))
+                                        ch.verify_commuting_transfer(n, *_columns(draws, eta)))
         reports.append(commuting.report({"n_sites": n, "samples": per_n, **worst_at}, worst))
 
     point = _sample_xi_u_v(rng, config)

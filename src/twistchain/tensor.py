@@ -19,15 +19,16 @@ Conventions used throughout the package:
 * ``apply_local``, ``add_local`` and ``lift`` take leading stack axes (a
   stack of operators applies to a stack of vectors or blocks over the same
   axes), and ``commutator_residuals`` reads one residual per pair of a stack
-  of matrices, so a sampled sweep is evaluated as stacks of samples, in
-  chunks of ``sample_chunks`` whose largest array holds about STACK_BYTES,
-  each result bitwise that of its sample alone.
+  of matrices, so a sampled sweep is evaluated as stacks of samples by
+  ``sweep``, in chunks of ``sample_chunks`` whose largest array holds about
+  STACK_BYTES, each result bitwise that of its sample alone; no other
+  module sizes a chunk.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,6 +122,20 @@ def sample_chunks(count: int, sample_bytes: int) -> Iterator[slice]:
     step = max(1, STACK_BYTES // sample_bytes)
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
+
+
+def sweep(evaluate: Callable[..., Sequence], sample_bytes: int, *columns: Sequence) -> list:
+    """evaluate(*chunk) over consecutive chunks of the sweep whose samples
+    are the rows of the equal-length `columns`, chunked by
+    ``sample_chunks``, the results concatenated in order. One call per
+    chunk, so that a chunk's arrays are freed before the next chunk's are
+    built. Refuses columns of unequal length."""
+    count = len(columns[0])
+    if any(len(column) != count for column in columns):
+        raise ValueError("a sweep takes columns of equal length, got lengths "
+                         + ", ".join(str(len(column)) for column in columns))
+    return [out for chunk in sample_chunks(count, sample_bytes)
+            for out in evaluate(*(column[chunk] for column in columns))]
 
 
 def _local_operator(op, dims: list[int], slots: list[int]) -> np.ndarray:

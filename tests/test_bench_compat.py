@@ -2,8 +2,9 @@
 its layer scan calls three of them directly, and a probe reads the route
 that `chain.spectrum_of` returns. A rename, a move or a changed return type
 would otherwise surface only there, as missing metrics. The package exports
-nothing that neither its own code nor the benchmark reads, and takes its
-norms and Kronecker products from `tensor` alone.
+nothing that neither its own code nor the benchmark reads, takes its norms
+and Kronecker products from `tensor` alone, and sizes the chunks of its
+sweeps there alone.
 """
 
 import ast
@@ -123,4 +124,22 @@ def test_norms_and_kronecker_products_come_from_tensor_alone():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
                 found.extend(f"{module}:{node.lineno} from {node.module} import {a.name}"
                              for a in node.names if a.name in ("kron", "norm"))
+    assert found == []
+
+
+def test_sweeps_are_chunked_in_tensor_alone():
+    """``sample_chunks`` and ``STACK_BYTES`` are named nowhere in the
+    package outside ``tensor.py`` (a name, an attribute or an import), so
+    every chunked sweep goes through ``tensor.sweep`` and one body decides
+    how a sweep is cut."""
+    found = []
+    for module, tree in _module_trees().items():
+        if module == "tensor":
+            continue
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in ("sample_chunks", "STACK_BYTES"):
+                found.append(f"{module}:{node.lineno} {name}")
     assert found == []

@@ -5,7 +5,7 @@ import pytest
 
 from twistchain import cli
 from twistchain.cli import main
-from twistchain.reporting import RunConfig
+from twistchain.reporting import RunConfig, load_config_file
 
 
 def test_verify_twist_exit_zero(tmp_path, capsys):
@@ -224,6 +224,27 @@ def test_non_numeric_config_value_names_line_and_key(tmp_path, capsys, config_li
     error = _assert_refused(capsys, tmp_path / "report.json", ["--config", str(cfg)])
     key = config_line.split("=")[0].strip()
     assert f"{cfg}:2: {key}:" in error
+
+
+@pytest.mark.parametrize("value", ["ture", "", "2", "on"])
+def test_non_boolean_complex_xi_in_config_is_refused(tmp_path, capsys, monkeypatch, value):
+    """A ``complex_xi`` config value other than true/false, yes/no or 1/0
+    is refused before any suite runs, naming the line, the key and the
+    value, not read as false."""
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("a suite ran"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"complex_xi = {value}\n")
+    error = _assert_refused(capsys, tmp_path / "report.json", ["--config", str(cfg)])
+    assert f"{cfg}:1: complex_xi:" in error and repr(value) in error
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False),
+])
+def test_complex_xi_in_config_reads_each_spelling_in_any_case(tmp_path, value, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"complex_xi = {value}\n")
+    assert load_config_file(str(cfg)) == {"complex_xi": expected}
 
 
 def test_non_numeric_seed_variable_is_refused(tmp_path, capsys, monkeypatch):

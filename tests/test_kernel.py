@@ -10,9 +10,11 @@ Yang-Baxter check (bitwise). The site-grown products and the scattered
 embedding are also compared bitwise with the kernel applied to the identity,
 and so are the T_0 applier and the order-1 reading of the symmetry layer,
 on the identity, with the grown full matrices they replaced. The lean
-kernels (`kron`, `frobenius`, `build_r_stack`, the cached embedding plan
-and the relation word plan) are compared bitwise with the numpy calls or
-per-sample constructions they replace.
+kernels (`kron`, `frobenius`, the cached embedding plan and the relation
+word plan) are compared bitwise with the numpy calls or per-sample
+constructions they replace, and the R-matrix builders with the displayed
+matrices written out. Every sweep driven by `tensor.sweep` refuses columns
+of unequal length.
 """
 
 import math
@@ -58,7 +60,15 @@ from twistchain.chain import (
 from twistchain.fusion import _staggered_product
 from twistchain.reporting import RunConfig
 from twistchain.relations import Member, _word_plan, relation_residuals
-from twistchain.rmatrix import build_r, build_r_stack, build_r_xi, polynomial_l, verify_ybe
+from twistchain.rmatrix import (
+    build_f12,
+    build_r,
+    build_r_stack,
+    build_r_xi,
+    polynomial_l,
+    verify_construction,
+    verify_ybe,
+)
 from twistchain.suites import run_suite
 from twistchain.symmetry import _constant_blocks, order1_transcription_residual
 from twistchain.tensor import (
@@ -456,6 +466,9 @@ def test_one_magnon_sweeps_bitwise_equal_to_one_sample_routes(n, samples, xi):
     roots = one_magnon_roots(n, spec.params.eta)
     assert one_magnon_defects(spec, roots, us[:len(roots)]) == [
         _one_sample_defect(spec, root, u) for root, u in zip(roots, us)]
+    for short_roots, short_us in ((roots, us[:len(roots) + 1]), (roots + vs[:1], us[:len(roots)])):
+        with pytest.raises(ValueError, match="columns of equal length"):
+            one_magnon_defects(spec, short_roots, short_us)
     for bad in ((us[-1], us[-1]), (0, vs[-1]), (us[-1], 0)):
         with pytest.raises(ValueError):
             verify_one_magnon_action(spec, us[:-1] + [bad[0]], vs[:-1] + [bad[1]])
@@ -492,6 +505,31 @@ def test_sweep_memory_does_not_grow_with_samples(sweep):
     or 32 MiB (the doubled blocks of the off-shell sweep at n = 8) per
     array."""
     assert _sweep_peak(sweep, 2000) <= _sweep_peak(sweep, 100) + 3 * STACK_BYTES
+
+
+_P_SWEEP = TwistParams(0.5, 0.8 + 0.3j)
+_SWEEP_COLUMNS = {"u": [1.3, 0.9 - 0.2j], "v": [0.4 + 0.7j, -1.1], "params": [_P_SWEEP] * 2}
+
+
+@pytest.mark.parametrize("sweep, columns, empty", [
+    (verify_ybe, "u v params", []),
+    (verify_construction, "u params", ([], [])),
+    (partial(verify_rtt, 2), "u v params", []),
+    (partial(verify_commuting_transfer, 2), "u v params", []),
+    (partial(verify_one_magnon_action, ChainSpec(3, _P_SWEEP)), "u v", []),
+    (partial(one_magnon_defects, ChainSpec(3, _P_SWEEP)), "v u", []),
+], ids=["ybe", "construction", "rtt", "commuting", "off_shell", "on_shell"])
+def test_every_sweep_refuses_unequal_columns_and_takes_no_samples(sweep, columns, empty):
+    """Each sweep refuses a column shorter than the others, whichever it
+    is, with the one message of ``tensor.sweep``, and gives nothing for no
+    samples."""
+    names = columns.split()
+    for short in range(len(names)):
+        args = [_SWEEP_COLUMNS[name][:1] if k == short else _SWEEP_COLUMNS[name]
+                for k, name in enumerate(names)]
+        with pytest.raises(ValueError, match="columns of equal length"):
+            sweep(*args)
+    assert sweep(*([] for _ in names)) == empty
 
 
 def test_lift_and_add_local_on_a_stack_are_each_matrix_alone():
@@ -796,18 +834,45 @@ def test_kron_refuses_non_matrices():
         kron(np.ones(2), np.eye(2))
 
 
-# real xi: -xi taken in numpy would read -0.5-0j, not build_r's -0.5+0j
+# real xi: -xi taken in numpy would read -0.5-0j, not the displayed -0.5+0j
 _R_SAMPLES = [(u, TwistParams(xi, eta))
               for xi in (0.5, -0.25, 0.0, 0.3 + 0.4j, complex(0.3, -0.0))
               for eta in (1.0, 0.8 + 0.3j, -2)
               for u in (1.3, -0.7, 1.2 - 0.5j, np.complex128(0.4 + 0.1j), np.float64(-2.5), 3)]
 
 
-def test_build_r_stack_bitwise_equal_to_build_r():
+def _displayed_f12(xi):
+    return np.array([[1, 0, 0, 0],
+                     [xi, 1, 0, 0],
+                     [0, 0, 1, 0],
+                     [0, 0, -xi, 1]], dtype=complex)
+
+
+def _displayed_r_xi(xi):
+    return np.array([[1, 0, 0, 0],
+                     [-xi, 1, 0, 0],
+                     [xi, 0, 1, 0],
+                     [xi**2, -xi, xi, 1]], dtype=complex)
+
+
+_DISPLAYED_P = np.array([[1, 0, 0, 0],
+                         [0, 0, 1, 0],
+                         [0, 1, 0, 0],
+                         [0, 0, 0, 1]], dtype=complex)
+
+
+def test_r_builders_bitwise_equal_to_displayed_matrices():
+    """F12 and R_xi, and R(u) alone and as a stack, each byte for byte
+    against its displayed matrix written out here, R(u) as the literal R_xi
+    minus (eta/u) P."""
     stack = build_r_stack([u for u, _ in _R_SAMPLES], [p for _, p in _R_SAMPLES])
     assert stack.shape == (len(_R_SAMPLES), 4, 4)
     for r, (u, p) in zip(stack, _R_SAMPLES):
-        assert r.tobytes() == build_r(u, p).tobytes()
+        want = _displayed_r_xi(p.xi) - (p.eta / u) * _DISPLAYED_P
+        assert r.tobytes() == want.tobytes()
+        assert build_r(u, p).tobytes() == want.tobytes()
+        assert build_r_xi(p.xi).tobytes() == _displayed_r_xi(p.xi).tobytes()
+        assert build_f12(p.xi).tobytes() == _displayed_f12(p.xi).tobytes()
     assert build_r_stack([], []).shape == (0, 4, 4)
 
 
