@@ -18,14 +18,14 @@ from .chain import (
     transfer_matrix,
     verify_rtt,
 )
-from .reporting import RunConfig, VerificationReport, emit_report
+from .reporting import VERSION, RunConfig, VerificationReport
 from .rmatrix import build_f12, build_r, build_r_xi, verify_ybe
 from .suites import run_suite
 from .symmetry import AsymptoticData, extract_t0
 from .tensor import SpectrumReport, eigenvalues, embed_at_site, match_spectra, permutation_op
 from .twist import SpinRep, TwistParams, make_spin_rep, sigma_element, universal_twist
 
-__version__ = "0.1.0"
+__version__ = VERSION
 
 __all__ = [
     "AsymptoticData",
@@ -44,7 +44,6 @@ __all__ = [
     "build_r_xi",
     "eigenvalues",
     "embed_at_site",
-    "emit_report",
     "eval_lambda",
     "extract_hamiltonian",
     "extract_t0",

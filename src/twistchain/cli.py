@@ -16,14 +16,17 @@ tolerance among them), the config file cannot be read, a ``--tol`` item
 is not CHECK=VALUE with a non-empty CHECK and a numeric VALUE, a number
 in the config file or in TWISTCHAIN_SEED does not parse, ``complex_xi`` in
 the config file is not true/false, yes/no or 1/0 (in any case), or a
-tolerance override names a key that no check of the run reads. Bad input
-is reported under the ``verify`` usage line with one ``twistchain verify:
-error:`` line. Every refusal comes before any suite runs except the last:
-the keys a suite reads are known only once it has run, so an unread
-override is refused after the suites, before the report is written. A
-suite that raises ends in a failing ``<suite>.error`` report before its
-later checks read their keys, so then the report is written, the unread
-keys are named as a warning and the exit status is 1.
+tolerance override names a key that no suite of the run declares in
+``suites.TOLERANCES`` (a typo, a per-relation key such as ``cr.AC``, a
+fixed threshold, a check of another suite) or that no check of the run
+reads. Bad input is reported under the ``verify`` usage line with one
+``twistchain verify: error:`` line. Every refusal comes before any suite
+runs except the last: a declared key that this config never reaches (such
+as ``spectrum.grading`` at N = 1, where the check is skipped) is refused
+after the suites, before the report is written. A suite that raises ends
+in a failing ``<suite>.error`` report before its later checks read their
+keys, so then the report is written, the unread keys are named as a
+warning and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -32,16 +35,8 @@ import argparse
 import os
 import sys
 
-from .reporting import (
-    RunConfig,
-    emit_report,
-    load_config_file,
-    parse_complex,
-    render_csv,
-    render_json,
-    unread_tolerances,
-)
-from .suites import SUITES, run_suite
+from .reporting import RunConfig, load_config_file, parse_complex, render_csv, render_json
+from .suites import SUITES, run_suite, undeclared_tolerances, unread_tolerances
 
 SEED_ENV = "TWISTCHAIN_SEED"
 
@@ -121,6 +116,10 @@ def main(argv: list[str] | None = None) -> int:
         config = resolve_config(args)
     except (ValueError, OSError) as exc:
         args.refuse(str(exc))
+    undeclared = undeclared_tolerances(config, args.suite)
+    if undeclared:
+        args.refuse(f"no suite of this run declares the tolerance override(s) "
+                    f"{', '.join(undeclared)}")
     reports = run_suite(config, args.suite)
     unread = unread_tolerances(config, reports)
     errors = [r.check_id for r in reports if r.check_id.endswith(".error")]
@@ -132,10 +131,11 @@ def main(argv: list[str] | None = None) -> int:
               f"went unread; {', '.join(errors)} stopped a suite before its later "
               f"checks", file=sys.stderr)
 
+    text = render_json(config, reports) if args.format == "json" else render_csv(reports)
     if args.out:
-        emit_report(config, reports, args.format, args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        text = render_json(config, reports) if args.format == "json" else render_csv(reports)
         sys.stdout.write(text)
 
     failed = [r for r in reports if not r.passed]

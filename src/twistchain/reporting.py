@@ -52,8 +52,6 @@ class VerificationReport:
 
     ``expected_failure`` marks checks whose pass condition is inverted
     (the residual must exceed the floor, the notes say why).
-    ``tolerance_key`` is the override key the tolerance was looked up under
-    (None for a fixed threshold); it is not part of the record.
     """
 
     check_id: str
@@ -63,7 +61,6 @@ class VerificationReport:
     passed: bool
     notes: str = ""
     expected_failure: bool = False
-    tolerance_key: str | None = None
 
     def to_record(self) -> dict:
         rec = {
@@ -93,24 +90,21 @@ def _encode_value(v):
 
 
 def report_from_residual(check_id: str, params: dict, residual: float,
-                         tolerance: float, notes: str = "",
-                         tolerance_key: str | None = None) -> VerificationReport:
+                         tolerance: float, notes: str = "") -> VerificationReport:
     return VerificationReport(
         check_id=check_id, params=params, residual=float(residual),
         tolerance=float(tolerance), passed=bool(residual <= tolerance), notes=notes,
-        tolerance_key=tolerance_key,
     )
 
 
 def expected_failure_report(check_id: str, params: dict, residual: float,
-                            floor: float, notes: str,
-                            tolerance_key: str | None = None) -> VerificationReport:
+                            floor: float, notes: str) -> VerificationReport:
     """A check that must fail: passes exactly when the residual exceeds the floor."""
     return VerificationReport(
         check_id=check_id, params=params, residual=float(residual),
         tolerance=float(floor), passed=bool(residual > floor),
         notes=notes or "expected failure: pass means the defect stays above the floor",
-        expected_failure=True, tolerance_key=tolerance_key,
+        expected_failure=True,
     )
 
 
@@ -155,12 +149,6 @@ class RunConfig:
         }
 
 
-def unread_tolerances(config: RunConfig, reports: list[VerificationReport]) -> list[str]:
-    """Override keys of `config` that no report's tolerance was looked up
-    under: they changed nothing in the run."""
-    return sorted(set(config.tolerances) - {r.tolerance_key for r in reports})
-
-
 def render_json(config: RunConfig, reports: list[VerificationReport]) -> str:
     doc = {
         "version": VERSION,
@@ -182,18 +170,6 @@ def render_csv(reports: list[VerificationReport]) -> str:
             format_number(r.tolerance), "true" if r.passed else "false",
         ])
     return buf.getvalue()
-
-
-def emit_report(config: RunConfig, reports: list[VerificationReport],
-                fmt: str, path: str) -> None:
-    if fmt == "json":
-        text = render_json(config, reports)
-    elif fmt == "csv":
-        text = render_csv(reports)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 _FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}

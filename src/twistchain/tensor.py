@@ -45,7 +45,6 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SM = 0.5 * (SX - 1j * SY)  # lowers |up> -> |down>, annihilates |down>
-SP = 0.5 * (SX + 1j * SY)
 
 
 def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:

@@ -81,17 +81,17 @@ def _module_trees():
 
 
 def test_every_exported_name_is_read_in_src_or_pinned_by_the_benchmark():
-    """Each name of ``twistchain.__all__``, and each module-level function
-    and class of the package, is referenced in the package's code (a name
-    or an attribute, parsed with ``ast``; imports, definitions and the
-    ``__all__`` strings do not count), or its function is pinned in
-    BENCHMARK.json ``per_layer``: nothing in ``src`` is kept only for the
-    tests."""
+    """Each name of ``twistchain.__all__``, and each module-level function,
+    class and assigned name (dunder names aside) of the package, is
+    referenced in the package's code (a name read or an attribute, parsed
+    with ``ast``; imports, definitions, assignments and the ``__all__``
+    strings do not count), or its function is pinned in BENCHMARK.json
+    ``per_layer``: nothing in ``src`` is kept only for the tests."""
     trees = _module_trees()
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
@@ -103,6 +103,14 @@ def test_every_exported_name_is_read_in_src_or_pinned_by_the_benchmark():
     unread = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in referenced and (module, node.name) not in pinned]
+    assert unread == []
+    unread = [f"{module}.{name.id}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              for name in ast.walk(target)
+              if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+              and not (name.id.startswith("__") and name.id.endswith("__"))
+              and name.id not in referenced]
     assert unread == []
 
 

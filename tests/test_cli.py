@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from twistchain import cli
 from twistchain.cli import main
 from twistchain.reporting import RunConfig, load_config_file
+from twistchain.suites import FIXED_THRESHOLDS, TOLERANCES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_verify_twist_exit_zero(tmp_path, capsys):
@@ -31,6 +35,17 @@ def test_verify_csv_format(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "check_id,param_summary,residual,tolerance,pass"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_writes_the_bytes_of_stdout(tmp_path, capsys, fmt):
+    args = ["verify", "twist", "--seed", "3", "--format", fmt]
+    assert main(args) == 0
+    shown = capsys.readouterr().out
+    out = tmp_path / f"twist.{fmt}"
+    assert main([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == shown
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -113,6 +128,47 @@ def test_unread_tol_override_is_rejected(tmp_path, capsys):
     assert "ybe.nonsense" in err
 
 
+@pytest.mark.parametrize("args, key", [
+    (["cr", "--tol", "cr.AC=1e-30"], "cr.AC"),
+    (["spectrum", "--n-sites", "10", "--tol", "spectrum.hamiltonain=1e-6"],
+     "spectrum.hamiltonain"),
+    (["bethe", "--tol", "bethe.completeness=1"], "bethe.completeness"),
+    (["ybe", "--tol", "cr.relations=1e-3"], "cr.relations"),
+], ids=["relation-row", "typo", "fixed-threshold", "other-suite"])
+def test_undeclared_tol_override_is_refused_before_any_suite(tmp_path, capsys, monkeypatch,
+                                                             args, key):
+    """A key that no suite of the run declares is refused before a suite
+    runs, whatever the suite would cost."""
+    monkeypatch.setattr(cli, "run_suite", lambda *a: pytest.fail("a suite ran"))
+    suite, *rest = args
+    error = _assert_refused(capsys, tmp_path / "report.json", rest, suite=suite)
+    assert "declares" in error and key in error
+
+
+def test_declared_but_unreached_override_is_refused_after_the_run(capsys, monkeypatch):
+    """At N = 1 the spectrum suite skips `spectrum.grading`: its key is
+    declared, so the suite runs, and refused once no report read it."""
+    calls = []
+    run_suite = cli.run_suite
+    monkeypatch.setattr(cli, "run_suite", lambda *a: calls.append(a) or run_suite(*a))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "spectrum", "--n-sites", "1", "--tol", "spectrum.grading=1"])
+    assert exit_info.value.code == 2 and len(calls) == 1
+    err = capsys.readouterr().err
+    assert "no check of this run reads" in err and "spectrum.grading" in err
+
+
+def test_readme_names_each_shared_key_and_fixed_threshold_with_its_value():
+    text = " ".join(README.read_text(encoding="utf-8").split())  # lines joined
+    shared = [key for key in TOLERANCES if key.endswith(".relations")]
+    assert shared == ["cr.relations", "symmetry.relations"]
+    for key in shared:
+        assert f"`{key}` ({TOLERANCES[key]})" in text, key
+    for check_id, value in FIXED_THRESHOLDS.items():
+        name = "<suite>.error" if check_id.endswith(".error") else check_id
+        assert f"`{name}` ({value})" in text, check_id
+
+
 def test_suite_error_report_wins_over_unread_override(tmp_path, capsys, monkeypatch):
     """A suite that raises stops before its later checks read their keys: the
     error report is written and fails the run, and the unread key is named."""
@@ -158,11 +214,11 @@ def test_open_boundary_spectrum(capsys):
     assert [r["check_id"] for r in doc["reports"]] == ["spectrum.open_boundary_terms"]
 
 
-def _assert_refused(capsys, out, args):
-    """`twistchain verify twist --out <out> <args>` exits 2 under the verify
-    usage line with one error line, no traceback and no report."""
+def _assert_refused(capsys, out, args, suite="twist"):
+    """`twistchain verify <suite> --out <out> <args>` exits 2 under the
+    verify usage line with one error line, no traceback and no report."""
     with pytest.raises(SystemExit) as exit_info:
-        main(["verify", "twist", "--out", str(out), *args])
+        main(["verify", suite, "--out", str(out), *args])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("usage: twistchain verify ")

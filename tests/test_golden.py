@@ -5,8 +5,8 @@ and `twistchain verify bethe --n-sites 6`, whose eigenvalue gaps and
 completeness counts read the graded spectrum of the deformed t(u).
 
 The files under tests/data were rendered by the CLI. A refactor must keep
-every check id, parameter and verdict, and every residual to 1e-12
-absolute; the `ybe.*` and `rtt.*` records and the
+every check id, parameter, tolerance, expected-failure mark and verdict,
+and every residual to 1e-12 absolute; the `ybe.*` and `rtt.*` records and the
 `bethe.one_magnon_off_shell` and `bethe.one_magnon_on_shell` records,
 evaluated as stacked sweeps whose every sample must equal its own
 evaluation bitwise, and the `twist.*` and `fusion.*` records, whose small
@@ -41,8 +41,9 @@ def _assert_matches_golden(name, config, suite="all"):
         if now["check_id"].startswith(_EXACT):
             assert now == then
             continue
-        assert (now["check_id"], now["params"], now["pass"]) == (
-            then["check_id"], then["params"], then["pass"])
+        fields = ("check_id", "params", "pass", "tolerance")
+        assert [now[k] for k in fields] == [then[k] for k in fields]
+        assert now.get("expected_failure") == then.get("expected_failure"), now["check_id"]
         assert abs(float(now["residual"]) - float(then["residual"])) <= 1e-12, now["check_id"]
 
 

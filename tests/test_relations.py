@@ -19,8 +19,8 @@ from twistchain.chain import (
     relation_env,
     verify_commutation_relations,
 )
-from twistchain.reporting import RunConfig, unread_tolerances
-from twistchain.suites import run_suite
+from twistchain.reporting import RunConfig
+from twistchain.suites import run_suite, unread_tolerances
 from twistchain.symmetry import (
     _ET,
     _constant_blocks,

@@ -10,7 +10,6 @@ from twistchain import suites
 from twistchain.reporting import (
     RunConfig,
     VerificationReport,
-    emit_report,
     expected_failure_report,
     format_complex,
     format_number,
@@ -20,7 +19,17 @@ from twistchain.reporting import (
     render_json,
     report_from_residual,
 )
-from twistchain.suites import SUITES, _relation_reports, _worst, _worst_sample, run_suite
+from twistchain.relations import CR_RELATIONS, SYMMETRY_RELATIONS
+from twistchain.suites import (
+    FIXED_THRESHOLDS,
+    SUITES,
+    TOLERANCES,
+    _relation_reports,
+    _worst,
+    _worst_sample,
+    run_suite,
+    tolerance_key,
+)
 from twistchain.tensor import SM, embed_at_site, match_spectra
 from twistchain.twist import TwistParams
 
@@ -96,17 +105,6 @@ def test_csv_shape():
     assert lines[1].startswith("a.b,n=3,") and lines[1].endswith(",false")
 
 
-def test_emit_report_files(tmp_path):
-    config = RunConfig(seed=7)
-    reports = [report_from_residual("a.b", {}, 1e-14, 1e-12)]
-    jpath = tmp_path / "out.json"
-    cpath = tmp_path / "out.csv"
-    emit_report(config, reports, "json", str(jpath))
-    emit_report(config, reports, "csv", str(cpath))
-    assert json.loads(jpath.read_text())["seed"] == 7
-    assert cpath.read_text().count("\n") == 2
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(samples=0)
@@ -155,18 +153,47 @@ def test_different_seeds_differ():
     assert render_json(c1, run_suite(c1, "ybe")) != render_json(c2, run_suite(c2, "ybe"))
 
 
-def test_every_check_reachable_from_exactly_one_suite():
-    """Coverage audit: each emitted check id belongs to its own suite's
-    namespace and to no other suite."""
+# the domain-sweep configs: N = 1..7, both boundaries, a real and a complex
+# deformation, at the default seed
+_DOMAIN_SWEEP = [
+    RunConfig(n_sites=n, boundary=boundary, **deformation)
+    for n in range(1, 8)
+    for boundary in ("periodic", "open")
+    for deformation in ({"xi": 0.5, "eta": 1.0},
+                        {"xi": 0.3 + 0.4j, "eta": 0.8 + 0.3j, "complex_xi": True})
+]
+
+
+def test_every_check_is_declared_and_every_declared_key_is_emitted():
+    """Each check id a suite emits over the domain sweep resolves to a
+    ``TOLERANCES`` key of its own suite, read at its default, or to a fixed
+    threshold; only the relations of the displayed tables read the shared
+    ``<suite>.relations``. Every key of the table is read by some report, and
+    every fixed threshold but the ``<suite>.error`` ones is emitted."""
+    relation_ids = {"cr": {r.rel_id for r in CR_RELATIONS} | {"DB_2_variant"},
+                    "symmetry": {r.rel_id for r in SYMMETRY_RELATIONS} | {"Et"}}
+    keys, fixed = set(), set()
+    for config in _DOMAIN_SWEEP:
+        for suite in SUITES:
+            for report in run_suite(config, suite):
+                check_id = report.check_id
+                key = tolerance_key(check_id)
+                if key is None:
+                    assert report.tolerance == FIXED_THRESHOLDS[check_id]
+                    fixed.add(check_id)
+                    continue
+                assert report.tolerance == TOLERANCES[key], check_id
+                assert key.split(".")[0] == suite, check_id
+                if key != check_id:
+                    assert key == f"{suite}.relations", check_id
+                    assert check_id.split(".", 1)[1] in relation_ids[suite], check_id
+                keys.add(key)
+    assert keys == set(TOLERANCES)
+    assert fixed == {"ybe.unitarity_probe", "bethe.conjugation_closure", "bethe.completeness"}
+
+
+def test_all_is_the_suites_in_declared_order():
     config = RunConfig(seed=5, n_sites=4, xi=0.5, samples=3)
-    seen = {}
-    for suite in SUITES:
-        for report in run_suite(config, suite):
-            prefix = report.check_id.split(".")[0]
-            assert prefix == suite, report.check_id
-            seen.setdefault(report.check_id, suite)
-    assert all(check.startswith(suite + ".") for check, suite in seen.items())
-    # 'all' is exactly the concatenation in declared order
     ids_all = [r.check_id for r in run_suite(config, "all")]
     ids_concat = [r.check_id for s in SUITES for r in run_suite(config, s)]
     assert ids_all == ids_concat
@@ -334,7 +361,7 @@ def test_relation_reports_leave_skipped_records_out_and_fail_on_nan():
         [record("AC", 2e-14), record("AC", NAN, skipped="alpha(u,v) ~ 0"), record("DB_2", 0.5)],
         [record("AC", 3e-14), record("DB_2", NAN)],
     ]
-    ac, db2 = _relation_reports(RunConfig(), "cr", sweeps, {}, 1e-12)
+    ac, db2 = _relation_reports(RunConfig(), "cr", sweeps, {})
     assert ac.check_id == "cr.AC" and ac.residual == 3e-14 and ac.passed
     assert db2.check_id == "cr.DB_2" and np.isnan(db2.residual)
     assert not db2.passed and not db2.expected_failure
